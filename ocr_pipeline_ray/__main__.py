@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import glob as globmod
 import os
+import shutil
 import sys
 import time
 
@@ -190,6 +191,7 @@ def main(argv=None) -> int:
         ray.init(**kwargs)
 
     from ocr_pipeline_ray.config import (
+        StepSpec,
         apply_overrides,
         default_steps,
         load_steps_ini,
@@ -228,16 +230,18 @@ def main(argv=None) -> int:
                 if key in params:
                     rescore_kwargs[key] = params[key]
         os.makedirs(args.out, exist_ok=True)
-        ds = rescore_pipeline(paths, **rescore_kwargs)
-        ds.write_parquet(os.path.join(args.out, "rescored"))
-        _write_report(args.out, paths_rescored=os.path.join(args.out, "rescored"))
+        rescored = os.path.join(args.out, "rescored")
+        shutil.rmtree(rescored, ignore_errors=True)  # rerun = replace
+        rescore_pipeline(paths, **rescore_kwargs).write_parquet(rescored)
+        _write_report(args.out, paths_rescored=rescored)
         print("rescored →", args.out)
         return 0
 
-    steps = load_steps_ini(args.config) if args.config else None
+    steps = load_steps_ini(args.config) if args.config else default_steps()
     if args.overrides:
-        steps = apply_overrides(steps if steps is not None else default_steps(),
-                                args.overrides)
+        steps = apply_overrides(steps, args.overrides)
+    if args.emit_xml:
+        steps.append(StepSpec("EmitAlto"))
 
     if args.no_resume:
         store = LineageStore(args.out)
@@ -245,13 +249,7 @@ def main(argv=None) -> int:
             os.remove(os.path.join(args.out, "_lineage", f"{pid}.json"))
 
     def _pipeline(ds):
-        out = build_pipeline(ds, steps=steps, profile=args.profile)
-        if args.emit_xml:
-            from ocr_pipeline_ray.functions.xmlout import alto_xml_fn
-
-            out = out.map_batches(alto_xml_fn, batch_format="pyarrow",
-                                  zero_copy_batch=True)
-        return out
+        return build_pipeline(ds, steps=steps, profile=args.profile)
 
     try:
         # prune at the read: the chain needs only these four columns
@@ -291,8 +289,6 @@ def _write_embeddings(out_root: str, log) -> None:
     (stages/embedder.EmbeddingInference — weights load once per
     actor), embeddings parquet beside the extraction output. The
     tail is deterministic; rerunning replaces ``out/embeddings``."""
-    import shutil
-
     import ray.data
 
     from ocr_pipeline_ray.stages.embedder import embedding_inference_stage
@@ -427,7 +423,6 @@ def _write_training_data(out_root: str, min_ratio: float, log) -> None:
     extraction stage upstream stays resumable per partition. Reads
     are pruned to the three columns the tail needs."""
     import hashlib
-    import shutil
 
     import pyarrow as pa
     import pyarrow.compute as pc

@@ -6,9 +6,10 @@ The reference assembles its per-document step chain from INI sections
 (`/root/reference/ocr_pipeline.py:101-118`). This engine keeps the
 same extension surface — a string-typed ordered step list — but with
 an explicit registry (no ``globals()`` magic) and upfront parameter
-validation. Each registered builder takes ``(ds, params, ctx)`` and
-returns the transformed Dataset, so user-defined stages plug in by
-registering a builder name.
+validation. The row steps in :data:`ROW_STEPS` compile into one
+chain; any other type names a registered whole-batch builder that
+takes ``(ds, params, ctx)`` and returns the transformed Dataset, so
+user-defined stages plug in by registering a builder name.
 """
 
 from __future__ import annotations
@@ -28,19 +29,15 @@ class StepSpec:
 
 @dataclass
 class PipelineContext:
-    """Per-run sizing knobs shared by all stages.
+    """Per-run sizing shared by all stages.
 
-    ``batch_size=256``: measured ~15% faster than 64 on the fused
+    ``batch_size=256``: measured ~15% faster than 64 on the compiled
     chain (per-batch Arrow assembly amortizes better) while keeping
     an in-flight batch small even for fat pages (256 × 500 KB html =
     128 MB worst case; shrink it for multi-MB documents).
     """
 
     batch_size: int = 256
-    concurrency: object = (1, 8)
-    quality_batch_size: int = 256
-    # fused chain: None → task pool (default); tuple/int → actor pool
-    fused_concurrency: object = None
 
 
 # Typed INI params (configparser yields strings only). Explicit table —
@@ -64,6 +61,10 @@ def coerce_params(params: Dict[str, object]) -> Dict[str, object]:
     return out
 
 
+# Row steps compile into the one chain (stages/fused.py); every other
+# step type is a whole-batch builder looked up in STEP_REGISTRY.
+ROW_STEPS = frozenset({"HtmlExtract", "ReplaceChars", "ReplaceCharsRegex",
+                       "FinalizeText", "QualityEstimate"})
 STEP_REGISTRY: Dict[str, Callable] = {}
 
 
@@ -80,7 +81,8 @@ def register_step(name: str):
 def resolve_step(name: str) -> Callable:
     if name not in STEP_REGISTRY:
         raise KeyError(
-            f"unknown step type '{name}' — registered: {sorted(STEP_REGISTRY)}"
+            f"unknown step type '{name}' — registered: "
+            f"{sorted(ROW_STEPS | set(STEP_REGISTRY))}"
         )
     return STEP_REGISTRY[name]
 

@@ -6,7 +6,7 @@ Plays the role of the reference's recognition + line-model steps
 an ordered list of text lines out. Input here is Common-Crawl-style
 HTML bytes; main content is separated from boilerplate with
 text-density / link-density heuristics (Boilerpipe-family, public
-technique), built from scratch on the stdlib ``html.parser``.
+technique), implemented as one regex split-walk scanner.
 
 Semantics (deterministic, the parity contract):
 
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from html.parser import HTMLParser
 from typing import Dict, List, Optional, Tuple
 
 from .text import CLEAR_MARKS, strip_marks
@@ -79,267 +78,35 @@ class ExtractConfig:
     char_width: int = 12
 
 
-# stack frames are plain tuples (tag, ignored, boiler, rtl) — a
-# dataclass per open element was a measurable share of per-doc cost
-_ROOT_STATE = (False, False, False)
-
-
-class _MainContentParser(HTMLParser):
-    """Single-pass streaming extractor; one instance per document."""
-
-    def __init__(self, config: ExtractConfig, boiler_re: re.Pattern):
-        super().__init__(convert_charrefs=True)
-        self.cfg = config
-        self.boiler_re = boiler_re
-        self.stack: List[Tuple[str, bool, bool, bool]] = []
-        self.link_depth = 0
-        # current line accumulation; char counting is deferred to
-        # flush (counts are additive across segment boundaries, so
-        # splitting once per line == splitting per segment)
-        self._segments: List[str] = []
-        self._link_segments: List[str] = []
-        self._line_boiler = False
-        self._line_rtl = False
-        self._line_open = False
-        self.raw_lines: List[Tuple[str, bool, int, int]] = []
-        self.n_boiler_dropped = 0
-        self.n_link_dropped = 0
-        self.n_short_dropped = 0
-
-    # -- frame helpers -------------------------------------------------
-    def _state(self) -> Tuple[bool, bool, bool]:
-        stack = self.stack
-        if not stack:
-            return _ROOT_STATE
-        return stack[-1][1:]
-
-    # -- line accumulation ---------------------------------------------
-    def _flush_line(self) -> None:
-        if not self._line_open:
-            return
-        text = "".join(self._segments)
-        tokens = text.split()
-        # raw (pre-mark-strip) char counts feed link density — same
-        # values as per-segment counting, computed once per line
-        total_chars = sum(map(len, tokens))
-        if self._link_segments:
-            link_chars = sum(
-                sum(map(len, seg.split())) for seg in self._link_segments
-            )
-        else:
-            link_chars = 0
-        # mark stripping only when a mark is present in the line at
-        # all (rare) — avoids a per-token function call on the hot path
-        if tokens and _MARKS_RE.search(text) is not None:
-            tokens = [strip_marks(t) for t in tokens]
-            tokens = [t for t in tokens if t]
-        self._line_open = False
-        self._segments = []
-        self._link_segments = []
-        if tokens:
-            if self._line_rtl:
-                tokens = list(reversed(tokens))
-            line_text = " ".join(tokens)
-            self.raw_lines.append(
-                (line_text, self._line_boiler, link_chars, total_chars)
-            )
-        self._line_boiler = False
-        self._line_rtl = False
-
-    # -- HTMLParser hooks ----------------------------------------------
-    # tag names arrive lowercase from BOTH drivers (the stdlib
-    # HTMLParser contract lowercases them; _fast_feed lowers
-    # explicitly), so the handlers do not re-lower
-    def handle_starttag(self, tag, attrs):
-        if tag == "br":
-            if self._line_open:
-                self._flush_line()
-            return
-        if tag in _VOID_TAGS:
-            return
-        if tag == "a":
-            self.link_depth += 1
-            return
-        stack = self.stack
-        if stack:
-            _t, ignored, boiler, rtl = stack[-1]
-        else:
-            ignored = boiler = rtl = False
-        ignored = ignored or tag in _IGNORED_TAGS
-        boiler = boiler or tag in _BOILER_TAGS
-        if attrs:
-            for name, value in attrs:
-                if value is None:
-                    continue
-                lname = name.lower()
-                if lname in ("class", "id"):
-                    if self.boiler_re.search(value.lower()):
-                        boiler = True
-                elif lname == "dir":
-                    rtl = value.strip().lower() == "rtl"
-        if tag in _BLOCK_TAGS and self._line_open:
-            self._flush_line()
-        stack.append((tag, ignored, boiler, rtl))
-
-    def handle_endtag(self, tag):
-        if tag == "a":
-            if self.link_depth > 0:
-                self.link_depth -= 1
-            return
-        if tag in _VOID_TAGS:
-            return
-        if tag in _BLOCK_TAGS and self._line_open:
-            self._flush_line()
-        stack = self.stack
-        # fast path: properly nested close
-        if stack and stack[-1][0] == tag:
-            stack.pop()
-            return
-        # pop to the matching open frame (tolerates misnesting)
-        for i in range(len(stack) - 1, -1, -1):
-            if stack[i][0] == tag:
-                del stack[i:]
-                break
-
-    def handle_startendtag(self, tag, attrs):
-        if tag == "br":
-            self._flush_line()
-
-    def handle_data(self, data):
-        stack = self.stack
-        if stack:
-            _t, ignored, boiler, rtl = stack[-1]
-        else:
-            ignored = boiler = rtl = False
-        if ignored or not data:
-            return
-        if not self._line_open and not data.strip():
-            return
-        self._line_open = True
-        self._segments.append(data)
-        if self.link_depth > 0:
-            self._link_segments.append(data)
-        if boiler:
-            self._line_boiler = True
-        if rtl:
-            self._line_rtl = True
-
-
-# --- fast tokenizer ---------------------------------------------------
-# Drives the same _MainContentParser handlers as html.parser but with a
-# single regex scan (HTMLParser's goahead/parse_starttag machinery is
-# ~60-70% of per-doc cost). Validated drift-free against the stdlib
-# path on VALID HTML (incl. quoted '>', comments, rawtext, misnesting
-# — see TestFastTokenizerDrift). On INVALID markup — a raw unescaped
-# '<' in text content — recovery is undefined and the two parsers may
-# segment differently. NOTE: since the split-walk scanner landed,
-# _scan_extract (below) is the PRODUCTION path and the engine's
-# authoritative behavior; _fast_feed remains as the drift-test
-# reference implementation, and the stdlib parser is the fallback
-# when the scanner raises.
-
-# element bodies consume quoted attribute values atomically so a '>'
-# inside quotes (href="x>y") does not terminate the tag early —
-# matching html.parser's behavior. The body is matched with GREEDY
-# unquoted-chunk / quoted-string alternation (linear scan, no
-# per-character lazy backtracking — the lazy variant was the single
-# hottest regex in the engine); a trailing '/' lands inside the body
-# and is ignored by the name/attr parses.
-_TAG_RE = re.compile(
-    r"<(!--.*?--|!\[CDATA\[.*?\]\]|![^>]*"
-    r"|/?[a-zA-Z][^>\"']*(?:(?:\"[^\"]*\"|'[^']*')[^>\"']*)*)>",
-    re.S,
-)
-_NAME_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9-]*")
-_ATTR_RE = re.compile(
-    r"""([a-zA-Z_:][-a-zA-Z0-9_:.]*)\s*=\s*(?:"([^"]*)"|'([^']*)'|([^\s>]*))"""
-)
-_RAWTEXT_TAGS = frozenset({"script", "style", "textarea", "title"})
-
-
-def _fast_feed(text: str, parser: "_MainContentParser") -> None:
-    from html import unescape
-
-    # hot-loop locals: attribute lookups out of the per-tag path
-    tag_search = _TAG_RE.search
-    name_match_fn = _NAME_RE.match
-    handle_data = parser.handle_data
-    handle_starttag = parser.handle_starttag
-    handle_endtag = parser.handle_endtag
-    pos = 0
-    n = len(text)
-    lower: Optional[str] = None
-    while True:
-        match = tag_search(text, pos)
-        if not match:
-            break
-        start = match.start()
-        if start > pos:
-            seg = text[pos:start]
-            if "&" in seg:
-                seg = unescape(seg)
-            handle_data(seg)
-        body = match.group(1)
-        pos = match.end()
-        first = body[0]
-        if first == "!":
-            continue  # comment / doctype / CDATA
-        if first == "/":
-            handle_endtag(body[1:].strip().lower())
-            continue
-        name_match = name_match_fn(body)
-        if not name_match:
-            continue
-        name = name_match.group(0).lower()
-        attrs = []
-        rest = body[name_match.end():]
-        if rest:
-            rest_l = rest.lower()
-            if "class" in rest_l or "id" in rest_l or "dir" in rest_l:
-                for am in _ATTR_RE.finditer(rest):
-                    val = am.group(2)
-                    if val is None:
-                        val = (am.group(3) if am.group(3) is not None
-                               else am.group(4))
-                    attrs.append((am.group(1), val))
-        handle_starttag(name, attrs)
-        if name in _RAWTEXT_TAGS:
-            if lower is None:
-                lower = text.lower()
-            close = lower.find("</" + name, pos)
-            if close == -1:
-                pos = n
-            else:
-                gt = text.find(">", close)
-                handle_endtag(name)
-                pos = n if gt == -1 else gt + 1
-    if pos < n:
-        seg = text[pos:]
-        if "&" in seg:
-            seg = unescape(seg)
-        handle_data(seg)
-
-
 # --- split-walk scanner ----------------------------------------------
-# The production hot path: ONE re.split pass turns the document into a
-# flat [text, bang, slash, name, rest, text, ...] list (5-stride), so
-# the per-tag cost is list indexing instead of a match object + group/
-# start/end calls per tag — measured ~20% faster end-to-end than the
-# search-loop tokenizer (_fast_feed) on the bench corpus. Handler
-# logic is inlined with local state; semantics are pinned equal to
-# _fast_feed + _MainContentParser by TestScanExtractDrift (NASTY
-# fixtures + corpus). Rawtext (<script>/<style>/...) is handled in
-# SKIP mode: items are discarded until the matching end tag, which
-# matches the jump semantics of _fast_feed on every pinned case (the
-# two can differ only on pathological invalid markup — a quoted
-# "</script" inside a spurious tag inside a script body — where
-# recovery is undefined and the engine is authoritative).
+# The only production tokenizer: ONE re.split pass turns the document
+# into a flat [text, bang, slash, name, rest, text, ...] list
+# (5-stride), so the per-tag cost is list indexing instead of a match
+# object + group/start/end calls per tag — measured ~20% faster
+# end-to-end than a search-loop tokenizer on the bench corpus. Handler
+# logic is inlined with local state. It is pinned equal to a
+# search-loop tokenizer on every NASTY fixture, the corpus and
+# generated markup (TestScanExtractDrift, test_scan_properties), and
+# that tokenizer equal to the stdlib HTMLParser path on valid HTML
+# (TestFastTokenizerDrift); both references live in
+# tests/drift_tokenizers.py. Rawtext
+# (<script>/<style>/...) is handled in SKIP mode: items are discarded
+# until the matching end tag, which matches the search loop's jump on
+# every pinned case; the two can differ on pathological invalid
+# markup — a quoted "</script" inside a spurious tag inside a script
+# body — where recovery is undefined and this scanner is
+# authoritative.
 _TAG_SPLIT_RE = re.compile(
     r"<(?:(!--.*?--|!\[CDATA\[.*?\]\]|![^>]*)"
     r"|(/?)([a-zA-Z][a-zA-Z0-9-]*)"
     r"([^>\"']*(?:(?:\"[^\"]*\"|'[^']*')[^>\"']*)*))>",
     re.S,
 )
+# attribute values, quoted or not (a '>' inside quotes stays in the tag)
+_ATTR_RE = re.compile(
+    r"""([a-zA-Z_:][-a-zA-Z0-9_:.]*)\s*=\s*(?:"([^"]*)"|'([^']*)'|([^\s>]*))"""
+)
+_RAWTEXT_TAGS = frozenset({"script", "style", "textarea", "title"})
 # allocation-free attr gate (replaces rest.lower() + three `in` scans)
 _ATTR_GATE_RE = re.compile(r"class|id|dir", re.I)
 
@@ -347,9 +114,8 @@ _ATTR_GATE_RE = re.compile(r"class|id|dir", re.I)
 def _scan_extract(
     text: str, boiler_re: re.Pattern
 ) -> List[Tuple[str, bool, int, int]]:
-    """Fused single-pass extractor: returns ``raw_lines`` equal to
-    ``_fast_feed`` + ``_MainContentParser`` (same tuples, same order).
-    """
+    """Single-pass extractor: ``(line_text, boiler, link_chars,
+    total_chars)`` per raw line, in document order."""
     from html import unescape
 
     attr_finditer = _ATTR_RE.finditer
@@ -512,16 +278,7 @@ def extract_text_lines(
     cfg = config
     if boiler_re is None:
         boiler_re = re.compile(cfg.boiler_class_pattern)
-    text = html_bytes.decode("utf-8")
-    try:
-        raw_lines = _scan_extract(text, boiler_re)
-    except Exception:
-        # stdlib parser fallback: slower, maximally tolerant
-        parser = _MainContentParser(cfg, boiler_re)
-        parser.feed(text)
-        parser.close()
-        parser._flush_line()
-        raw_lines = parser.raw_lines
+    raw_lines = _scan_extract(html_bytes.decode("utf-8"), boiler_re)
 
     texts: List[str] = []
     n_boiler_dropped = n_link_dropped = n_short_dropped = 0

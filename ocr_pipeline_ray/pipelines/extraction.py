@@ -3,17 +3,20 @@
 Chain (default config = reference conf/ocr_config.ini parity):
 
 ``read_parquet(pages)``
-→ ``HtmlExtract``      (actor pool, stateful parse — M1/M4/M5)
-→ ``ReplaceChars``     (stateless, ordered dict — M2)
-→ ``ReplaceCharsRegex``(stateless, first-match — M3)
+→ ``HtmlExtract``      (format sniff + line extraction — M1/M4/M5)
+→ ``ReplaceChars``     (ordered dict — M2)
+→ ``ReplaceCharsRegex``(first-match — M3)
 → ``FinalizeText``     (extracted_text + span offsets)
-→ ``QualityEstimate``  (actor pool, M6-M9 inside)
+→ ``QualityEstimate``  (M6-M9 inside)
 → ``write_parquet``    / report aggregation (A1/A2/S5)
 
-Everything streams; nothing materializes the full corpus. The step
-chain is assembled from :mod:`ocr_pipeline_ray.config` StepSpecs so
-user configs (INI or dicts) order/extend it exactly like the
-reference's ``step_01..NN`` sections.
+The row steps compile into ONE ``map_batches`` task pool
+(stages/fused.py); whole-batch steps such as ``EmitAlto`` follow it
+as trailing ``map_batches`` from the step registry. Everything
+streams; nothing materializes the full corpus. The step chain is
+assembled from :mod:`ocr_pipeline_ray.config` StepSpecs so user
+configs (INI or dicts) order/extend it exactly like the reference's
+``step_01..NN`` sections.
 """
 
 from __future__ import annotations
@@ -29,55 +32,7 @@ from ..config import (
     register_step,
     resolve_step,
 )
-from ..functions.extract import ExtractConfig
-from ..stages.extract import extract_stage
-from ..stages.normalize import (
-    finalize_text_fn,
-    make_replace_chars_fn,
-    make_replace_regex_fn,
-)
-from ..stages.quality import quality_stage
-
-
-@register_step("HtmlExtract")
-def _build_extract(ds, params, ctx: PipelineContext):
-    from ..config import coerce_params
-
-    params = coerce_params(params)
-    cfg = params.get("config")
-    if cfg is None:
-        kwargs = {
-            k: params[k]
-            for k in ("min_len", "max_link_density")
-            if k in params
-        }
-        cfg = ExtractConfig(**kwargs) if kwargs else None
-    return extract_stage(
-        ds, config=cfg, batch_size=ctx.batch_size, concurrency=ctx.concurrency
-    )
-
-
-@register_step("ReplaceChars")
-def _build_replace_chars(ds, params, ctx: PipelineContext):
-    from ..config import coerce_params
-
-    params = coerce_params(params)
-    fn = make_replace_chars_fn(dict(params["dict_chars"]),
-                               backup=bool(params.get("backup", False)))
-    return ds.map_batches(fn, batch_format="pyarrow", zero_copy_batch=True)
-
-
-@register_step("ReplaceCharsRegex")
-def _build_replace_regex(ds, params, ctx: PipelineContext):
-    fn = make_replace_regex_fn(params["pattern"], params["old"], params["new"])
-    return ds.map_batches(fn, batch_format="pyarrow", zero_copy_batch=True)
-
-
-@register_step("FinalizeText")
-def _build_finalize(ds, params, ctx: PipelineContext):
-    return ds.map_batches(
-        finalize_text_fn, batch_format="pyarrow", zero_copy_batch=True
-    )
+from . import rescore  # noqa: F401  registers RescoreQuality
 
 
 @register_step("EmitAlto")
@@ -90,47 +45,36 @@ def _build_emit_alto(ds, params, ctx: PipelineContext):
                           zero_copy_batch=True)
 
 
-@register_step("QualityEstimate")
-def _build_quality(ds, params, ctx: PipelineContext):
-    return quality_stage(
-        ds,
-        lexicon=params.get("lexicon"),
-        batch_size=ctx.quality_batch_size,
-        concurrency=ctx.concurrency,
-    )
-
-
 def build_pipeline(
     ds: "ray.data.Dataset",
     steps: Optional[Sequence[StepSpec]] = None,
     ctx: Optional[PipelineContext] = None,
-    fused: bool = True,
     profile: bool = False,
 ) -> "ray.data.Dataset":
     """Apply the ordered step chain to a pages Dataset (lazy).
 
-    When the chain matches the fusable default shape, it compiles to
-    ONE actor-pool stage (single Arrow↔Python conversion per batch,
-    see stages/fused.py); custom step types fall back to one
-    ``map_batches`` per step via the registry. ``profile=True`` adds
-    the fused chain's per-step ``step_wall_us`` timing column (the
-    reference's per-step profile() log at batch granularity; the
-    per-step registry path gets per-operator timings from
-    ``Dataset.stats()``/lineage instead).
+    The row steps compile to ONE task-pool stage (single Arrow↔Python
+    conversion per batch, see stages/fused.py); each whole-batch step
+    after them runs as its registered builder. A chain that puts a
+    whole-batch step before a row step raises ``ValueError`` here.
+    ``profile=True`` adds the compiled chain's per-step
+    ``step_wall_us`` timing column (the reference's per-step
+    profile() log at batch granularity).
     """
-    from ..stages.fused import fused_stage, is_fusable
+    from ..stages.fused import make_fused_fn, split_chain
 
     ctx = ctx or PipelineContext()
     specs = list(steps) if steps is not None else default_steps()
-    if fused and is_fusable(specs):
-        return fused_stage(
-            ds, specs, batch_size=ctx.batch_size,
-            concurrency=ctx.fused_concurrency,
-            profile=profile,
+    row, tail = split_chain(specs)
+    if row:
+        ds = ds.map_batches(
+            make_fused_fn(row, profile=profile),
+            batch_size=ctx.batch_size,
+            batch_format="pyarrow",
+            zero_copy_batch=True,
         )
-    for spec in specs:
-        builder = resolve_step(spec.type)
-        ds = builder(ds, spec.params, ctx)
+    for spec in tail:
+        ds = resolve_step(spec.type)(ds, spec.params, ctx)
     return ds
 
 

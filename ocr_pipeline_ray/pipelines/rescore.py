@@ -20,7 +20,7 @@ import ray.data
 
 from ..config import PipelineContext, register_step
 from ..functions.quality import estimate_quality
-from ..stages.quality import QUALITY_FIELDS
+from ..schema import QUALITY_FIELDS
 
 
 def make_rescore_fn(lexicon: Optional[FrozenSet[str]] = None, minlen: int = 2,

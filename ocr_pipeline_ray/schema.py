@@ -37,6 +37,10 @@ LINE_TYPE = pa.struct(
 
 LINES_TYPE = pa.list_(LINE_TYPE)
 
+# per-row replacement statistics: key → lines it changed, summed over
+# the chain's replace steps (once-per-line-per-key, lib/ocr_step.py:256-262)
+REPL_STATS_TYPE = pa.map_(pa.string(), pa.int64())
+
 # Estimation tuple contract (hit_ratio, n_words, n_errs, n_lines_in,
 # n_wraps, n_shorts, n_lines_out); -1.0 hit_ratio = "not scored"
 # sentinel (reference: ocr_pipeline.py:35, lib/ocr_step.py:346-352).
@@ -51,6 +55,9 @@ QUALITY_TYPE = pa.struct(
         pa.field("n_lines_out", pa.int32()),
     ]
 )
+# the same tuple as the flat columns the chain and the rescore
+# pipeline append, in this order
+QUALITY_FIELDS = tuple((f.name, f.type) for f in QUALITY_TYPE)
 
 EXTRACTED_SCHEMA = pa.schema(
     [

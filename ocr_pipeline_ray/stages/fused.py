@@ -1,26 +1,31 @@
-"""Fused extraction chain — one Arrow↔Python round trip per batch.
+"""The compiled extraction chain — one Arrow↔Python round trip per batch.
 
-The per-step pipeline (extract → replace → regex → finalize → quality)
-is semantically a composition of ROW-LOCAL functions, but running it
-as separate ``map_batches`` stages deserializes/re-serializes the
-nested ``lines`` column once per stage (~4× the conversion cost; Ray
-fuses the tasks but not the conversions). ``FusedExtractor`` compiles
-the same ordered StepSpec chain into one actor that converts each row
-once: html → lines → normalized texts → spans/quality → columns.
+``build_pipeline`` runs every step list through this module. The row
+steps (extract → replace → regex → finalize → quality) are ROW-LOCAL
+functions; running them as separate ``map_batches`` stages would
+deserialize/re-serialize the nested ``lines`` column once per stage.
+``FusedExtractor`` compiles the ordered row steps into one callable
+that converts each row once: html → lines → normalized texts →
+spans/quality → columns. Whole-batch steps (``EmitAlto``,
+``RescoreQuality``, user-registered builders) follow as trailing
+``map_batches`` (see :func:`split_chain`).
 
-Output schema and values are IDENTICAL to the per-step path (asserted
-by the e2e parity tests); ``build_pipeline(..., fused=False)`` keeps
-the stage-per-step path for custom/user step types.
+Columns follow the step list: each step (re)writes its columns at the
+end of the table (:data:`_STEP_COLUMNS`). A chain without
+``FinalizeText`` has no ``extracted_text``/``n_lines``/``doc_id``/
+``page_id`` and its line ``start``/``stop`` stay -1; a chain without
+``QualityEstimate`` has no quality columns; ``repl_stats`` exists
+only with a replace step. Line geometry is fixed at extraction.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import pyarrow as pa
 
-from ..config import StepSpec
+from ..config import ROW_STEPS, StepSpec, resolve_step
 from ..functions.extract import ExtractConfig, extract_document
 from ..functions.quality import estimate_quality
 from ..functions.text import (
@@ -29,12 +34,18 @@ from ..functions.text import (
     replace_chars,
     replace_chars_regex,
 )
-from ..schema import LINES_TYPE
-from .normalize import REPL_STATS_TYPE
-from .quality import QUALITY_FIELDS
+from ..schema import LINES_TYPE, QUALITY_FIELDS, REPL_STATS_TYPE
 
-FUSABLE_TAIL = {"ReplaceChars", "ReplaceCharsRegex", "FinalizeText",
-                "QualityEstimate"}
+BACKUP_COLUMN = "text_before_replace_chars"
+# the columns each row step (re)writes at the end of the table
+_STEP_COLUMNS = {
+    "HtmlExtract": ("lines", "n_raw_lines", "error"),
+    "ReplaceChars": ("lines", "repl_stats"),
+    "ReplaceCharsRegex": ("lines", "repl_stats"),
+    "FinalizeText": ("lines", "extracted_text", "n_lines", "doc_id",
+                     "page_id"),
+    "QualityEstimate": tuple(name for name, _ in QUALITY_FIELDS),
+}
 
 # shared pool of line-id strings ("l00000", ...) — built lazily once
 # per worker process
@@ -47,29 +58,47 @@ def _line_id(i: int) -> str:
     return _LINE_ID_POOL[i]
 
 
-def is_fusable(specs: Sequence[StepSpec]) -> bool:
-    if not specs or specs[0].type != "HtmlExtract":
-        return False
-    # the backup column is a per-step-path feature (extra output
-    # column the fused chain doesn't model)
-    if any(s.params.get("backup") for s in specs):
-        return False
-    tail = [s.type for s in specs[1:]]
-    return (
-        set(tail) <= FUSABLE_TAIL
-        and "FinalizeText" in tail
-        and "QualityEstimate" in tail
-    )
+def split_chain(
+    specs: Sequence[StepSpec],
+) -> Tuple[List[StepSpec], List[StepSpec]]:
+    """Split a step list into its row steps (compiled into one chain)
+    and the whole-batch steps that trail it.
+
+    Raises ``KeyError`` for an unknown step type and ``ValueError``
+    for a whole-batch step before a row step, or row steps that do
+    not start with exactly one ``HtmlExtract``.
+    """
+    row: List[StepSpec] = []
+    tail: List[StepSpec] = []
+    for spec in specs:
+        if spec.type not in ROW_STEPS:
+            resolve_step(spec.type)
+            tail.append(spec)
+        elif tail:
+            raise ValueError(
+                f"whole-batch step {tail[0].type!r} must follow every row "
+                f"step, but row step {spec.type!r} comes after it")
+        else:
+            row.append(spec)
+    types = [s.type for s in row]
+    if types and (types[0] != "HtmlExtract"
+                  or types.count("HtmlExtract") > 1):
+        raise ValueError(
+            f"the row steps must start with HtmlExtract and hold it "
+            f"once, got {types}")
+    return row, tail
 
 
 class FusedExtractor:
-    """Actor: the whole default chain, one conversion per batch.
+    """The compiled row-step chain, one conversion per batch.
 
-    ``profile=True`` appends a ``step_wall_us`` map column — per-STEP
-    wall microseconds accumulated over the batch (the reference's
-    per-step ``profile()`` log, `ocr_pipeline.py:368-376`, at batch
-    granularity; values repeat on every row of the batch). Off by
-    default: the timer calls are cheap but not free.
+    ``specs`` are row steps with ``HtmlExtract`` first (as
+    :func:`split_chain` returns them). ``profile=True`` appends a
+    ``step_wall_us`` map column — per-STEP wall microseconds
+    accumulated over the batch (the reference's per-step ``profile()``
+    log, `ocr_pipeline.py:368-376`, at batch granularity; values
+    repeat on every row of the batch). Off by default: the timer
+    calls are cheap but not free.
     """
 
     def __init__(self, specs: Sequence[StepSpec], profile: bool = False):
@@ -88,18 +117,22 @@ class FusedExtractor:
         self.cfg = cfg
         self.boiler_re = re.compile(cfg.boiler_class_pattern)
         self.tail = [(s.type, coerce_params(s.params)) for s in specs[1:]]
+        columns: List[str] = list(_STEP_COLUMNS["HtmlExtract"])
         for _type, params in self.tail:
-            if _type == "ReplaceCharsRegex":
-                params["_compiled"] = re.compile(params["pattern"])
             if _type == "QualityEstimate" and params.get("lexicon"):
                 params["lexicon"] = frozenset(
                     w.lower() for w in params["lexicon"]
                 )
+            written = _STEP_COLUMNS[_type]
+            if _type == "ReplaceChars" and params.get("backup"):
+                written += (BACKUP_COLUMN,)
+            columns = [c for c in columns if c not in written] + list(written)
+        self.columns = columns
 
     def _process_row(self, raw: Optional[bytes], timings=None):
-        """One row: texts through the chain. Returns
-        (texts, n_raw, error, stats_items, extracted_text, starts,
-        stops, quality)."""
+        """One row: texts through the chain. Returns (extracted
+        texts, texts, n_raw, error, stats_items, backup,
+        extracted_text, starts, stops, quality, overrides)."""
         from time import perf_counter
 
         error = None
@@ -123,13 +156,17 @@ class FusedExtractor:
             now = perf_counter()
             timings["HtmlExtract"] = timings.get("HtmlExtract", 0.0) + (now - t0)
             t0 = now
+        extracted = texts
         repl_stats: Dict[str, int] = {}
+        backup = None
         extracted_text = ""
         quality = None
         starts: List[int] = []
         stops: List[int] = []
         for _type, params in self.tail:
             if _type == "ReplaceChars":
+                if params.get("backup"):
+                    backup = "\n".join(texts)
                 texts, stats = replace_chars(texts, params["dict_chars"])
                 for k, v in stats.items():
                     repl_stats[k] = repl_stats.get(k, 0) + v
@@ -140,6 +177,8 @@ class FusedExtractor:
                 for k, v in stats.items():
                     repl_stats[k] = repl_stats.get(k, 0) + v
             elif _type == "FinalizeText":
+                starts = []
+                stops = []
                 pos = 0
                 for txt in texts:
                     starts.append(pos)
@@ -154,8 +193,8 @@ class FusedExtractor:
                 now = perf_counter()
                 timings[_type] = timings.get(_type, 0.0) + (now - t0)
                 t0 = now
-        return (texts, n_raw, error, list(repl_stats.items()),
-                extracted_text, starts, stops, quality, overrides)
+        return (extracted, texts, n_raw, error, list(repl_stats.items()),
+                backup, extracted_text, starts, stops, quality, overrides)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         import numpy as np
@@ -165,24 +204,30 @@ class FusedExtractor:
             from time import perf_counter
 
             batch_t0 = perf_counter()
+        columns = self.columns
         htmls = batch.column("html").to_pylist()
-        n_raw_col, err_col, stats_col, text_col, nl_col = [], [], [], [], []
+        n_raw_col, err_col, stats_col, backup_col = [], [], [], []
+        text_col, nl_col = [], []
         qual_cols = {name: [] for name, _ in QUALITY_FIELDS}
+        flat_extracted: List[str] = []
         flat_texts: List[str] = []
         flat_starts: List[int] = []
         flat_stops: List[int] = []
         offsets = [0]
         xml_overrides = []  # (flat_pos, ids, geoms) for ALTO/PAGE docs
         for raw in htmls:
-            (texts, n_raw, error, stats, extracted, starts, stops,
-             quality, overrides) = self._process_row(raw, timings)
+            (extracted, texts, n_raw, error, stats, backup, extracted_text,
+             starts, stops, quality, overrides) = self._process_row(
+                raw, timings)
             n_raw_col.append(n_raw)
             err_col.append(error)
             stats_col.append(stats)
-            text_col.append(extracted)
+            backup_col.append(backup)
+            text_col.append(extracted_text)
             nl_col.append(len(texts))
             if overrides is not None and texts:
                 xml_overrides.append((offsets[-1],) + overrides)
+            flat_extracted.extend(extracted)
             flat_texts.extend(texts)
             flat_starts.extend(starts)
             flat_stops.extend(stops)
@@ -192,8 +237,8 @@ class FusedExtractor:
                     qual_cols[name].append(quality[name])
 
         # columnar construction of the nested lines column: geometry
-        # and ids are pure functions of (in-doc index, text length),
-        # computed vectorized — no per-line dict allocation.
+        # and ids are pure functions of (in-doc index, extracted text
+        # length), computed vectorized — no per-line dict allocation.
         total = offsets[-1]
         lengths = np.diff(np.asarray(offsets, dtype=np.int64))
         doc_starts = np.repeat(
@@ -201,7 +246,7 @@ class FusedExtractor:
         )
         idx = np.arange(total, dtype=np.int64) - doc_starts
         text_lens = np.fromiter(
-            (len(t) for t in flat_texts), dtype=np.int64, count=total
+            (len(t) for t in flat_extracted), dtype=np.int64, count=total
         )
         cfg = self.cfg
         ids = [_line_id(i) for i in idx]
@@ -217,12 +262,18 @@ class FusedExtractor:
                 vpos_arr[pos + j] = v
                 width_arr[pos + j] = w
                 height_arr[pos + j] = ht
+        if "extracted_text" in columns:
+            starts_arr = pa.array(flat_starts, pa.int64())
+            stops_arr = pa.array(flat_stops, pa.int64())
+        else:  # not finalized: no span offsets yet
+            starts_arr = stops_arr = pa.array(
+                np.full(total, -1, dtype=np.int64))
         struct = pa.StructArray.from_arrays(
             [
                 pa.array(ids, pa.string()),
                 pa.array(flat_texts, pa.string()),
-                pa.array(flat_starts, pa.int64()),
-                pa.array(flat_stops, pa.int64()),
+                starts_arr,
+                stops_arr,
                 pa.array(hpos_arr),
                 pa.array(vpos_arr),
                 pa.array(width_arr),
@@ -230,29 +281,26 @@ class FusedExtractor:
             ],
             fields=list(LINES_TYPE.value_type),
         )
-        lines_arr = pa.ListArray.from_arrays(
-            pa.array(offsets, pa.int32()), struct
-        )
-
-        out = batch.drop_columns(["html"])
-        out = out.append_column("n_raw_lines", pa.array(n_raw_col, pa.int32()))
-        out = out.append_column("error", pa.array(err_col, pa.string()))
-        out = out.append_column("repl_stats",
-                                pa.array(stats_col, REPL_STATS_TYPE))
-        out = out.append_column("lines", lines_arr)
-        out = out.append_column("extracted_text",
-                                pa.array(text_col, pa.string()))
-        out = out.append_column("n_lines", pa.array(nl_col, pa.int32()))
         urls = batch.column("url").to_pylist()
-        out = out.append_column(
-            "doc_id", pa.array([doc_id_from_url(u) for u in urls], pa.string())
-        )
-        out = out.append_column(
-            "page_id",
-            pa.array([page_id_from_url(u) for u in urls], pa.string()),
-        )
+        built = {
+            "lines": pa.ListArray.from_arrays(
+                pa.array(offsets, pa.int32()), struct),
+            "n_raw_lines": pa.array(n_raw_col, pa.int32()),
+            "error": pa.array(err_col, pa.string()),
+            "repl_stats": pa.array(stats_col, REPL_STATS_TYPE),
+            BACKUP_COLUMN: pa.array(backup_col, pa.string()),
+            "extracted_text": pa.array(text_col, pa.string()),
+            "n_lines": pa.array(nl_col, pa.int32()),
+            "doc_id": pa.array([doc_id_from_url(u) for u in urls],
+                               pa.string()),
+            "page_id": pa.array([page_id_from_url(u) for u in urls],
+                                pa.string()),
+        }
         for name, typ in QUALITY_FIELDS:
-            out = out.append_column(name, pa.array(qual_cols[name], typ))
+            built[name] = pa.array(qual_cols[name], typ)
+        out = batch.drop_columns(["html"])
+        for name in columns:
+            out = out.append_column(name, built[name])
         if timings is not None:
             total = perf_counter() - batch_t0
             timings["arrow_assembly"] = total - sum(timings.values())
@@ -266,9 +314,9 @@ class FusedExtractor:
 
 
 # per-worker-process compiled-chain cache: worker processes persist
-# across tasks, so each worker compiles the chain exactly once even on
-# the task-pool path (the reference's load-once-per-worker guarantee,
-# ocr_pipeline.py:517, without pinning an actor pool).
+# across tasks, so each worker compiles the chain exactly once (the
+# reference's load-once-per-worker guarantee, ocr_pipeline.py:517,
+# without pinning an actor pool).
 _FUSED_CACHE: dict = {}
 
 
@@ -285,30 +333,3 @@ def make_fused_fn(specs: Sequence[StepSpec], profile: bool = False):
         return inst(batch)
 
     return _fused_fn
-
-
-def fused_stage(ds, specs: Sequence[StepSpec], batch_size: int = 64,
-                concurrency=None, profile: bool = False):
-    """Attach the fused chain.
-
-    Default: TASK pool (cheap per-worker init, full-cluster scaling,
-    and Ray fuses read→map→write into one pass). Pass ``concurrency``
-    to force an actor pool instead — right when the chain carries
-    heavy state (a large lexicon) worth pinning in long-lived actors.
-    ``profile=True`` adds the per-step ``step_wall_us`` column.
-    """
-    if concurrency is None:
-        return ds.map_batches(
-            make_fused_fn(specs, profile=profile),
-            batch_size=batch_size,
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-    return ds.map_batches(
-        FusedExtractor,
-        fn_constructor_kwargs={"specs": list(specs), "profile": profile},
-        batch_size=batch_size,
-        batch_format="pyarrow",
-        concurrency=concurrency,
-        num_cpus=1,
-    )

@@ -1,164 +1,18 @@
-"""Normalization stages — ordered char / regex replacement over lines.
+"""Text-cleaning batch functions and the replacement-statistic merge.
 
-Stateless ``map_batches`` functions (closure-captured replacement
-tables, broadcast once per task by Ray — the reference parses them once
-per step instance, `/root/reference/lib/ocr_step.py:213-219,276-281`).
-Replacement statistics are emitted as a per-row ``repl_stats`` map
-column (once-per-line-per-key counts, `lib/ocr_step.py:256-262`);
-corpus-level merge is a small groupby over the exploded map.
+Row-local ``map_batches`` functions over a text column (NFC
+normalization, homoglyph de-obfuscation, mojibake repair) and
+:func:`merge_repl_stats`, the corpus-level merge of the chain's
+per-row ``repl_stats`` map column (once-per-line-per-key counts,
+`lib/ocr_step.py:256-262`). The ordered char / regex replacement
+itself runs inside the compiled chain (stages/fused.py).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict
 
 import pyarrow as pa
-
-from ..functions.text import (
-    doc_id_from_url,
-    page_id_from_url,
-    replace_chars,
-    replace_chars_regex,
-)
-from ..schema import LINES_TYPE
-
-REPL_STATS_TYPE = pa.map_(pa.string(), pa.int64())
-
-
-def _lines_texts(lines_list, i) -> Tuple[List[dict], List[str]]:
-    lines = lines_list[i] or []
-    return lines, [ln["text"] for ln in lines]
-
-
-def _rebuild(lines: List[dict], new_texts: List[str]) -> List[dict]:
-    out = []
-    for ln, txt in zip(lines, new_texts):
-        ln = dict(ln)
-        ln["text"] = txt
-        out.append(ln)
-    return out
-
-
-def _merge_stats(
-    existing: Optional[List[Tuple[str, int]]], new: Dict[str, int]
-) -> List[Tuple[str, int]]:
-    merged: Dict[str, int] = dict(existing or [])
-    for k, v in new.items():
-        merged[k] = merged.get(k, 0) + v
-    return list(merged.items())
-
-
-def make_replace_chars_fn(dict_chars: Dict[str, str], backup: bool = False):
-    """Batch fn applying ordered literal substitution to every line.
-
-    ``backup=True`` is the engine's analogue of the reference's
-    backup-before-overwrite option (StepPostReplaceChars,
-    `lib/ocr_step.py:231-243`, ``<name>_before_<Class>.xml``): the
-    pre-replacement line texts are preserved as a
-    ``text_before_replace_chars`` column (newline-joined) instead of a
-    sibling file — there is no file handoff to back up.
-    """
-
-    def _fn(batch: pa.Table) -> pa.Table:
-        lines_list = batch.column("lines").to_pylist()
-        stats_list = (
-            batch.column("repl_stats").to_pylist()
-            if "repl_stats" in batch.column_names
-            else None
-        )
-        new_lines, new_stats, backups = [], [], []
-        for i in range(len(lines_list)):
-            lines, texts = _lines_texts(lines_list, i)
-            if backup:
-                backups.append("\n".join(texts))
-            replaced, stats = replace_chars(texts, dict_chars)
-            new_lines.append(_rebuild(lines, replaced))
-            prior = stats_list[i] if stats_list is not None else None
-            new_stats.append(_merge_stats(prior, stats))
-        out = batch.drop_columns(
-            ["lines"] + (["repl_stats"] if stats_list is not None else [])
-        )
-        out = out.append_column("lines", pa.array(new_lines, LINES_TYPE))
-        out = out.append_column(
-            "repl_stats", pa.array(new_stats, REPL_STATS_TYPE)
-        )
-        if backup:
-            out = out.append_column(
-                "text_before_replace_chars", pa.array(backups, pa.string())
-            )
-        return out
-
-    return _fn
-
-
-def make_replace_regex_fn(pattern: str, old: str, new: str):
-    """Batch fn for first-match-per-line regex substitution."""
-
-    def _fn(batch: pa.Table) -> pa.Table:
-        lines_list = batch.column("lines").to_pylist()
-        stats_list = (
-            batch.column("repl_stats").to_pylist()
-            if "repl_stats" in batch.column_names
-            else None
-        )
-        new_lines, new_stats = [], []
-        for i in range(len(lines_list)):
-            lines, texts = _lines_texts(lines_list, i)
-            replaced, stats = replace_chars_regex(texts, pattern, old, new)
-            new_lines.append(_rebuild(lines, replaced))
-            prior = stats_list[i] if stats_list is not None else None
-            new_stats.append(_merge_stats(prior, stats))
-        out = batch.drop_columns(
-            ["lines"] + (["repl_stats"] if stats_list is not None else [])
-        )
-        out = out.append_column("lines", pa.array(new_lines, LINES_TYPE))
-        out = out.append_column(
-            "repl_stats", pa.array(new_stats, REPL_STATS_TYPE)
-        )
-        return out
-
-    return _fn
-
-
-def finalize_text_fn(batch: pa.Table) -> pa.Table:
-    """Join normalized lines → ``extracted_text`` + span offsets.
-
-    ``extracted_text`` is the newline-join of the (char/regex
-    normalized) line texts — the engine's byte-identical per-url
-    deliverable; each line struct gets its ``[start, stop)`` offsets
-    into that string.
-    """
-    lines_list = batch.column("lines").to_pylist()
-    new_lines, texts, n_lines = [], [], []
-    for i in range(len(lines_list)):
-        lines = lines_list[i] or []
-        parts: List[str] = []
-        rebuilt: List[dict] = []
-        pos = 0
-        for ln in lines:
-            txt = ln["text"]
-            ln = dict(ln)
-            ln["start"] = pos
-            ln["stop"] = pos + len(txt)
-            pos += len(txt) + 1  # '\n' separator
-            parts.append(txt)
-            rebuilt.append(ln)
-        new_lines.append(rebuilt)
-        texts.append("\n".join(parts))
-        n_lines.append(len(rebuilt))
-    out = batch.drop_columns(["lines"])
-    out = out.append_column("lines", pa.array(new_lines, LINES_TYPE))
-    out = out.append_column("extracted_text", pa.array(texts, pa.string()))
-    out = out.append_column("n_lines", pa.array(n_lines, pa.int32()))
-    # doc-id enrichment (fileIdentifier / Page@ID analogue, M4)
-    urls = batch.column("url").to_pylist()
-    out = out.append_column(
-        "doc_id", pa.array([doc_id_from_url(u) for u in urls], pa.string())
-    )
-    out = out.append_column(
-        "page_id", pa.array([page_id_from_url(u) for u in urls], pa.string())
-    )
-    return out
 
 
 def nfc_normalize_fn(batch: pa.Table, col: str = "text",

@@ -150,8 +150,8 @@ class TestCli:
     def test_emit_alto_via_ini_chain(self, ray_session, small_corpus,
                                      tmp_path):
         """An INI chain ending in EmitAlto drives the S4 writer through
-        the step registry (per-step path, since EmitAlto isn't
-        fusable)."""
+        the step registry (a whole-batch step after the compiled
+        chain)."""
         import pyarrow.parquet as pq
 
         ini = tmp_path / "with_alto.ini"
@@ -174,6 +174,36 @@ class TestCli:
         payloads = [p for p in tbl.column("alto_xml").to_pylist() if p]
         assert len(payloads) > 200
         assert all(b"\r\n" in p and b"<alto" in p for p in payloads[:10])
+
+    def test_emit_xml_flag_matches_ini_chain(self, ray_session,
+                                             small_corpus, tmp_path):
+        """--emit-xml appends the same EmitAlto step an INI chain
+        names, so both write byte-equal alto_xml."""
+        import pyarrow.parquet as pq
+
+        ini = tmp_path / "with_alto.ini"
+        ini.write_text(
+            "[step_01]\ntype = HtmlExtract\n"
+            "[step_02]\ntype = ReplaceChars\n"
+            "dict_chars = {'ic)': 'ich', 's<': 'sc', '<': 'c'}\n"
+            "[step_03]\ntype = ReplaceCharsRegex\n"
+            "pattern = r'([aeioubcglnt]3[:-]*\")'\nold = 3\nnew = s\n"
+            "[step_04]\ntype = FinalizeText\n"
+            "[step_05]\ntype = QualityEstimate\n"
+            "[step_06]\ntype = EmitAlto\n"
+        )
+        outputs = []
+        for name, extra in (("flag", ["--emit-xml"]),
+                            ("ini", ["-c", str(ini)])):
+            out = str(tmp_path / name)
+            assert main([*small_corpus, "-o", out, *extra]) == 0
+            tbl = pq.read_table(
+                glob.glob(os.path.join(out, "pid=*", "*.parquet")),
+                columns=["url", "warc_ts", "alto_xml"])
+            outputs.append(sorted(zip(*(tbl.column(c).to_pylist()
+                                        for c in tbl.column_names))))
+        assert len(outputs[0]) == 240
+        assert outputs[0] == outputs[1]
 
     def test_profile_flag_adds_timing_column(self, ray_session,
                                              small_corpus, tmp_path):
@@ -236,6 +266,31 @@ class TestRescore:
         assert rc == 0
         assert glob.glob(os.path.join(out, "rescored", "*.parquet"))
         assert glob.glob(os.path.join(out, "*.wtr"))
+
+
+    def test_rescore_rerun_counts_each_doc_once(self, ray_session,
+                                                small_corpus, tmp_path):
+        """A second --rescore into the same out dir replaces
+        rescored/, so the report counts each doc once."""
+        import pyarrow.parquet as pq
+
+        from ocr_pipeline_ray.pipelines.extraction import extraction_pipeline
+
+        src = str(tmp_path / "extracted")
+        extraction_pipeline(small_corpus).write_parquet(src)
+        out = str(tmp_path / "rescored_out")
+        for _ in range(2):
+            for wtr in glob.glob(os.path.join(out, "*.wtr")):
+                os.remove(wtr)
+            rc = main([os.path.join(src, "*.parquet"), "-o", out,
+                       "--rescore"])
+            assert rc == 0
+        rescored = pq.read_table(os.path.join(out, "rescored"))
+        assert rescored.num_rows == 240
+        (wtr,) = glob.glob(os.path.join(out, "*.wtr"))
+        with open(wtr, encoding="UTF-8") as fh:
+            total = int(fh.readline().split(",")[6])
+        assert total == 240
 
 
 class TestRescoreHonorsConfig:

@@ -126,15 +126,15 @@ class TestFastTokenizerDrift:
         b"<p>\xc3\xa4 uml\xc3\xa4ute und spa\xc3\x9f dabei</p>",
         b'<td data-x="1">tabellen zelle text</td>',
         b"<p>ende ohne schliessen",
+        b'<nav><p>menu link</p></nav class="x"><p>echter inhalt hier</p>',
     ]
 
     def _stdlib_lines(self, html: bytes):
         import re as re_mod
 
-        from ocr_pipeline_ray.functions.extract import (
-            ExtractConfig,
-            _MainContentParser,
-        )
+        from drift_tokenizers import _MainContentParser
+
+        from ocr_pipeline_ray.functions.extract import ExtractConfig
 
         cfg = ExtractConfig()
         parser = _MainContentParser(
@@ -148,11 +148,9 @@ class TestFastTokenizerDrift:
     def _fast_lines(self, html: bytes):
         import re as re_mod
 
-        from ocr_pipeline_ray.functions.extract import (
-            ExtractConfig,
-            _MainContentParser,
-            _fast_feed,
-        )
+        from drift_tokenizers import _MainContentParser, _fast_feed
+
+        from ocr_pipeline_ray.functions.extract import ExtractConfig
 
         cfg = ExtractConfig()
         parser = _MainContentParser(
@@ -211,8 +209,9 @@ class TestScanExtractDrift:
     def _fast_lines(self, html: bytes):
         import re as re_mod
 
-        from ocr_pipeline_ray.functions.extract import (
-            ExtractConfig, _MainContentParser, _fast_feed)
+        from drift_tokenizers import _MainContentParser, _fast_feed
+
+        from ocr_pipeline_ray.functions.extract import ExtractConfig
 
         cfg = ExtractConfig()
         parser = _MainContentParser(

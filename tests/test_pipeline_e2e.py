@@ -238,30 +238,145 @@ class TestStepProfile:
         assert "step_wall_us" not in plain[0]
 
 
-class TestFusedUnfusedParity:
-    """The fused single-pass chain and the per-step registry path must
-    stay value- and schema-identical (regression guard)."""
+def _chain_shapes():
+    from ocr_pipeline_ray.config import StepSpec, default_steps
 
-    def test_identical_output(self, ray_session, small_corpus):
+    def without(step_type):
+        return [s for s in default_steps() if s.type != step_type]
+
+    backup = default_steps()
+    backup[1].params["backup"] = True
+    extract, repl, regex, finalize, quality = default_steps()
+    return {
+        "default": default_steps(),
+        "backup": backup,
+        # the replace-free chain of queries/_composites.py
+        "no_replace": [StepSpec("HtmlExtract"), StepSpec("FinalizeText"),
+                       StepSpec("QualityEstimate")],
+        "quality_first": [extract, quality, repl, regex, finalize],
+        "no_finalize": without("FinalizeText"),
+        "no_quality": without("QualityEstimate"),
+        "emit_alto": default_steps() + [StepSpec("EmitAlto")],
+    }
+
+
+def _replay_row(page, steps):
+    """One page through ``steps`` single-process, one step at a time:
+    each step rewrites its columns at the end of the row, as a
+    drop-then-append of Arrow columns does."""
+    from ocr_pipeline_ray.functions.extract import ExtractConfig, extract_lines
+    from ocr_pipeline_ray.functions.quality import estimate_quality
+    from ocr_pipeline_ray.functions.text import (
+        doc_id_from_url,
+        page_id_from_url,
+        replace_chars,
+        replace_chars_regex,
+    )
+    from ocr_pipeline_ray.functions.xmlout import doc_to_alto_xml
+
+    row = {k: v for k, v in page.items() if k != "html"}
+
+    def put(name, value):
+        row.pop(name, None)
+        row[name] = value
+
+    cfg = ExtractConfig(**steps[0].params)
+    lines, n_raw, error = [], 0, None
+    if page["html"] is None:
+        error = "empty html"
+    else:
+        try:
+            lines, stats = extract_lines(page["html"], cfg)
+            n_raw = stats["n_raw_lines"]
+        except Exception as exc:
+            error = f"{type(exc).__name__}: {exc}"
+    put("lines", lines)
+    put("n_raw_lines", n_raw)
+    put("error", error)
+    for step in steps[1:]:
+        params = step.params
+        texts = [ln["text"] for ln in row["lines"]]
+        if step.type in ("ReplaceChars", "ReplaceCharsRegex"):
+            before = "\n".join(texts)
+            if step.type == "ReplaceChars":
+                texts, stats = replace_chars(texts, params["dict_chars"])
+            else:
+                texts, stats = replace_chars_regex(
+                    texts, params["pattern"], params["old"], params["new"])
+            merged = dict(row.get("repl_stats") or [])
+            for key, val in stats.items():
+                merged[key] = merged.get(key, 0) + val
+            put("lines", [dict(ln, text=t)
+                          for ln, t in zip(row["lines"], texts)])
+            put("repl_stats", list(merged.items()))
+            if params.get("backup"):
+                put("text_before_replace_chars", before)
+        elif step.type == "FinalizeText":
+            spans, pos = [], 0
+            for ln in row["lines"]:
+                spans.append(dict(ln, start=pos, stop=pos + len(ln["text"])))
+                pos += len(ln["text"]) + 1
+            put("lines", spans)
+            put("extracted_text", "\n".join(texts))
+            put("n_lines", len(texts))
+            put("doc_id", doc_id_from_url(row["url"]))
+            put("page_id", page_id_from_url(row["url"]))
+        elif step.type == "QualityEstimate":
+            for key, val in estimate_quality(texts).items():
+                put(key, val)
+        elif step.type == "EmitAlto":
+            put("alto_xml", doc_to_alto_xml(row["doc_id"] or "",
+                                            row["page_id"] or "",
+                                            row["lines"]))
+    return row
+
+
+class TestChainShapeParity:
+    """The compiled chain equals a single-process step-by-step replay
+    on every column, in column order, for every chain shape."""
+
+    @pytest.mark.parametrize("shape", list(_chain_shapes()))
+    def test_matches_replay(self, ray_session, small_corpus, shape):
         from ocr_pipeline_ray.pipelines.extraction import (
             build_pipeline,
             read_pages,
         )
 
-        fused = build_pipeline(read_pages(small_corpus[:2]), fused=True)
-        plain = build_pipeline(read_pages(small_corpus[:2]), fused=False)
-        a = {(r["url"], r["warc_ts"]): r for r in fused.take_all()}
-        b = {(r["url"], r["warc_ts"]): r for r in plain.take_all()}
-        assert set(a) == set(b)
-        cols = sorted(next(iter(a.values())).keys())
-        assert cols == sorted(next(iter(b.values())).keys())
-        for key, ra in a.items():
-            rb = b[key]
-            for col in cols:
-                va, vb = ra[col], rb[col]
-                if col == "repl_stats":
-                    va, vb = dict(va or []), dict(vb or [])
-                assert va == vb, (key, col)
+        steps = _chain_shapes()[shape]
+        columns = ["url", "warc_ts", "html", "lang"]  # read_pages' scan
+        pages = {(r["url"], r["warc_ts"]): r
+                 for path in small_corpus[:2]
+                 for r in pq.read_table(path, columns=columns).to_pylist()}
+        rows = build_pipeline(read_pages(small_corpus[:2]),
+                              steps=steps).take_all()
+        assert len(rows) == len(pages)
+        for row in rows:
+            key = (row["url"], row["warc_ts"])
+            expected = _replay_row(pages[key], steps)
+            assert list(row) == list(expected), key
+            for col, val in expected.items():
+                assert row[col] == val, (key, col)
+
+    def test_chain_errors_at_build_time(self, ray_session, small_corpus):
+        from ocr_pipeline_ray.config import StepSpec
+        from ocr_pipeline_ray.pipelines.extraction import (
+            build_pipeline,
+            read_pages,
+        )
+
+        ds = read_pages(small_corpus[:1])
+        late_row = [StepSpec("HtmlExtract"), StepSpec("EmitAlto"),
+                    StepSpec("FinalizeText")]
+        with pytest.raises(ValueError, match="EmitAlto"):
+            build_pipeline(ds, steps=late_row)
+        with pytest.raises(ValueError, match="HtmlExtract"):
+            build_pipeline(ds, steps=[StepSpec("FinalizeText")])
+        with pytest.raises(ValueError, match="HtmlExtract"):
+            build_pipeline(ds, steps=[StepSpec("HtmlExtract"),
+                                      StepSpec("HtmlExtract")])
+        with pytest.raises(KeyError, match="unknown step type 'NopeStep'"):
+            build_pipeline(ds, steps=[StepSpec("HtmlExtract"),
+                                      StepSpec("NopeStep")])
 
 
 class TestFatPages:
@@ -296,7 +411,7 @@ class TestFatPages:
         ds = ray.data.from_arrow(tbl).repartition(3).drop_columns(
             ["text"]
         )
-        ctx = PipelineContext(batch_size=2, quality_batch_size=2)
+        ctx = PipelineContext(batch_size=2)
         rows = build_pipeline(ds, ctx=ctx).take_all()
         assert len(rows) == 6
         for row in rows:

@@ -5,20 +5,17 @@ search-loop tokenizer (`_fast_feed` + `_MainContentParser`) on
 arbitrary generated markup — not just the curated NASTY fixtures.
 Hypothesis builds documents from a grammar of tags (block/inline/
 void/rawtext/boiler), attributes (class/id/dir, quoted and
-unquoted), entities, comments and misnesting, then asserts the two
-paths produce identical raw_lines.
+unquoted, on start and end tags), entities, comments and misnesting,
+then asserts the two paths produce identical raw_lines. The search
+loop lives in tests/drift_tokenizers.py.
 """
 import re
 
+from drift_tokenizers import _fast_feed, _MainContentParser
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ocr_pipeline_ray.functions.extract import (
-    ExtractConfig,
-    _MainContentParser,
-    _fast_feed,
-    _scan_extract,
-)
+from ocr_pipeline_ray.functions.extract import ExtractConfig, _scan_extract
 
 _CFG = ExtractConfig()
 _BOILER_RE = re.compile(_CFG.boiler_class_pattern)
@@ -36,6 +33,8 @@ _ATTRS = st.sampled_from(
      ' dir="rtl"', " dir=ltr", ' href="x>y"', " data-x='a>b'",
      ' class="content"']
 )
+
+_END_ATTRS = st.sampled_from(["", ' class="x"', " id=y"])
 
 
 @st.composite
@@ -55,7 +54,8 @@ def _markup(draw):
             # sometimes close the wrong tag (misnesting)
             idx = draw(st.integers(min_value=0,
                                    max_value=len(open_tags) - 1))
-            parts.append(f"</{open_tags.pop(idx)}>")
+            # an attributed end tag still closes its element
+            parts.append(f"</{open_tags.pop(idx)}{draw(_END_ATTRS)}>")
         elif kind == 3:
             parts.append("<!-- kommentar <p> -->")
         elif kind == 4:
