@@ -3,12 +3,13 @@
 Usage:
     python bench.py                 # full bench, one JSON line to stdout
     python bench.py --headline-only # just the extraction pipeline
-    python bench.py --scaling       # run headline at 2/4/8/16/32 CPUs
-                                    # in fresh processes, report N->4N
+    python bench.py --scaling       # run headline at 1/2/4/8/16/32 CPUs,
+                                    # up to the host's CPU count, in
+                                    # fresh processes, report N->4N
                                     # scaling efficiencies
 
 Env: GRAFT_SF_DIR (default /root/testdata/sf0.1),
-     RAY_GRAFT_CPUS (default 32).
+     RAY_GRAFT_CPUS (default: the host's CPU count, os.cpu_count()).
 
 The headline pipeline is the flagship HTML extraction chain over a
 deterministic synthetic Common-Crawl-style corpus sized by the sf dir
@@ -396,20 +397,27 @@ def single_run(num_cpus: int, sf_dir: str, headline_only: bool) -> dict:
 def scaling_run(sf_dir: str) -> dict:
     """The same headline job at N and 4N CPUs in fresh processes.
 
-    Primary pair (2, 8): both ends sit in the host's uncontended
-    regime (per-core throughput is flat from 2 to 8 busy cores), which
-    models an N-node vs 4N-node cluster where every node keeps its own
-    frequency/memory envelope. The full 2/4/8/16/32 curve and the
-    (4,16)/(8,32) efficiencies are reported too: beyond ~8 busy cores
-    this single box saturates its memory/frequency envelope (per-task
-    UDF time inflates 35-40% with all cores busy; see BASELINE.md) —
-    a single-host artifact a real 4N-node cluster does not share.
+    The ladder is 1/2/4/8/16/32 CPUs, cut at the host's CPU count: a
+    rung above it would measure oversubscription, not scaling. Every
+    (N, 4N) pair on the ladder gets an efficiency. Primary pair (2, 8)
+    when the host has 8 CPUs: both ends sit in the uncontended regime
+    (per-core throughput is flat from 2 to 8 busy cores), which models
+    an N-node vs 4N-node cluster where every node keeps its own
+    frequency/memory envelope; beyond ~8 busy cores a single box
+    saturates its memory/frequency envelope (per-task UDF time
+    inflates 35-40% with all cores busy; see BASELINE.md). On a
+    smaller host the primary pair is the largest one that fits.
     """
+    host = os.cpu_count() or 1
+    cpus_list = [c for c in (1, 2, 4, 8, 16, 32) if c <= host]
+    pairs = [(lo, 4 * lo) for lo in cpus_list if 4 * lo in cpus_list]
+    primary = (2, 8) if (2, 8) in pairs else (pairs[-1] if pairs else None)
     results = {}
-    # primary pair (2, 8) measured back-to-back: the shared host's
-    # ambient speed drifts over minutes, so adjacent measurement keeps
-    # the pair comparable
-    for cpus in (2, 8, 4, 16, 32):
+    # the primary pair is measured back-to-back first: the shared
+    # host's ambient speed drifts over minutes, so adjacent
+    # measurement keeps the pair comparable
+    first = list(primary) if primary else []
+    for cpus in first + [c for c in cpus_list if c not in first]:
         env = dict(os.environ)
         env["RAY_GRAFT_CPUS"] = str(cpus)
         env.setdefault("GRAFT_BENCH_REPEATS", "2")
@@ -428,26 +436,28 @@ def scaling_run(sf_dir: str) -> dict:
             3,
         )
 
-    cpus_list = (2, 4, 8, 16, 32)
-    return {
+    out = {
         "metric": "scaling_efficiency_N_to_4N",
-        "value": _eff(2, 8),
+        "value": _eff(*primary) if primary else None,
         "unit": "ratio",
         "queries": {},
         "sf": sf_label(sf_dir),
-        "num_cpus": 32,
-        "pair_primary": "2->8",
-        "efficiency_2_to_8": _eff(2, 8),
-        "efficiency_4_to_16": _eff(4, 16),
-        "efficiency_8_to_32": _eff(8, 32),
-        "docs_per_sec": {
-            str(c): results[c]["docs_per_sec"] for c in cpus_list
-        },
-        "mb_per_sec": {
-            str(c): results[c]["mb_per_sec"] for c in cpus_list
-        },
-        "wall_sec": {str(c): results[c]["value"] for c in cpus_list},
+        "num_cpus": cpus_list[-1],
+        "cpu_count": host,
+        "pair_primary": f"{primary[0]}->{primary[1]}" if primary else None,
     }
+    for lo, hi in pairs:
+        out[f"efficiency_{lo}_to_{hi}"] = _eff(lo, hi)
+    out["docs_per_sec"] = {
+        str(c): results[c]["docs_per_sec"] for c in cpus_list}
+    out["mb_per_sec"] = {str(c): results[c]["mb_per_sec"] for c in cpus_list}
+    out["wall_sec"] = {str(c): results[c]["value"] for c in cpus_list}
+    return out
+
+
+def default_cpus() -> int:
+    """``$RAY_GRAFT_CPUS``, else every CPU of the host."""
+    return int(os.environ.get("RAY_GRAFT_CPUS", os.cpu_count() or 1))
 
 
 def main() -> int:
@@ -464,10 +474,9 @@ def main() -> int:
     if args.scaling:
         out = scaling_run(args.sf_dir)
     elif args.families:
-        out = family_run(int(os.environ.get("RAY_GRAFT_CPUS", "32")),
-                         args.sf_dir)
+        out = family_run(default_cpus(), args.sf_dir)
     else:
-        cpus = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+        cpus = default_cpus()
         out = single_run(cpus, args.sf_dir, args.headline_only)
     print(json.dumps(out))
     return 0

@@ -11,12 +11,13 @@ Chain (default config = reference conf/ocr_config.ini parity):
 → ``write_parquet``    / report aggregation (A1/A2/S5)
 
 The row steps compile into ONE ``map_batches`` task pool
-(stages/fused.py); whole-batch steps such as ``EmitAlto`` follow it
-as trailing ``map_batches`` from the step registry. Everything
-streams; nothing materializes the full corpus. The step chain is
-assembled from :mod:`ocr_pipeline_ray.config` StepSpecs so user
-configs (INI or dicts) order/extend it exactly like the reference's
-``step_01..NN`` sections.
+(stages/fused.py) over whole blocks, so Ray Data fuses it with the
+read before it and the write after it; whole-batch steps such as
+``EmitAlto`` follow it as trailing ``map_batches`` from the step
+registry. Everything streams; nothing materializes the full corpus.
+The step chain is assembled from :mod:`ocr_pipeline_ray.config`
+StepSpecs so user configs (INI or dicts) order/extend it exactly like
+the reference's ``step_01..NN`` sections.
 """
 
 from __future__ import annotations
@@ -55,7 +56,10 @@ def build_pipeline(
 
     The row steps compile to ONE task-pool stage (single Arrow↔Python
     conversion per batch, see stages/fused.py); each whole-batch step
-    after them runs as its registered builder. A chain that puts a
+    after them runs as its registered builder. The stage maps whole
+    Ray Data blocks — a ``map_batches`` with a ``batch_size`` cannot
+    fuse behind a read — and the chain slices each block into
+    ``ctx.batch_size``-row calls itself. A chain that puts a
     whole-batch step before a row step raises ``ValueError`` here.
     ``profile=True`` adds the compiled chain's per-step
     ``step_wall_us`` timing column (the reference's per-step
@@ -67,9 +71,9 @@ def build_pipeline(
     specs = list(steps) if steps is not None else default_steps()
     row, tail = split_chain(specs)
     if row:
+        # no ``batch_size=`` here: it would stop the read fusing
         ds = ds.map_batches(
-            make_fused_fn(row, profile=profile),
-            batch_size=ctx.batch_size,
+            make_fused_fn(row, ctx.batch_size, profile=profile),
             batch_format="pyarrow",
             zero_copy_batch=True,
         )

@@ -8,7 +8,10 @@ deserialize/re-serialize the nested ``lines`` column once per stage.
 that converts each row once: html → lines → normalized texts →
 spans/quality → columns. Whole-batch steps (``EmitAlto``,
 ``RescoreQuality``, user-registered builders) follow as trailing
-``map_batches`` (see :func:`split_chain`).
+``map_batches`` (see :func:`split_chain`). :func:`make_fused_fn`
+wraps the chain for a whole-block ``map_batches`` and runs it on
+``batch_size``-row slices of each block, so the map fuses with the
+read and write around it while the chain's working set stays small.
 
 Columns follow the step list: each step (re)writes its columns at the
 end of the table (:data:`_STEP_COLUMNS`). A chain without
@@ -95,10 +98,10 @@ class FusedExtractor:
     ``specs`` are row steps with ``HtmlExtract`` first (as
     :func:`split_chain` returns them). ``profile=True`` appends a
     ``step_wall_us`` map column — per-STEP wall microseconds
-    accumulated over the batch (the reference's per-step ``profile()``
-    log, `ocr_pipeline.py:368-376`, at batch granularity; values
-    repeat on every row of the batch). Off by default: the timer
-    calls are cheap but not free.
+    accumulated over the call's rows (the reference's per-step
+    ``profile()`` log, `ocr_pipeline.py:368-376`, at batch
+    granularity; values repeat on every row of the call). Off by
+    default: the timer calls are cheap but not free.
     """
 
     def __init__(self, specs: Sequence[StepSpec], profile: bool = False):
@@ -320,7 +323,15 @@ class FusedExtractor:
 _FUSED_CACHE: dict = {}
 
 
-def make_fused_fn(specs: Sequence[StepSpec], profile: bool = False):
+def make_fused_fn(specs: Sequence[StepSpec], batch_size: int,
+                  profile: bool = False):
+    """The compiled chain as a ``map_batches`` function.
+
+    Each call runs the chain on ``batch_size``-row slices of its input
+    and concatenates the results, so the chain's Python working set
+    stays ``batch_size`` rows however big the Ray Data block is; the
+    output equals the unsliced call's.
+    """
     spec_list = [StepSpec(s.type, dict(s.params)) for s in specs]
     key = repr([(s.type, sorted((k, repr(v)) for k, v in s.params.items()))
                 for s in spec_list]) + f"|profile={profile}"
@@ -330,6 +341,11 @@ def make_fused_fn(specs: Sequence[StepSpec], profile: bool = False):
         if inst is None:
             inst = FusedExtractor(spec_list, profile=profile)
             _FUSED_CACHE[key] = inst
-        return inst(batch)
+        if batch.num_rows <= batch_size:
+            return inst(batch)
+        return pa.concat_tables([
+            inst(batch.slice(i, batch_size))
+            for i in range(0, batch.num_rows, batch_size)
+        ])
 
     return _fused_fn

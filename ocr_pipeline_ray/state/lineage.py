@@ -11,13 +11,23 @@ history, `/root/reference/ocr_pipeline.py:160-199,338-365`) and of its
   ``open → busy`` marker rename, which is its cross-host lease
   (`ocr_pipeline.py:338-365`): two concurrent drivers over the same
   ``out_root`` split the pending set instead of double-processing;
-* the run processes all claimed shards in a single streaming Dataset
-  (pid column derived from the input path), writes Hive-partitioned
-  output into a staging dir OWNED by this run id, then atomically
-  renames each finished ``pid=<shard>`` dir into place and writes the
-  shard's lineage JSON (history of state transitions + row metrics +
-  per-stage wall/rows from ``Dataset.stats()`` — the per-step
-  ``profile()`` analogue, `ocr_pipeline.py:368-376`);
+* the run reads all claimed shards through ONE slice reader
+  (:class:`ParquetSliceDatasource`): the driver reads the shards'
+  Parquet footers and cuts the pending rows into a few balanced read
+  tasks (:func:`plan_slices`, about :data:`TASKS_PER_CPU` per Ray
+  CPU): whole row groups, across shards if need be, when there are
+  enough of them, else row slices of single row groups; each task
+  streams only the row groups it needs and only ``read_columns``,
+  and stamps the ``pid`` column itself;
+* the read, the caller's chain and the ``pid``-partitioned write fuse
+  into ONE Ray Data operator (``ReadParquetSlice->MapBatches(...)->
+  Write``), so a task reads, processes and writes its slice without
+  a hand-off; the write goes to a staging dir OWNED by this run id,
+  then each finished ``pid=<shard>`` dir is atomically renamed into
+  place and the shard's lineage JSON is written (history of state
+  transitions + row metrics + per-operator wall/rows from
+  ``Dataset.stats()`` — the per-step ``profile()`` analogue,
+  `ocr_pipeline.py:368-376`);
 * a re-run skips shards whose lineage says ``done`` (driver-side set
   arithmetic — the checkpoint-resume anti-join of SURVEY.md §2.4);
 * a failed run leaves no partial final partitions (its staging is
@@ -32,23 +42,36 @@ distributed tasks reads the clock.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import hashlib
+import heapq
+import itertools
 import json
+import math
 import os
 import shutil
 import socket
 import threading
 import time as _time
 import uuid
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import pyarrow as pa
 import pyarrow.parquet as pq
+from ray.data import DataContext
+from ray.data.block import BlockMetadata
+from ray.data.datasource import Datasource, ReadTask
 
 # a claim/run marker older than this is considered dead (stale lease
 # takeover — the analogue of manually clearing a crashed host's busy
 # marker in the reference's NFS layout)
 DEFAULT_STALE_SEC = 3600.0
+# read tasks per Ray CPU: enough that a slow task does not leave the
+# other CPUs idle at the end, few enough that Ray Data's 100 ms
+# executor poll between tasks stays small (2 and 3 measured equal,
+# 1 and 4 slower)
+TASKS_PER_CPU = 3
 
 
 def store_root() -> str:
@@ -314,6 +337,192 @@ class _Heartbeat(threading.Thread):
         self.join(timeout=5.0)
 
 
+def plan_slices(
+    shards: Sequence[Sequence[Tuple[int, int]]],
+    n_cpus: float,
+    max_bytes: Optional[int] = None,
+) -> List[Tuple[List[Tuple[int, List[int], int, int, int]], int, int]]:
+    """Cut the rows of ``shards`` into balanced read tasks.
+
+    ``shards`` holds, per shard in read order, the ``(num_rows,
+    uncompressed_bytes)`` of each row group. Returns, per task,
+    ``(pieces, rows, nbytes)``; a piece ``(shard, row_groups, offset,
+    length, nbytes)`` streams those row groups of the shard and keeps
+    ``length`` rows from row ``offset`` of the first, and ``nbytes``
+    is the uncompressed size of the rows kept. Together the tasks
+    cover every row once, in shard order.
+
+    The count starts at ``TASKS_PER_CPU * n_cpus``, never more than
+    the rows. With at least as many non-empty row groups as tasks, a
+    task reads whole row groups, across shards if need be, cut at the
+    group boundaries nearest an equal row split, so no row group is
+    read twice. With fewer, each row group is cut into row slices of
+    its own, one per task, the extra slices going to the groups with
+    the most rows per slice; a task then decodes one row group up to
+    the end of its slice. With ``max_bytes`` the count is raised
+    until no task's ``nbytes`` exceeds it: first towards one whole
+    row group per task, then by slicing each group over the cap (a
+    single row over it stays one task).
+    """
+    groups = [(s, g, rows, nbytes)
+              for s, shard in enumerate(shards)
+              for g, (rows, nbytes) in enumerate(shard) if rows]
+    total = sum(rows for _, _, rows, _ in groups)
+    if not total:
+        return []
+    n = min(total, max(1, round(TASKS_PER_CPU * n_cpus)))
+    while n < len(groups):
+        tasks = _whole_groups(groups, n)
+        worst = max(nbytes for _, _, nbytes in tasks)
+        if max_bytes is None or worst <= max_bytes:
+            return tasks
+        n = min(len(groups), max(n + 1, math.ceil(n * worst / max_bytes)))
+    return _sliced_groups(groups, n, max_bytes)
+
+
+def _whole_groups(groups, n: int):
+    """``n`` tasks of whole, consecutive row groups; each cut is the
+    group boundary nearest ``total * i / n`` that leaves every task
+    at least one group."""
+    bounds = list(itertools.accumulate((g[2] for g in groups), initial=0))
+    cuts = [0]
+    for i in range(1, n):
+        target = bounds[-1] * i / n
+        j = bisect.bisect_left(bounds, target)
+        if target - bounds[j - 1] <= bounds[j] - target:
+            j -= 1
+        cuts.append(min(max(j, cuts[-1] + 1), len(groups) - (n - i)))
+    cuts.append(len(groups))
+    tasks = []
+    for a, b in zip(cuts, cuts[1:]):
+        pieces = []  # one per shard: its run of row groups
+        for s, run in itertools.groupby(groups[a:b], key=lambda grp: grp[0]):
+            run = list(run)
+            pieces.append((s, [g for _, g, _, _ in run], 0,
+                           sum(rows for _, _, rows, _ in run),
+                           sum(nbytes for _, _, _, nbytes in run)))
+        tasks.append((pieces, sum(p[3] for p in pieces),
+                      sum(p[4] for p in pieces)))
+    return tasks
+
+
+def _sliced_groups(groups, n: int, max_bytes: Optional[int]):
+    """At least ``n`` tasks, each a row slice of one row group: every
+    group gets enough slices to keep each under ``max_bytes``, then
+    the rest go, one at a time, to the group with the most rows per
+    slice (which minimises the largest slice)."""
+    counts = []
+    for _, _, rows, nbytes in groups:
+        most = rows
+        if max_bytes is not None and nbytes > max_bytes:
+            most = max(1, rows * max_bytes // nbytes)
+        counts.append(-(-rows // most))
+    heap = [(-g[2] / k, i) for i, (g, k) in enumerate(zip(groups, counts))]
+    heapq.heapify(heap)
+    for _ in range(n - sum(counts)):
+        _, i = heapq.heappop(heap)
+        counts[i] += 1
+        heapq.heappush(heap, (-groups[i][2] / counts[i], i))
+    tasks = []
+    for (s, g, rows, nbytes), k in zip(groups, counts):
+        for j in range(k):
+            start, stop = rows * j // k, rows * (j + 1) // k
+            share = round(nbytes * (stop - start) / rows)
+            tasks.append(([(s, [g], start, stop - start, share)],
+                          stop - start, share))
+    return tasks
+
+
+def _row_group_sizes(path: str,
+                     columns: Optional[List[str]]) -> List[Tuple[int, int]]:
+    """``(num_rows, uncompressed bytes of columns)`` per row group,
+    from the footer."""
+    meta = pq.read_metadata(path)
+    sizes = []
+    for i in range(meta.num_row_groups):
+        rg = meta.row_group(i)
+        sizes.append((rg.num_rows, sum(
+            rg.column(j).total_uncompressed_size
+            for j in range(rg.num_columns)
+            if columns is None
+            or rg.column(j).path_in_schema.split(".")[0] in columns)))
+    return sizes
+
+
+def _read_slices(pieces, columns, max_bytes) -> Iterator[pa.Table]:
+    """Read task body: the rows of each ``(path, pid, row_groups,
+    offset, length, nbytes)`` piece with the ``pid`` column appended.
+    The row groups stream in batches of at most ``max_bytes`` of the
+    piece's rows, and decoding stops at the piece's last row, so a
+    task holds one batch of input at a time."""
+    for path, pid, row_groups, offset, length, nbytes in pieces:
+        stop = offset + length
+        batch_rows = stop
+        if max_bytes and nbytes > max_bytes:
+            batch_rows = min(stop, max(1, length * max_bytes // nbytes))
+        pos = 0
+        for batch in pq.ParquetFile(path).iter_batches(
+                batch_size=batch_rows, row_groups=row_groups,
+                columns=columns):
+            lo, hi = max(offset - pos, 0), min(stop - pos, batch.num_rows)
+            pos += batch.num_rows
+            if lo < hi:
+                tbl = pa.Table.from_batches([batch.slice(lo, hi - lo)])
+                yield tbl.append_column(
+                    "pid", pa.array([pid] * (hi - lo), pa.string()))
+            if pos >= stop:
+                break
+
+
+class ParquetSliceDatasource(Datasource):
+    """Balanced row slices of a set of Parquet shards, ``pid`` stamped.
+
+    The constructor reads the footers (so a corrupt shard raises on
+    the driver) and plans the read tasks with :func:`plan_slices`:
+    ``n_cpus`` sets the task count, and Ray Data's
+    ``DataContext.target_max_block_size`` caps the uncompressed bytes
+    of each task's rows — the fused Parquet write holds a whole
+    task's output in memory, so a big corpus gets more tasks, not
+    bigger buffers. The same per-task figure is the block-size
+    estimate Ray Data plans with. ``get_read_tasks``
+    ignores the requested parallelism and returns the planned tasks;
+    read them with ``override_num_blocks=len(self.tasks)`` so Ray
+    Data adds no block split (which would stop the read from fusing
+    with the map after it).
+    """
+
+    def __init__(self, files_by_pid: Dict[str, str],
+                 columns: Optional[List[str]], n_cpus: float):
+        self.columns = columns
+        self.max_bytes = DataContext.get_current().target_max_block_size
+        shards = sorted((f, pid) for pid, f in files_by_pid.items())
+        plan = plan_slices([_row_group_sizes(f, columns) for f, _ in shards],
+                           n_cpus, self.max_bytes)
+        # per task: ([(path, pid, row_groups, offset, length, nbytes)],
+        # rows, nbytes)
+        self.tasks = [([(*shards[s], *rest) for s, *rest in pieces],
+                       rows, nbytes)
+                      for pieces, rows, nbytes in plan]
+
+    def get_name(self) -> str:
+        return "ParquetSlice"
+
+    def estimate_inmemory_data_size(self) -> Optional[int]:
+        return sum(nbytes for _, _, nbytes in self.tasks)
+
+    def get_read_tasks(self, parallelism: int) -> List[ReadTask]:
+        return [
+            ReadTask(
+                functools.partial(_read_slices, pieces, self.columns,
+                                  self.max_bytes),
+                BlockMetadata(num_rows=rows, size_bytes=nbytes,
+                              input_files=[p[0] for p in pieces],
+                              exec_stats=None),
+            )
+            for pieces, rows, nbytes in self.tasks
+        ]
+
+
 def _stage_metrics(ds) -> List[Dict]:
     """Per-operator wall-time / row metrics from ``Dataset.stats()``.
 
@@ -359,11 +568,14 @@ def run_partitioned(
     read_columns: Optional[List[str]] = None,
     run_id: Optional[str] = None,
     stale_sec: float = DEFAULT_STALE_SEC,
-    **read_kwargs,
 ) -> Dict:
     """Process pending input shards through ``pipeline_fn``, resumably.
 
-    ``pipeline_fn(ds) -> ds`` must preserve the ``pid`` column. Returns
+    ``pipeline_fn(ds) -> ds`` gets the ``read_columns`` of the pending
+    shards plus a ``pid`` column, read by a :class:`ParquetSliceDatasource`,
+    and must preserve ``pid``. A chain of task-pool ``map_batches``
+    without ``batch_size`` fuses with the read and the write into one
+    operator. Returns
     a summary dict with processed/skipped/locked partitions and row
     counts. Safe under concurrent drivers sharing ``out_root``: each
     pending shard is processed by exactly one of them (lease claims).
@@ -413,6 +625,9 @@ def run_partitioned(
     # "<run>.0" and be swept out from under a live run)
     staging_root = os.path.join(out_root, f"_staging_{run_id}")
 
+    if not ray.is_initialized():
+        ray.init()  # as Ray Data's own first read would
+    n_cpus = ray.cluster_resources().get("CPU", 1)
     run_t0 = _time.monotonic()
     failed: Dict[str, str] = {}
     lost: List[str] = []
@@ -427,26 +642,13 @@ def run_partitioned(
         shard-level analogue for inputs that break the READ itself
         (corrupt parquet), at log2(n) extra executions worst-case.
         """
-        pid_by_path = {
-            os.path.abspath(f): pid for pid, f in batch_pending.items()
-        }
-
-        def _assign_pid(batch: pa.Table) -> pa.Table:
-            paths = batch.column("path").to_pylist()
-            pids = [pid_by_path[os.path.abspath(p)] for p in paths]
-            return batch.drop_columns(["path"]).append_column(
-                "pid", pa.array(pids, pa.string())
-            )
-
         try:
-            ds = ray.data.read_parquet(
-                sorted(batch_pending.values()),
-                include_paths=True,
-                columns=read_columns,
-                **read_kwargs,
-            )
-            ds = ds.map_batches(_assign_pid, batch_format="pyarrow")
-            out = pipeline_fn(ds)
+            # footers are read here, inside the try: a corrupt shard
+            # fails this subset and the bisect below isolates it
+            source = ParquetSliceDatasource(batch_pending, read_columns,
+                                            n_cpus)
+            out = pipeline_fn(ray.data.read_datasource(
+                source, override_num_blocks=len(source.tasks)))
             out.write_parquet(staging, partition_cols=["pid"])
         except Exception as exc:
             shutil.rmtree(staging, ignore_errors=True)

@@ -1,0 +1,331 @@
+"""Balanced shard-slice reads: the planner, the slice reader, the
+chain's own batching, and the one fused operator of a CLI extraction
+run."""
+
+import os
+
+import pyarrow as pa
+import pyarrow.parquet as pq
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from ray.data import DataContext
+
+from ocr_pipeline_ray.state.lineage import (
+    TASKS_PER_CPU,
+    LineageStore,
+    ParquetSliceDatasource,
+    partition_id,
+    plan_slices,
+    run_partitioned,
+)
+
+
+def _groups(shards):
+    """Non-empty row groups as ``(shard, group, first_row, rows,
+    nbytes)``, ``first_row`` shard-local."""
+    out = []
+    for s, shard in enumerate(shards):
+        first = 0
+        for g, (rows, nbytes) in enumerate(shard):
+            if rows:
+                out.append((s, g, first, rows, nbytes))
+            first += rows
+    return out
+
+
+def _share(pieces, by_id):
+    """The exact uncompressed bytes of a task's rows: each row group's
+    bytes pro rata of the rows taken from it."""
+    total = 0.0
+    for s, row_groups, offset, length, _ in pieces:
+        first = by_id[s, row_groups[0]][0]
+        taken = range(first + offset, first + offset + length)
+        for g in row_groups:
+            g_first, rows, nbytes = by_id[s, g]
+            n = len(range(max(taken.start, g_first),
+                          min(taken.stop, g_first + rows)))
+            total += nbytes * n / rows
+    return total
+
+
+def _check_plan(shards, n_cpus, cap):
+    tasks = plan_slices(shards, n_cpus, cap)
+    groups = _groups(shards)
+    by_id = {(s, g): (first, rows, nbytes)
+             for s, g, first, rows, nbytes in groups}
+    total = sum(rows for *_, rows, _ in groups)
+    if not total:
+        assert tasks == []
+        return tasks
+    read, reads_of = [], {}
+    for pieces, rows, nbytes in tasks:
+        task_rows, share, decoded = [], 0.0, 0
+        for s, row_groups, offset, length, piece_bytes in pieces:
+            listed = [(s, r) for g in row_groups
+                      for r in range(by_id[s, g][0],
+                                     by_id[s, g][0] + by_id[s, g][1])]
+            last = by_id[s, row_groups[-1]][1]
+            # the piece reads only row groups it takes rows from
+            assert offset < by_id[s, row_groups[0]][1]
+            assert len(listed) - last < offset + length <= len(listed)
+            task_rows += listed[offset:offset + length]
+            piece_share = _share([(s, row_groups, offset, length, 0)],
+                                 by_id)
+            assert piece_bytes == round(piece_share)
+            share += piece_share
+            decoded += sum(by_id[s, g][2] for g in row_groups)
+            for g in row_groups:
+                reads_of[s, g] = reads_of.get((s, g), 0) + 1
+        assert rows == len(task_rows)
+        assert nbytes == round(share)
+        whole = decoded == sum(by_id[s, g][2] for s, gs, *_ in pieces
+                               for g in gs) and rows == sum(
+            by_id[s, g][1] for s, gs, *_ in pieces for g in gs)
+        if not whole:  # a row slice of ONE row group
+            assert len(pieces) == 1 and len(pieces[0][1]) == 1
+        if cap is not None and rows > 1:
+            # no task holds more than the cap; one decodes more only
+            # when it slices a row group that is alone over the cap
+            assert nbytes <= cap
+            assert whole and decoded <= cap or not whole and (
+                decoded <= cap or nbytes < decoded)
+        read += task_rows
+    # every (shard, row) read exactly once, in shard order
+    assert read == [(s, r) for s, shard in enumerate(shards)
+                    for r in range(sum(rows for rows, _ in shard))]
+    # task count: TASKS_PER_CPU per CPU, at most one task per row,
+    # raised only when the cap demands it
+    base = min(total, max(1, round(TASKS_PER_CPU * n_cpus)))
+    base_plan = plan_slices(shards, n_cpus, None)
+    assert len(base_plan) == base
+    if cap is None or all(_share(p, by_id) <= cap for p, *_ in base_plan):
+        assert len(tasks) == base
+    else:
+        assert base <= len(tasks) <= total
+    if len(tasks) <= len(groups):
+        # whole row groups, none read twice, cuts near an equal split
+        assert set(reads_of.values()) == {1}
+        biggest = max(rows for *_, rows, _ in groups)
+        assert max(t[1] for t in tasks) <= total / len(tasks) + biggest
+    else:
+        # one row group per task; no slice can move to another group
+        # without making the largest slice larger
+        k = {gid: n for gid, n in reads_of.items()}
+        worst = max(by_id[g][1] / n for g, n in k.items())
+        if cap is None or all(b <= cap for *_, b in groups):
+            for g, n in k.items():
+                assert n == 1 or by_id[g][1] / (n - 1) >= worst
+    return tasks
+
+
+class TestPlanSlices:
+    @pytest.mark.parametrize("shards,n_cpus,cap", [
+        # 0-row shards: a 0-row row group and a shard without any
+        ([[(0, 0)], [(10, 100)], [], [(5, 50)]], 1, None),
+        # a single shard
+        ([[(100, 1000)]], 3, None),
+        # more shards than tasks
+        ([[(5, 50)]] * 20, 1, None),
+        # fewer rows than tasks
+        ([[(2, 10)], [(1, 5)]], 4, None),
+        # multi-row-group shards, the cap raises the task count
+        ([[(10, 100), (10, 1000), (10, 100)], [(7, 70), (3, 30)]], 1, 500),
+        # cap met by the CPU-based count: unchanged
+        ([[(10, 100), (10, 100)]], 2, 10_000),
+        # a shard whose one row group is larger than the cap
+        ([[(100, 10_000)]], 1, 1_000),
+        # every shard empty
+        ([[(0, 0)], []], 2, 100),
+    ], ids=["zero_row_shards", "single_shard", "more_shards_than_tasks",
+            "fewer_rows_than_tasks", "multi_row_group_cap", "cap_met",
+            "row_group_over_cap", "all_empty"])
+    def test_plan(self, shards, n_cpus, cap):
+        _check_plan(shards, n_cpus, cap)
+
+    def test_cap_raises_count(self):
+        tasks = _check_plan([[(30, 3000)], [(30, 3000)]], 1, 500)
+        assert len(tasks) > 3 * TASKS_PER_CPU
+
+    def test_row_group_over_cap_is_sliced_to_the_cap(self):
+        tasks = _check_plan([[(100, 10_000)]], 1, 1_000)
+        assert len(tasks) == 10
+        assert all(t[2] == 1_000 for t in tasks)
+
+    def test_whole_row_groups_cross_shards(self):
+        tasks = _check_plan([[(2, 20), (2, 20)]] * 2, 1, None)
+        assert [t[0] for t in tasks] == [
+            [(0, [0], 0, 2, 20)],
+            [(0, [1], 0, 2, 20), (1, [0], 0, 2, 20)],
+            [(1, [1], 0, 2, 20)],
+        ]
+
+    def test_fewer_row_groups_than_tasks_are_sliced(self):
+        tasks = _check_plan([[(4, 40)]] * 2, 1, None)
+        assert [t[0] for t in tasks] == [
+            [(0, [0], 0, 2, 20)], [(0, [0], 2, 2, 20)], [(1, [0], 0, 4, 40)],
+        ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        shards=st.lists(
+            st.lists(st.tuples(st.integers(0, 40), st.integers(0, 5_000)),
+                     max_size=4),
+            min_size=1, max_size=8),
+        n_cpus=st.integers(1, 6),
+        cap=st.one_of(st.none(), st.integers(1, 20_000)),
+    )
+    def test_plan_properties(self, shards, n_cpus, cap):
+        _check_plan(shards, n_cpus, cap)
+
+
+class TestSliceReader:
+    def _shards(self, tmp_path):
+        """Three shards: 23 rows in row groups of 5, 0 rows, 9 rows in
+        row groups of 4."""
+        paths = {}
+        for name, n, rg in (("a", 23, 5), ("b", 0, 5), ("c", 9, 4)):
+            tbl = pa.table({
+                "x": pa.array([f"{name}{i}" for i in range(n)], pa.string()),
+                "y": pa.array(range(n), pa.int64()),
+            })
+            path = str(tmp_path / f"{name}.parquet")
+            pq.write_table(tbl, path, row_group_size=rg)
+            paths[name] = path
+        return paths
+
+    @staticmethod
+    def _read(source):
+        return [b for task in source.get_read_tasks(1) for b in task()]
+
+    # 1 and 2 CPUs: whole row groups per task; 3 and 10: row slices
+    @pytest.mark.parametrize("n_cpus", [1, 2, 3, 10])
+    def test_reads_each_row_once_with_pid(self, tmp_path, n_cpus):
+        paths = self._shards(tmp_path)
+        source = ParquetSliceDatasource(paths, ["x"], n_cpus=n_cpus)
+        assert len(source.tasks) == min(32, n_cpus * TASKS_PER_CPU)
+        got = pa.concat_tables(self._read(source))
+        assert got.column_names == ["x", "pid"]
+        expected = [(f"{name}{i}", name)
+                    for name, n in (("a", 23), ("c", 9)) for i in range(n)]
+        assert list(zip(got.column("x").to_pylist(),
+                        got.column("pid").to_pylist())) == expected
+
+    def test_row_group_over_cap_streams_in_capped_blocks(self, tmp_path):
+        """One shard, one row group over the cap: more tasks, each
+        within the cap, and each yields blocks of at most the cap's
+        worth of rows."""
+        n = 60
+        tbl = pa.table({"x": [f"{i:04d}" + "z" * 996 for i in range(n)]})
+        path = str(tmp_path / "big.parquet")
+        pq.write_table(tbl, path)
+        assert pq.ParquetFile(path).num_row_groups == 1
+        cap = 10_000
+        rg_bytes = pq.read_metadata(path).row_group(0).total_byte_size
+        ctx = DataContext.get_current()
+        saved, ctx.target_max_block_size = ctx.target_max_block_size, cap
+        try:
+            source = ParquetSliceDatasource({"big": path}, None, n_cpus=1)
+        finally:
+            ctx.target_max_block_size = saved
+        assert rg_bytes > cap
+        assert len(source.tasks) > TASKS_PER_CPU
+        read_tasks = source.get_read_tasks(1)
+        assert all(t.metadata.size_bytes <= cap for t in read_tasks)
+        assert source.estimate_inmemory_data_size() == sum(
+            t.metadata.size_bytes for t in read_tasks)
+        blocks = [b for task in read_tasks for b in task()]
+        per_block = n * cap // rg_bytes
+        assert all(b.num_rows <= per_block for b in blocks)
+        got = pa.concat_tables(blocks)
+        assert got.column("x").to_pylist() == tbl.column("x").to_pylist()
+        assert set(got.column("pid").to_pylist()) == {"big"}
+
+    def test_corrupt_footer_raises_on_driver(self, tmp_path):
+        paths = self._shards(tmp_path)
+        with open(paths["c"], "wb") as fh:
+            fh.write(b"PAR1 this is not a parquet file")
+        with pytest.raises(Exception):
+            ParquetSliceDatasource(paths, None, n_cpus=1)
+
+
+class TestFusedRun:
+    def test_cli_run_is_one_fused_operator(
+        self, ray_session, small_corpus, tmp_path
+    ):
+        """Read, compiled chain and partitioned write run as ONE Ray
+        Data operator; a ``batch_size=`` on the chain's map_batches
+        would split it and fail here."""
+        from ocr_pipeline_ray.__main__ import main
+
+        out = str(tmp_path / "out")
+        assert main([*small_corpus, "-o", out]) == 0
+        stages = LineageStore(out).read(
+            partition_id(small_corpus[0]))["stages"]
+        assert len(stages) == 1, stages
+        name = stages[0]["stage"]
+        assert "ReadParquet" in name and "_fused_fn" in name, name
+        assert name.endswith("Write"), name
+
+    @pytest.mark.parametrize("with_rows", [True, False],
+                             ids=["mixed", "all_empty"])
+    def test_zero_row_shard_publishes_empty_partition(
+        self, ray_session, small_corpus, tmp_path, with_rows
+    ):
+        from ocr_pipeline_ray.pipelines.extraction import build_pipeline
+        from ocr_pipeline_ray.schema import PAGES_SCHEMA
+
+        empty = str(tmp_path / "pages-empty.parquet")
+        pq.write_table(PAGES_SCHEMA.empty_table(), empty)
+        files = [empty] + (list(small_corpus) if with_rows else [])
+        out = str(tmp_path / "out")
+        summary = run_partitioned(files, out, build_pipeline,
+                                  "2026-01-01 10:00:00")
+        assert summary["rows_written"] == (240 if with_rows else 0)
+        store = LineageStore(out)
+        rec = store.read("pages-empty")
+        assert rec["status"] == "done"
+        assert rec["rows"] == 0
+        assert os.listdir(os.path.join(out, "pid=pages-empty")) == []
+        assert store.done_partitions() == {
+            partition_id(f) for f in files}
+
+
+class TestChainBatching:
+    @pytest.fixture(scope="class")
+    def pages(self):
+        import random
+
+        from ocr_pipeline_ray.corpus import build_page, generate_pages_table
+
+        tbl = generate_pages_table(40, seed=7, shard=3)
+        tbl = tbl.select(["url", "warc_ts", "html", "lang"])
+        rng = random.Random(5)
+        # an ALTO row, a PAGE row and an error row (no html at all)
+        htmls = [build_page(rng, 1, "alto_xml", "de"),
+                 build_page(rng, 2, "page_xml", "de"), None]
+        extra = pa.table({
+            "url": [f"doc://extra/{i}" for i in range(3)],
+            "warc_ts": tbl.column("warc_ts")[:3],
+            "html": pa.array(htmls, tbl.schema.field("html").type),
+            "lang": ["de"] * 3,
+        }, schema=tbl.schema)
+        # the extra rows sit mid-table, so slices split around them
+        return pa.concat_tables(
+            [tbl.slice(0, 20), extra, tbl.slice(20)]).combine_chunks()
+
+    def test_sliced_calls_equal_one_call(self, pages):
+        from ocr_pipeline_ray.config import default_steps
+        from ocr_pipeline_ray.stages.fused import FusedExtractor, make_fused_fn
+
+        n = pages.num_rows
+        whole = FusedExtractor(default_steps())(pages)
+        assert whole.column("error").null_count < n  # has an error row
+        # the ALTO/PAGE rows carry their own line ids, not l00000...
+        ids = [line["line_id"]
+               for lines in whole.column("lines").to_pylist()[20:22]
+               for line in lines]
+        assert ids and not any(i.startswith("l0") for i in ids)
+        for k in (1, 7, n, n + 1):
+            got = make_fused_fn(default_steps(), k)(pages)
+            assert got.equals(whole), k
