@@ -233,7 +233,9 @@ def main(argv=None) -> int:
         rescored = os.path.join(args.out, "rescored")
         shutil.rmtree(rescored, ignore_errors=True)  # rerun = replace
         rescore_pipeline(paths, **rescore_kwargs).write_parquet(rescored)
-        _write_report(args.out, paths_rescored=rescored)
+        # a zero-row rescore writes no file (and maybe no dir at all)
+        _write_report(args.out,
+                      paths_rescored=os.path.join(rescored, "*.parquet"))
         print("rescored →", args.out)
         return 0
 
@@ -283,23 +285,24 @@ def main(argv=None) -> int:
     return 0
 
 
+def _published(out_root: str) -> str:
+    """Glob of the published extraction output's Parquet files."""
+    return os.path.join(out_root, "pid=*", "*.parquet")
+
+
 def _write_embeddings(out_root: str, log) -> None:
     """Embedding tail: pruned read of the published output (url +
     extracted_text only), one actor-pool inference pass
     (stages/embedder.EmbeddingInference — weights load once per
     actor), embeddings parquet beside the extraction output. The
     tail is deterministic; rerunning replaces ``out/embeddings``."""
-    import ray.data
-
     from ocr_pipeline_ray.stages.embedder import embedding_inference_stage
+    from ocr_pipeline_ray.state.lineage import output_files, read_output
 
-    pattern = sorted(
-        globmod.glob(os.path.join(out_root, "pid=*", "*.parquet"))
-    )
-    if not pattern:
+    files = output_files(_published(out_root))
+    if not files:
         return
-    ds = ray.data.read_parquet(
-        pattern, columns=["url", "extracted_text"])
+    ds = read_output(files, columns=["url", "extracted_text"])
     vecs = embedding_inference_stage(
         ds, id_col="url", text_col="extracted_text")
     dst = os.path.join(out_root, "embeddings")
@@ -313,17 +316,13 @@ def _write_wet(out_root: str, log) -> None:
     """WET export tail: pruned read of the published output
     (url/warc_ts/extracted_text only — the heavy lines/html columns
     never load), conversion records written task-side per block."""
-    import ray.data
-
     from ocr_pipeline_ray.sources import extracted_to_wet
+    from ocr_pipeline_ray.state.lineage import output_files, read_output
 
-    pattern = sorted(
-        globmod.glob(os.path.join(out_root, "pid=*", "*.parquet"))
-    )
-    if not pattern:
+    files = output_files(_published(out_root))
+    if not files:
         return
-    ds = ray.data.read_parquet(
-        pattern, columns=["url", "warc_ts", "extracted_text"])
+    ds = read_output(files, columns=["url", "warc_ts", "extracted_text"])
     wet_dir = os.path.join(out_root, "wet")
     extracted_to_wet(ds, wet_dir)
     log.info("WET export → %s", wet_dir)
@@ -341,14 +340,12 @@ def _write_audit(out_root: str, log) -> None:
 
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray.data
 
     from ocr_pipeline_ray.functions.hashing import bucket_ids
     from ocr_pipeline_ray.stages.web import host_gini
+    from ocr_pipeline_ray.state.lineage import output_files, read_output
 
-    pattern = sorted(
-        globmod.glob(os.path.join(out_root, "pid=*", "*.parquet"))
-    )
+    files = output_files(_published(out_root))
 
     def _partial(batch: pa.Table) -> pa.Table:
         text = batch.column("extracted_text")
@@ -367,8 +364,7 @@ def _write_audit(out_root: str, log) -> None:
                 pa.int64())).as_py() or 0], pa.int64()),
         })
 
-    ds = ray.data.read_parquet(
-        pattern, columns=["extracted_text", "error", "hit_ratio"])
+    ds = read_output(files, columns=["extracted_text", "error", "hit_ratio"])
     totals = {"n_rows": 0, "null_text": 0, "empty_text": 0,
               "error_rows": 0, "unscored_rows": 0}
     for b in ds.map_batches(_partial, batch_format="pyarrow").iter_batches(
@@ -389,14 +385,14 @@ def _write_audit(out_root: str, log) -> None:
         return pa.table({"d": pa.array([n - uniq], pa.int64())})
 
     dup_urls = 0
-    for b in ray.data.read_parquet(pattern, columns=["url"]).map_batches(
+    for b in read_output(files, columns=["url"]).map_batches(
             _keyed, batch_format="pyarrow").groupby(
             "_kbucket", num_partitions=64).map_groups(
             _dups, batch_format="pyarrow").iter_batches(
             batch_format="pyarrow", batch_size=None):
         dup_urls += pc.sum(b.column("d")).as_py() or 0
 
-    hosts = host_gini(ray.data.read_parquet(pattern, columns=["url"]))
+    hosts = host_gini(read_output(files, columns=["url"]))
     audit = dict(totals)
     audit["dup_urls"] = dup_urls
     audit["n_hosts"] = hosts.column("n_hosts")[0].as_py()
@@ -426,15 +422,12 @@ def _write_training_data(out_root: str, min_ratio: float, log) -> None:
 
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray.data
 
     from ocr_pipeline_ray.stages.dedup import dedup_first
+    from ocr_pipeline_ray.state.lineage import read_output
 
-    pattern = sorted(
-        globmod.glob(os.path.join(out_root, "pid=*", "*.parquet"))
-    )
-    ds = ray.data.read_parquet(
-        pattern, columns=["url", "extracted_text", "hit_ratio"])
+    ds = read_output(_published(out_root),
+                     columns=["url", "extracted_text", "hit_ratio"])
     thr = float(min_ratio)
 
     def _gate(batch: pa.Table) -> pa.Table:
@@ -499,37 +492,37 @@ def _init_logger(logdir):
 
 def _write_report(out_root: str, paths_rescored: str = None,
                   parts: bool = False) -> None:
-    import ray.data
-
+    """The corpus quality report over the published output (or the
+    ``--rescore`` output dir). The ``.wtr`` is built on the driver
+    from the 8 report columns of the written files, in file order;
+    ``parts`` writes the at-scale report parts through one fused
+    read and a distributed sort instead."""
     from ocr_pipeline_ray.functions.text import wtr_filename
+    from ocr_pipeline_ray.state.lineage import output_files, read_output
     from ocr_pipeline_ray.stages.report import (
         REPORT_COLUMNS,
         quality_summary,
+        read_report,
         sorted_report,
         stream_wtr,
         write_report_parts,
     )
 
-    if paths_rescored:
-        pattern = paths_rescored
-    else:
-        pattern = sorted(
-            globmod.glob(os.path.join(out_root, "pid=*", "*.parquet"))
-        )
-    # ONE pruned read shared by both consumers: the report needs only
-    # the 8 report columns — never the heavy `lines` / extracted_text
-    ds = ray.data.read_parquet(pattern, columns=REPORT_COLUMNS)
-    summary = quality_summary(ds)
-    rep = sorted_report(ds)
+    files = output_files(paths_rescored or _published(out_root))
     if parts:
+        ds = read_output(files, columns=REPORT_COLUMNS)
+        summary = quality_summary(ds)
         path = write_report_parts(
-            os.path.join(out_root, "report_parts"), summary, rep
+            os.path.join(out_root, "report_parts"), summary,
+            sorted_report(ds)
         )
     else:
-        # rows stream through iter_batches — constant driver memory
+        rep = read_report(files)
+        summary = quality_summary(rep)
         name = wtr_filename(os.path.basename(os.path.normpath(out_root)),
                             time.localtime())
-        path = stream_wtr(os.path.join(out_root, name), summary, rep)
+        path = stream_wtr(os.path.join(out_root, name), summary,
+                          sorted_report(rep))
     print(f"report → {path} (mean {summary['mean']}, "
           f"{summary['total']} docs, {summary['invalid']} invalid)")
 

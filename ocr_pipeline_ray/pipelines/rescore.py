@@ -8,6 +8,11 @@ re-scoring a finished corpus without re-extraction. Input is this
 engine's OWN output table (``extracted_text`` column); lines are the
 newline-split of the stored text (the stored span offsets delimit
 exactly these lines).
+
+The read goes through :func:`~ocr_pipeline_ray.state.lineage.read_output`,
+so the read, the quality step and a ``write_parquet`` after it run as
+ONE Ray Data operator (``ReadParquetSlice->MapBatches(_fn)->Write``),
+a few balanced tasks per CPU whatever the file count.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import ray.data
 from ..config import PipelineContext, register_step
 from ..functions.quality import estimate_quality
 from ..schema import QUALITY_FIELDS
+from ..state.lineage import read_output
 
 
 def make_rescore_fn(lexicon: Optional[FrozenSet[str]] = None, minlen: int = 2,
@@ -55,11 +61,11 @@ def _build_rescore(ds, params, ctx: PipelineContext):
 
 
 def rescore_pipeline(paths, lexicon=None, minlen: int = 2,
-                     text_col: str = "extracted_text",
-                     **read_kwargs) -> "ray.data.Dataset":
-    """Extracted-output parquet → fresh quality columns (streaming)."""
-    ds = ray.data.read_parquet(paths, **read_kwargs)
-    return ds.map_batches(
+                     text_col: str = "extracted_text") -> "ray.data.Dataset":
+    """Extracted-output parquet (files, dirs or globs, as
+    :func:`~ocr_pipeline_ray.state.lineage.output_files`) → the same
+    rows with fresh quality columns, streaming and in file order."""
+    return read_output(paths).map_batches(
         make_rescore_fn(lexicon, minlen=int(minlen), text_col=text_col),
         batch_format="pyarrow", zero_copy_batch=True,
     )

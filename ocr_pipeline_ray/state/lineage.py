@@ -36,6 +36,11 @@ history, `/root/reference/ocr_pipeline.py:160-199,338-365`) and of its
   (run-marker absent or stale) — a live concurrent run's staging is
   never touched.
 
+The same slice reader serves every later read of published output:
+:func:`read_output` (files, dirs or globs, in the given order, with
+``pid`` taken from a ``pid=<x>/`` dir), so ``--rescore`` and the CLI
+tails also read, process and write in one fused operator.
+
 Timestamps are provided by the CALLER (driver) — nothing inside the
 distributed tasks reads the clock.
 """
@@ -44,6 +49,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import glob
 import hashlib
 import heapq
 import itertools
@@ -59,6 +65,8 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import pyarrow as pa
 import pyarrow.parquet as pq
+import ray
+import ray.data
 from ray.data import DataContext
 from ray.data.block import BlockMetadata
 from ray.data.datasource import Datasource, ReadTask
@@ -451,10 +459,10 @@ def _row_group_sizes(path: str,
 
 def _read_slices(pieces, columns, max_bytes) -> Iterator[pa.Table]:
     """Read task body: the rows of each ``(path, pid, row_groups,
-    offset, length, nbytes)`` piece with the ``pid`` column appended.
-    The row groups stream in batches of at most ``max_bytes`` of the
-    piece's rows, and decoding stops at the piece's last row, so a
-    task holds one batch of input at a time."""
+    offset, length, nbytes)`` piece, with a ``pid`` column appended
+    unless ``pid`` is None. The row groups stream in batches of at
+    most ``max_bytes`` of the piece's rows, and decoding stops at the
+    piece's last row, so a task holds one batch of input at a time."""
     for path, pid, row_groups, offset, length, nbytes in pieces:
         stop = offset + length
         batch_rows = stop
@@ -468,34 +476,38 @@ def _read_slices(pieces, columns, max_bytes) -> Iterator[pa.Table]:
             pos += batch.num_rows
             if lo < hi:
                 tbl = pa.Table.from_batches([batch.slice(lo, hi - lo)])
-                yield tbl.append_column(
-                    "pid", pa.array([pid] * (hi - lo), pa.string()))
+                if pid is not None:
+                    tbl = tbl.append_column(
+                        "pid", pa.array([pid] * (hi - lo), pa.string()))
+                yield tbl
             if pos >= stop:
                 break
 
 
 class ParquetSliceDatasource(Datasource):
-    """Balanced row slices of a set of Parquet shards, ``pid`` stamped.
+    """Balanced row slices of a list of Parquet files, ``pid`` stamped.
 
-    The constructor reads the footers (so a corrupt shard raises on
-    the driver) and plans the read tasks with :func:`plan_slices`:
-    ``n_cpus`` sets the task count, and Ray Data's
-    ``DataContext.target_max_block_size`` caps the uncompressed bytes
-    of each task's rows — the fused Parquet write holds a whole
-    task's output in memory, so a big corpus gets more tasks, not
-    bigger buffers. The same per-task figure is the block-size
-    estimate Ray Data plans with. ``get_read_tasks``
+    ``shards`` is an ordered list of ``(file, pid or None)``; several
+    files may share a pid, and a file with pid None gets no ``pid``
+    column. The rows come out in that order. The constructor reads
+    the footers (so a corrupt file raises on the driver) and plans
+    the read tasks with :func:`plan_slices`: ``n_cpus`` sets the task
+    count, and Ray Data's ``DataContext.target_max_block_size`` caps
+    the uncompressed bytes of each task's rows — a fused Parquet
+    write holds a whole task's output in memory, so a big corpus gets
+    more tasks, not bigger buffers. The same per-task figure is the
+    block-size estimate Ray Data plans with. ``get_read_tasks``
     ignores the requested parallelism and returns the planned tasks;
     read them with ``override_num_blocks=len(self.tasks)`` so Ray
     Data adds no block split (which would stop the read from fusing
     with the map after it).
     """
 
-    def __init__(self, files_by_pid: Dict[str, str],
+    def __init__(self, shards: Sequence[Tuple[str, Optional[str]]],
                  columns: Optional[List[str]], n_cpus: float):
         self.columns = columns
         self.max_bytes = DataContext.get_current().target_max_block_size
-        shards = sorted((f, pid) for pid, f in files_by_pid.items())
+        shards = list(shards)
         plan = plan_slices([_row_group_sizes(f, columns) for f, _ in shards],
                            n_cpus, self.max_bytes)
         # per task: ([(path, pid, row_groups, offset, length, nbytes)],
@@ -521,6 +533,70 @@ class ParquetSliceDatasource(Datasource):
             )
             for pieces, rows, nbytes in self.tasks
         ]
+
+
+def _ray_cpus() -> float:
+    """The Ray cluster's CPU count, starting Ray if nobody has (as
+    Ray Data's own first read would)."""
+    if not ray.is_initialized():
+        ray.init()
+    return ray.cluster_resources().get("CPU", 1)
+
+
+def _slice_dataset(shards, columns, n_cpus: float):
+    source = ParquetSliceDatasource(shards, columns, n_cpus)
+    return ray.data.read_datasource(source,
+                                    override_num_blocks=len(source.tasks))
+
+
+def _parquet_under(root: str) -> List[str]:
+    """The ``*.parquet`` files under ``root``, recursively and sorted
+    by path; hidden and ``_``-prefixed entries (staging, lineage,
+    ingest dirs) are skipped."""
+    found = []
+    for dirpath, dirnames, filenames in os.walk(root):
+        dirnames[:] = [d for d in dirnames if d[0] not in "._"]
+        found.extend(os.path.join(dirpath, f) for f in filenames
+                     if f.endswith(".parquet") and f[0] not in "._")
+    return sorted(found)
+
+
+def output_files(paths) -> List[str]:
+    """Expand ``paths`` (a path or a list of files, directories and
+    globs) into Parquet files, keeping the given order: a directory
+    becomes the sorted ``*.parquet`` files under it, a glob its
+    sorted matches (each match expanded the same way)."""
+    files: List[str] = []
+    for item in [paths] if isinstance(paths, str) else paths:
+        matches = (sorted(glob.glob(item))
+                   if any(ch in item for ch in "*?[") else [item])
+        for path in matches:
+            files.extend(_parquet_under(path) if os.path.isdir(path)
+                         else [path])
+    return files
+
+
+def read_output(paths, columns: Optional[List[str]] = None):
+    """One fused-read Dataset over Parquet output files.
+
+    ``paths`` as :func:`output_files`; the rows come out in that file
+    order through a :class:`ParquetSliceDatasource` (about
+    :data:`TASKS_PER_CPU` balanced tasks per Ray CPU, so a
+    task-pool ``map_batches`` and a write after it fuse with the read
+    into one operator, whatever the file count). A file under a
+    ``pid=<x>/`` directory gets a ``pid`` column ``x`` appended, as
+    hive partitioning gave ``ray.data.read_parquet``; with
+    ``columns`` given, only when it names ``pid``.
+    """
+    stamp = columns is None or "pid" in columns
+    shards = []
+    for f in output_files(paths):
+        parent = os.path.basename(os.path.dirname(f))
+        pid = parent[4:] if stamp and parent.startswith("pid=") else None
+        shards.append((f, pid))
+    if columns is not None:
+        columns = [c for c in columns if c != "pid"]
+    return _slice_dataset(shards, columns, _ray_cpus())
 
 
 def _stage_metrics(ds) -> List[Dict]:
@@ -580,8 +656,6 @@ def run_partitioned(
     counts. Safe under concurrent drivers sharing ``out_root``: each
     pending shard is processed by exactly one of them (lease claims).
     """
-    import ray.data
-
     store = LineageStore(out_root)
     if run_id is None:
         # host-unique: two drivers launched the same second on
@@ -625,9 +699,7 @@ def run_partitioned(
     # "<run>.0" and be swept out from under a live run)
     staging_root = os.path.join(out_root, f"_staging_{run_id}")
 
-    if not ray.is_initialized():
-        ray.init()  # as Ray Data's own first read would
-    n_cpus = ray.cluster_resources().get("CPU", 1)
+    n_cpus = _ray_cpus()
     run_t0 = _time.monotonic()
     failed: Dict[str, str] = {}
     lost: List[str] = []
@@ -645,10 +717,9 @@ def run_partitioned(
         try:
             # footers are read here, inside the try: a corrupt shard
             # fails this subset and the bisect below isolates it
-            source = ParquetSliceDatasource(batch_pending, read_columns,
-                                            n_cpus)
-            out = pipeline_fn(ray.data.read_datasource(
-                source, override_num_blocks=len(source.tasks)))
+            out = pipeline_fn(_slice_dataset(
+                sorted((f, pid) for pid, f in batch_pending.items()),
+                read_columns, n_cpus))
             out.write_parquet(staging, partition_cols=["pid"])
         except Exception as exc:
             shutil.rmtree(staging, ignore_errors=True)

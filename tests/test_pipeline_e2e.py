@@ -99,16 +99,18 @@ class TestReport:
 
     def test_stream_wtr_byte_identical(self, ray_session, small_corpus,
                                        tmp_path):
-        """Streamed writer (iter_batches, constant driver memory) ==
-        the take_all path, byte for byte."""
-        from ocr_pipeline_ray.stages.report import stream_wtr
+        """Column-wise chunked writer (Arrow table) == the row-dict
+        writer over the same rows, byte for byte."""
+        import pyarrow as pa
+
+        from ocr_pipeline_ray.stages.report import REPORT_SCHEMA, stream_wtr
 
         ds = extraction_pipeline(small_corpus)
         summary = quality_summary(ds)
         rows = sorted_report(extraction_pipeline(small_corpus)).take_all()
         old = write_wtr(str(tmp_path / "old.wtr"), summary, rows)
         new = stream_wtr(str(tmp_path / "new.wtr"), summary,
-                         sorted_report(extraction_pipeline(small_corpus)),
+                         pa.Table.from_pylist(rows, schema=REPORT_SCHEMA),
                          batch_size=7)  # force multi-batch streaming
         assert open(new, "rb").read() == open(old, "rb").read()
 

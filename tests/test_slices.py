@@ -202,7 +202,8 @@ class TestSliceReader:
     @pytest.mark.parametrize("n_cpus", [1, 2, 3, 10])
     def test_reads_each_row_once_with_pid(self, tmp_path, n_cpus):
         paths = self._shards(tmp_path)
-        source = ParquetSliceDatasource(paths, ["x"], n_cpus=n_cpus)
+        source = ParquetSliceDatasource(
+            sorted((f, pid) for pid, f in paths.items()), ["x"], n_cpus=n_cpus)
         assert len(source.tasks) == min(32, n_cpus * TASKS_PER_CPU)
         got = pa.concat_tables(self._read(source))
         assert got.column_names == ["x", "pid"]
@@ -225,7 +226,7 @@ class TestSliceReader:
         ctx = DataContext.get_current()
         saved, ctx.target_max_block_size = ctx.target_max_block_size, cap
         try:
-            source = ParquetSliceDatasource({"big": path}, None, n_cpus=1)
+            source = ParquetSliceDatasource([(path, "big")], None, n_cpus=1)
         finally:
             ctx.target_max_block_size = saved
         assert rg_bytes > cap
@@ -246,7 +247,8 @@ class TestSliceReader:
         with open(paths["c"], "wb") as fh:
             fh.write(b"PAR1 this is not a parquet file")
         with pytest.raises(Exception):
-            ParquetSliceDatasource(paths, None, n_cpus=1)
+            ParquetSliceDatasource(
+                sorted((f, pid) for pid, f in paths.items()), None, n_cpus=1)
 
 
 class TestFusedRun:
