@@ -12,7 +12,7 @@ exactly these lines).
 The read goes through :func:`~ocr_pipeline_ray.state.lineage.read_output`,
 so the read, the quality step and a ``write_parquet`` after it run as
 ONE Ray Data operator (``ReadParquetSlice->MapBatches(_fn)->Write``),
-a few balanced tasks per CPU whatever the file count.
+one task of equal rows per CPU whatever the file count.
 """
 
 from __future__ import annotations

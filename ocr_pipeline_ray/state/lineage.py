@@ -13,12 +13,13 @@ history, `/root/reference/ocr_pipeline.py:160-199,338-365`) and of its
   ``out_root`` split the pending set instead of double-processing;
 * the run reads all claimed shards through ONE slice reader
   (:class:`ParquetSliceDatasource`): the driver reads the shards'
-  Parquet footers and cuts the pending rows into a few balanced read
-  tasks (:func:`plan_slices`, about :data:`TASKS_PER_CPU` per Ray
-  CPU): whole row groups, across shards if need be, when there are
-  enough of them, else row slices of single row groups; each task
-  streams only the row groups it needs and only ``read_columns``,
-  and stamps the ``pid`` column itself;
+  Parquet footers and cuts the pending rows into one task of equal
+  rows per Ray CPU (:func:`plan_slices`; more, in whole waves, only
+  when a task would exceed the block-size cap), across row groups
+  and shards; each task streams only the row groups it needs and
+  only ``read_columns``, and stamps the ``pid`` column itself; the
+  Dataset plans with the largest task's bytes as its block size, so
+  every task starts in one wave;
 * the read, the caller's chain and the ``pid``-partitioned write fuse
   into ONE Ray Data operator (``ReadParquetSlice->MapBatches(...)->
   Write``), so a task reads, processes and writes its slice without
@@ -47,12 +48,9 @@ distributed tasks reads the clock.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import glob
 import hashlib
-import heapq
-import itertools
 import json
 import math
 import os
@@ -61,6 +59,7 @@ import socket
 import threading
 import time as _time
 import uuid
+from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import pyarrow as pa
@@ -75,11 +74,8 @@ from ray.data.datasource import Datasource, ReadTask
 # takeover — the analogue of manually clearing a crashed host's busy
 # marker in the reference's NFS layout)
 DEFAULT_STALE_SEC = 3600.0
-# read tasks per Ray CPU: enough that a slow task does not leave the
-# other CPUs idle at the end, few enough that Ray Data's 100 ms
-# executor poll between tasks stays small (2 and 3 measured equal,
-# 1 and 4 slower)
-TASKS_PER_CPU = 3
+# floor of the block size a slice Dataset plans with (see _slice_dataset)
+MIN_BLOCK_BYTES = 1 << 20
 
 
 def store_root() -> str:
@@ -350,27 +346,25 @@ def plan_slices(
     n_cpus: float,
     max_bytes: Optional[int] = None,
 ) -> List[Tuple[List[Tuple[int, List[int], int, int, int]], int, int]]:
-    """Cut the rows of ``shards`` into balanced read tasks.
+    """Cut the rows of ``shards`` into read tasks of equal rows.
 
     ``shards`` holds, per shard in read order, the ``(num_rows,
     uncompressed_bytes)`` of each row group. Returns, per task,
     ``(pieces, rows, nbytes)``; a piece ``(shard, row_groups, offset,
-    length, nbytes)`` streams those row groups of the shard and keeps
-    ``length`` rows from row ``offset`` of the first, and ``nbytes``
-    is the uncompressed size of the rows kept. Together the tasks
-    cover every row once, in shard order.
+    length, nbytes)`` streams those consecutive row groups of the
+    shard and keeps ``length`` rows from row ``offset`` of the first,
+    and ``nbytes`` is the uncompressed size of the rows kept (each row
+    group's bytes pro rata, rounded). Together the tasks cover every
+    row once, in shard order.
 
-    The count starts at ``TASKS_PER_CPU * n_cpus``, never more than
-    the rows. With at least as many non-empty row groups as tasks, a
-    task reads whole row groups, across shards if need be, cut at the
-    group boundaries nearest an equal row split, so no row group is
-    read twice. With fewer, each row group is cut into row slices of
-    its own, one per task, the extra slices going to the groups with
-    the most rows per slice; a task then decodes one row group up to
-    the end of its slice. With ``max_bytes`` the count is raised
-    until no task's ``nbytes`` exceeds it: first towards one whole
-    row group per task, then by slicing each group over the cap (a
-    single row over it stays one task).
+    One task per Ray CPU (``round(n_cpus)``, never more than the
+    rows), with row counts that differ by at most one: the cuts fall
+    wherever the equal split puts them, across row groups and shards.
+    Only a task's first piece can start inside a row group, so a task
+    decodes at most one row-group prefix beyond its own rows. With
+    ``max_bytes`` the count is raised, in whole waves of
+    ``round(n_cpus)`` tasks (or to one task per row), until no task
+    of more than one row holds more than ``max_bytes``.
     """
     groups = [(s, g, rows, nbytes)
               for s, shard in enumerate(shards)
@@ -378,67 +372,45 @@ def plan_slices(
     total = sum(rows for _, _, rows, _ in groups)
     if not total:
         return []
-    n = min(total, max(1, round(TASKS_PER_CPU * n_cpus)))
-    while n < len(groups):
-        tasks = _whole_groups(groups, n)
-        worst = max(nbytes for _, _, nbytes in tasks)
-        if max_bytes is None or worst <= max_bytes:
+    n = wave = min(total, max(1, round(n_cpus)))
+    while True:
+        tasks = _equal_rows(groups, total, n)
+        worst = max((nbytes for _, rows, nbytes in tasks if rows > 1),
+                    default=0)
+        if not max_bytes or worst <= max_bytes:
             return tasks
-        n = min(len(groups), max(n + 1, math.ceil(n * worst / max_bytes)))
-    return _sliced_groups(groups, n, max_bytes)
+        # whole waves, so that no CPU idles through a short last one
+        n = min(total, wave * math.ceil(
+            max(n + 1, n * worst / max_bytes) / wave))
 
 
-def _whole_groups(groups, n: int):
-    """``n`` tasks of whole, consecutive row groups; each cut is the
-    group boundary nearest ``total * i / n`` that leaves every task
-    at least one group."""
-    bounds = list(itertools.accumulate((g[2] for g in groups), initial=0))
-    cuts = [0]
-    for i in range(1, n):
-        target = bounds[-1] * i / n
-        j = bisect.bisect_left(bounds, target)
-        if target - bounds[j - 1] <= bounds[j] - target:
-            j -= 1
-        cuts.append(min(max(j, cuts[-1] + 1), len(groups) - (n - i)))
-    cuts.append(len(groups))
-    tasks = []
-    for a, b in zip(cuts, cuts[1:]):
-        pieces = []  # one per shard: its run of row groups
-        for s, run in itertools.groupby(groups[a:b], key=lambda grp: grp[0]):
-            run = list(run)
-            pieces.append((s, [g for _, g, _, _ in run], 0,
-                           sum(rows for _, _, rows, _ in run),
-                           sum(nbytes for _, _, _, nbytes in run)))
-        tasks.append((pieces, sum(p[3] for p in pieces),
-                      sum(p[4] for p in pieces)))
-    return tasks
-
-
-def _sliced_groups(groups, n: int, max_bytes: Optional[int]):
-    """At least ``n`` tasks, each a row slice of one row group: every
-    group gets enough slices to keep each under ``max_bytes``, then
-    the rest go, one at a time, to the group with the most rows per
-    slice (which minimises the largest slice)."""
-    counts = []
-    for _, _, rows, nbytes in groups:
-        most = rows
-        if max_bytes is not None and nbytes > max_bytes:
-            most = max(1, rows * max_bytes // nbytes)
-        counts.append(-(-rows // most))
-    heap = [(-g[2] / k, i) for i, (g, k) in enumerate(zip(groups, counts))]
-    heapq.heapify(heap)
-    for _ in range(n - sum(counts)):
-        _, i = heapq.heappop(heap)
-        counts[i] += 1
-        heapq.heappush(heap, (-groups[i][2] / counts[i], i))
-    tasks = []
-    for (s, g, rows, nbytes), k in zip(groups, counts):
-        for j in range(k):
-            start, stop = rows * j // k, rows * (j + 1) // k
-            share = round(nbytes * (stop - start) / rows)
-            tasks.append(([(s, [g], start, stop - start, share)],
-                          stop - start, share))
-    return tasks
+def _equal_rows(groups, total: int, n: int):
+    """``n`` tasks of ``total * i // n`` to ``total * (i + 1) // n``
+    rows, each a list of pieces, one per shard it touches."""
+    pieces: List[list] = [[] for _ in range(n)]
+    task, first = 0, 0  # the task being filled, the group's first row
+    for s, g, rows, nbytes in groups:
+        lo = 0
+        while lo < rows:
+            stop = total * (task + 1) // n  # the task's last row + 1
+            hi = min(rows, stop - first)
+            share = Fraction(nbytes * (hi - lo), rows)
+            if pieces[task] and pieces[task][-1][0] == s:
+                piece = pieces[task][-1]
+                piece[1].append(g)
+                piece[3] += hi - lo
+                piece[4] += share
+            else:
+                pieces[task].append([s, [g], lo, hi - lo, share])
+            lo = hi
+            if first + hi == stop:
+                task += 1
+        first += rows
+    return [([(s, gs, offset, length, round(share))
+              for s, gs, offset, length, share in task_pieces],
+             sum(p[3] for p in task_pieces),
+             round(sum(p[4] for p in task_pieces)))
+            for task_pieces in pieces]
 
 
 def _row_group_sizes(path: str,
@@ -485,18 +457,18 @@ def _read_slices(pieces, columns, max_bytes) -> Iterator[pa.Table]:
 
 
 class ParquetSliceDatasource(Datasource):
-    """Balanced row slices of a list of Parquet files, ``pid`` stamped.
+    """Equal row slices of a list of Parquet files, ``pid`` stamped.
 
     ``shards`` is an ordered list of ``(file, pid or None)``; several
     files may share a pid, and a file with pid None gets no ``pid``
     column. The rows come out in that order. The constructor reads
     the footers (so a corrupt file raises on the driver) and plans
-    the read tasks with :func:`plan_slices`: ``n_cpus`` sets the task
-    count, and Ray Data's ``DataContext.target_max_block_size`` caps
+    the read tasks with :func:`plan_slices`: one per ``n_cpus``, and
+    the process-global ``DataContext.target_max_block_size`` caps
     the uncompressed bytes of each task's rows — a fused Parquet
     write holds a whole task's output in memory, so a big corpus gets
     more tasks, not bigger buffers. The same per-task figure is the
-    block-size estimate Ray Data plans with. ``get_read_tasks``
+    block metadata Ray Data plans with. ``get_read_tasks``
     ignores the requested parallelism and returns the planned tasks;
     read them with ``override_num_blocks=len(self.tasks)`` so Ray
     Data adds no block split (which would stop the read from fusing
@@ -544,9 +516,19 @@ def _ray_cpus() -> float:
 
 
 def _slice_dataset(shards, columns, n_cpus: float):
+    """The planned read as a Dataset whose own ``DataContext`` copy
+    sets ``target_max_block_size`` to the largest task's bytes (at
+    least :data:`MIN_BLOCK_BYTES`). Ray Data charges each task that
+    block size until a task has reported output; the 128 MiB default
+    lets only one task start against a small object store, the true
+    figure lets every task start at once. The process-global
+    ``DataContext`` is left as it is."""
     source = ParquetSliceDatasource(shards, columns, n_cpus)
-    return ray.data.read_datasource(source,
-                                    override_num_blocks=len(source.tasks))
+    ds = ray.data.read_datasource(source,
+                                  override_num_blocks=len(source.tasks))
+    ds.context.target_max_block_size = max(
+        [MIN_BLOCK_BYTES] + [nbytes for *_, nbytes in source.tasks])
+    return ds
 
 
 def _parquet_under(root: str) -> List[str]:
@@ -580,10 +562,10 @@ def read_output(paths, columns: Optional[List[str]] = None):
     """One fused-read Dataset over Parquet output files.
 
     ``paths`` as :func:`output_files`; the rows come out in that file
-    order through a :class:`ParquetSliceDatasource` (about
-    :data:`TASKS_PER_CPU` balanced tasks per Ray CPU, so a
-    task-pool ``map_batches`` and a write after it fuse with the read
-    into one operator, whatever the file count). A file under a
+    order through a :class:`ParquetSliceDatasource` (one task of
+    equal rows per Ray CPU, all started at once, so a task-pool
+    ``map_batches`` and a write after it fuse with the read into one
+    operator, whatever the file count). A file under a
     ``pid=<x>/`` directory gets a ``pid`` column ``x`` appended, as
     hive partitioning gave ``ray.data.read_parquet``; with
     ``columns`` given, only when it names ``pid``.

@@ -2,7 +2,9 @@
 chain's own batching, and the one fused operator of a CLI extraction
 run."""
 
+import math
 import os
+from fractions import Fraction
 
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -12,7 +14,6 @@ from hypothesis import strategies as st
 from ray.data import DataContext
 
 from ocr_pipeline_ray.state.lineage import (
-    TASKS_PER_CPU,
     LineageStore,
     ParquetSliceDatasource,
     partition_id,
@@ -37,7 +38,7 @@ def _groups(shards):
 def _share(pieces, by_id):
     """The exact uncompressed bytes of a task's rows: each row group's
     bytes pro rata of the rows taken from it."""
-    total = 0.0
+    total = Fraction(0)
     for s, row_groups, offset, length, _ in pieces:
         first = by_id[s, row_groups[0]][0]
         taken = range(first + offset, first + offset + length)
@@ -45,8 +46,20 @@ def _share(pieces, by_id):
             g_first, rows, nbytes = by_id[s, g]
             n = len(range(max(taken.start, g_first),
                           min(taken.stop, g_first + rows)))
-            total += nbytes * n / rows
+            total += Fraction(nbytes * n, rows)
     return total
+
+
+def _equal_cut_bytes(shards, n):
+    """The exact bytes of each task when the rows, in shard order, are
+    cut into ``n`` runs of ``total * i // n`` to ``total * (i + 1) //
+    n`` rows: one entry per row, summed per run."""
+    per_row = [Fraction(nbytes, rows) for shard in shards
+               for rows, nbytes in shard for _ in range(rows)]
+    total = len(per_row)
+    return [(total * (i + 1) // n - total * i // n,
+             sum(per_row[total * i // n:total * (i + 1) // n], Fraction(0)))
+            for i in range(n)]
 
 
 def _check_plan(shards, n_cpus, cap):
@@ -58,64 +71,57 @@ def _check_plan(shards, n_cpus, cap):
     if not total:
         assert tasks == []
         return tasks
-    read, reads_of = [], {}
+    nonempty = {}
+    for s, g, *_ in groups:
+        nonempty.setdefault(s, []).append(g)
+    read = []
     for pieces, rows, nbytes in tasks:
-        task_rows, share, decoded = [], 0.0, 0
-        for s, row_groups, offset, length, piece_bytes in pieces:
+        task_rows, share = [], Fraction(0)
+        # one piece per shard touched, in shard order
+        assert [p[0] for p in pieces] == sorted({p[0] for p in pieces})
+        for i, (s, row_groups, offset, length, piece_bytes) in enumerate(
+                pieces):
+            # a run of the shard's consecutive non-empty row groups
+            lo = nonempty[s].index(row_groups[0])
+            assert row_groups == nonempty[s][lo:lo + len(row_groups)]
             listed = [(s, r) for g in row_groups
                       for r in range(by_id[s, g][0],
                                      by_id[s, g][0] + by_id[s, g][1])]
             last = by_id[s, row_groups[-1]][1]
-            # the piece reads only row groups it takes rows from
+            # the piece reads only row groups it takes rows from, and
+            # only a task's first piece starts inside a row group: a
+            # task decodes its own rows plus at most one group prefix
             assert offset < by_id[s, row_groups[0]][1]
+            assert i == 0 or offset == 0
             assert len(listed) - last < offset + length <= len(listed)
             task_rows += listed[offset:offset + length]
             piece_share = _share([(s, row_groups, offset, length, 0)],
                                  by_id)
             assert piece_bytes == round(piece_share)
             share += piece_share
-            decoded += sum(by_id[s, g][2] for g in row_groups)
-            for g in row_groups:
-                reads_of[s, g] = reads_of.get((s, g), 0) + 1
         assert rows == len(task_rows)
         assert nbytes == round(share)
-        whole = decoded == sum(by_id[s, g][2] for s, gs, *_ in pieces
-                               for g in gs) and rows == sum(
-            by_id[s, g][1] for s, gs, *_ in pieces for g in gs)
-        if not whole:  # a row slice of ONE row group
-            assert len(pieces) == 1 and len(pieces[0][1]) == 1
         if cap is not None and rows > 1:
-            # no task holds more than the cap; one decodes more only
-            # when it slices a row group that is alone over the cap
+            # no task holds more than the cap unless one row alone does
             assert nbytes <= cap
-            assert whole and decoded <= cap or not whole and (
-                decoded <= cap or nbytes < decoded)
         read += task_rows
     # every (shard, row) read exactly once, in shard order
     assert read == [(s, r) for s, shard in enumerate(shards)
                     for r in range(sum(rows for rows, _ in shard))]
-    # task count: TASKS_PER_CPU per CPU, at most one task per row,
-    # raised only when the cap demands it
-    base = min(total, max(1, round(TASKS_PER_CPU * n_cpus)))
-    base_plan = plan_slices(shards, n_cpus, None)
-    assert len(base_plan) == base
-    if cap is None or all(_share(p, by_id) <= cap for p, *_ in base_plan):
-        assert len(tasks) == base
+    # rows cut as evenly as whole rows allow, in that order
+    n = len(tasks)
+    assert [t[1] for t in tasks] == [total * (i + 1) // n - total * i // n
+                                     for i in range(n)]
+    # task count: one per CPU, at most one per row, raised only when
+    # the equal cut of that many tasks would put a task over the cap,
+    # and then to whole waves of that many (or to one task per row)
+    base = min(total, max(1, round(n_cpus)))
+    if cap is None or all(rows == 1 or round(b) <= cap
+                          for rows, b in _equal_cut_bytes(shards, base)):
+        assert n == base
     else:
-        assert base <= len(tasks) <= total
-    if len(tasks) <= len(groups):
-        # whole row groups, none read twice, cuts near an equal split
-        assert set(reads_of.values()) == {1}
-        biggest = max(rows for *_, rows, _ in groups)
-        assert max(t[1] for t in tasks) <= total / len(tasks) + biggest
-    else:
-        # one row group per task; no slice can move to another group
-        # without making the largest slice larger
-        k = {gid: n for gid, n in reads_of.items()}
-        worst = max(by_id[g][1] / n for g, n in k.items())
-        if cap is None or all(b <= cap for *_, b in groups):
-            for g, n in k.items():
-                assert n == 1 or by_id[g][1] / (n - 1) >= worst
+        assert base < n <= total
+        assert n % base == 0 or n == total
     return tasks
 
 
@@ -144,27 +150,43 @@ class TestPlanSlices:
         _check_plan(shards, n_cpus, cap)
 
     def test_cap_raises_count(self):
+        # 6,000 bytes under a 500-byte cap: 12 tasks of 5 rows, not 1
         tasks = _check_plan([[(30, 3000)], [(30, 3000)]], 1, 500)
-        assert len(tasks) > 3 * TASKS_PER_CPU
+        assert [(t[1], t[2]) for t in tasks] == [(5, 500)] * 12
+
+    def test_cap_raises_count_in_whole_waves(self):
+        # 4 CPUs: 4 tasks of 1,500 bytes miss a 1,000-byte cap; 6 would
+        # fit, 8 keep every CPU busy to the end
+        tasks = _check_plan([[(30, 3000)], [(30, 3000)]], 4, 1_000)
+        assert [t[1] for t in tasks] == [7, 8] * 4
+        assert max(t[2] for t in tasks) == 800
 
     def test_row_group_over_cap_is_sliced_to_the_cap(self):
         tasks = _check_plan([[(100, 10_000)]], 1, 1_000)
         assert len(tasks) == 10
         assert all(t[2] == 1_000 for t in tasks)
 
-    def test_whole_row_groups_cross_shards(self):
-        tasks = _check_plan([[(2, 20), (2, 20)]] * 2, 1, None)
+    def test_one_task_per_cpu_across_row_groups_and_shards(self):
+        tasks = _check_plan([[(2, 20), (2, 20)]] * 2, 3, None)
         assert [t[0] for t in tasks] == [
             [(0, [0], 0, 2, 20)],
-            [(0, [1], 0, 2, 20), (1, [0], 0, 2, 20)],
-            [(1, [1], 0, 2, 20)],
+            [(0, [1], 0, 2, 20), (1, [0], 0, 1, 10)],
+            [(1, [0, 1], 1, 3, 30)],
         ]
 
-    def test_fewer_row_groups_than_tasks_are_sliced(self):
-        tasks = _check_plan([[(4, 40)]] * 2, 1, None)
+    def test_cuts_fall_inside_row_groups(self):
+        tasks = _check_plan([[(4, 40)]] * 2, 3, None)
         assert [t[0] for t in tasks] == [
-            [(0, [0], 0, 2, 20)], [(0, [0], 2, 2, 20)], [(1, [0], 0, 4, 40)],
+            [(0, [0], 0, 2, 20)],
+            [(0, [0], 2, 2, 20), (1, [0], 0, 1, 10)],
+            [(1, [0], 1, 3, 30)],
         ]
+
+    def test_fractional_cpus_round(self):
+        shards = [[(12, 120)]]
+        assert len(_check_plan(shards, 2.5, None)) == 2
+        assert len(_check_plan(shards, 3.5, None)) == 4
+        assert len(_check_plan(shards, 0.4, None)) == 1
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -198,13 +220,13 @@ class TestSliceReader:
     def _read(source):
         return [b for task in source.get_read_tasks(1) for b in task()]
 
-    # 1 and 2 CPUs: whole row groups per task; 3 and 10: row slices
+    # one task per CPU; cuts inside row groups and across shards
     @pytest.mark.parametrize("n_cpus", [1, 2, 3, 10])
     def test_reads_each_row_once_with_pid(self, tmp_path, n_cpus):
         paths = self._shards(tmp_path)
         source = ParquetSliceDatasource(
             sorted((f, pid) for pid, f in paths.items()), ["x"], n_cpus=n_cpus)
-        assert len(source.tasks) == min(32, n_cpus * TASKS_PER_CPU)
+        assert len(source.tasks) == n_cpus
         got = pa.concat_tables(self._read(source))
         assert got.column_names == ["x", "pid"]
         expected = [(f"{name}{i}", name)
@@ -230,7 +252,7 @@ class TestSliceReader:
         finally:
             ctx.target_max_block_size = saved
         assert rg_bytes > cap
-        assert len(source.tasks) > TASKS_PER_CPU
+        assert len(source.tasks) >= math.ceil(rg_bytes / cap)
         read_tasks = source.get_read_tasks(1)
         assert all(t.metadata.size_bytes <= cap for t in read_tasks)
         assert source.estimate_inmemory_data_size() == sum(
@@ -293,6 +315,63 @@ class TestFusedRun:
             partition_id(f) for f in files}
 
 
+class TestBlockSize:
+    def test_run_datasets_carry_the_planned_block_size(
+        self, ray_session, tmp_path
+    ):
+        """The extract and rescore Datasets plan with their largest
+        task's bytes (at least 1 MiB); the process-global DataContext
+        keeps its value through both runs."""
+        from ocr_pipeline_ray.pipelines.extraction import build_pipeline
+        from ocr_pipeline_ray.pipelines.rescore import rescore_pipeline
+        from ocr_pipeline_ray.state.lineage import MIN_BLOCK_BYTES, _ray_cpus
+
+        # 2 shards of 3,000 pages of about 1 kB: tasks over 1 MiB
+        files = []
+        for k in range(2):
+            path = str(tmp_path / f"pages-{k}.parquet")
+            pq.write_table(pa.table({
+                "url": [f"doc://{k}/{i}" for i in range(3000)],
+                "warc_ts": ["2020-01-01T00:00:00Z"] * 3000,
+                "html": pa.array([f"<p>{i} " + "wort " * 200 + "</p>"
+                                  for i in range(3000)], pa.binary()),
+                "lang": ["de"] * 3000,
+            }), path)
+            files.append(path)
+        columns = ["url", "warc_ts", "html", "lang"]
+        shards = sorted((f, partition_id(f)) for f in files)
+        source = ParquetSliceDatasource(shards, columns, _ray_cpus())
+        planned = max(nbytes for *_, nbytes in source.tasks)
+        assert planned > MIN_BLOCK_BYTES
+
+        ctx = DataContext.get_current()
+        before = ctx.target_max_block_size
+        seen = []
+
+        def pipeline(ds):
+            seen.append(ds.context.target_max_block_size)
+            return build_pipeline(ds)
+
+        out = str(tmp_path / "out")
+        summary = run_partitioned(files, out, pipeline,
+                                  "2026-01-01 10:00:00",
+                                  read_columns=columns)
+        assert summary["rows_written"] == 6000
+        assert seen == [planned]
+        assert DataContext.get_current().target_max_block_size == before
+
+        published = sorted(str(p) for p in (tmp_path / "out").glob(
+            "pid=*/*.parquet"))
+        rescored = rescore_pipeline(published)
+        expect = max([MIN_BLOCK_BYTES] + [
+            nbytes for *_, nbytes in ParquetSliceDatasource(
+                [(f, os.path.basename(os.path.dirname(f))[4:])
+                 for f in published], None, _ray_cpus()).tasks])
+        assert rescored.context.target_max_block_size == expect
+        assert rescored.count() == 6000
+        assert DataContext.get_current().target_max_block_size == before
+
+
 class TestChainBatching:
     @pytest.fixture(scope="class")
     def pages(self):
@@ -331,3 +410,70 @@ class TestChainBatching:
         for k in (1, 7, n, n + 1):
             got = make_fused_fn(default_steps(), k)(pages)
             assert got.equals(whole), k
+
+
+# Runs in its own process with its own Ray: 3 CPUs and a 256 MiB object
+# store, the benchmark's setting. A trailing step sleeps in every block
+# and records when each Ray task ran it; a warm-up run first imports
+# the chain in every worker.
+_WAVE_SCRIPT = r'''
+import json, os, sys, time
+import ray
+from ocr_pipeline_ray.config import StepSpec, default_steps, register_step
+from ocr_pipeline_ray.corpus import write_pages_corpus
+from ocr_pipeline_ray.pipelines.extraction import build_pipeline
+from ocr_pipeline_ray.state.lineage import run_partitioned
+
+work = sys.argv[1]
+spans = os.path.join(work, "spans")
+
+def _sleep_record(batch):
+    t0 = time.time()
+    time.sleep(0.3)
+    task = ray.get_runtime_context().get_task_id()
+    with open(os.path.join(spans, f"{t0}-{os.getpid()}"), "w") as fh:
+        json.dump([task, t0, time.time()], fh)
+    return batch
+
+@register_step("SleepRecord")
+def _build(ds, params, ctx):
+    return ds.map_batches(_sleep_record, batch_format="pyarrow",
+                          zero_copy_batch=True)
+
+ray.init(address="local", num_cpus=3, object_store_memory=256 * 2**20,
+         include_dashboard=False)
+files = write_pages_corpus(os.path.join(work, "pages"), 120, seed=3,
+                           n_shards=4)
+steps = default_steps() + [StepSpec("SleepRecord", {})]
+for name in ("warm", "out"):
+    os.makedirs(spans, exist_ok=True)
+    run_partitioned(files, os.path.join(work, name),
+                    lambda ds: build_pipeline(ds, steps),
+                    "2026-01-01 10:00:00")
+    if name == "warm":
+        os.rename(spans, spans + "-warm")
+ray.shutdown()
+'''
+
+
+class TestOneWave:
+    def test_every_task_starts_before_the_first_ends(self, tmp_path):
+        """All read tasks of a run start together, where Ray Data's
+        output-size estimate would otherwise let one task run alone."""
+        import json
+        import subprocess
+        import sys
+
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (root, os.environ.get("PYTHONPATH")) if p))
+        subprocess.run([sys.executable, "-c", _WAVE_SCRIPT, str(tmp_path)],
+                       cwd=root, env=env, check=True, timeout=600)
+        tasks = {}
+        for name in os.listdir(tmp_path / "spans"):
+            task, t0, t1 = json.loads((tmp_path / "spans" / name).read_text())
+            lo, hi = tasks.get(task, (t0, t1))
+            tasks[task] = (min(lo, t0), max(hi, t1))
+        assert len(tasks) >= 3, tasks
+        starts, ends = zip(*tasks.values())
+        assert max(starts) < min(ends), sorted(tasks.values())
