@@ -2,9 +2,10 @@
 
 ``entry()`` runs the flagship extraction pipeline over
 ``/root/testdata/sf0.001``; ``queries()`` exposes one Ray pipeline per
-implemented operator from SURVEY.md §2 (plus the dedup / similarity /
-text-analysis extensions); ``oracle_sql()`` gives the DuckDB twin for
-every SQL-expressible one.
+registered query (207: the SURVEY.md §2 operators plus the dedup /
+similarity / text-analysis / web / storage extensions);
+``oracle_sql()`` gives the DuckDB twin for each of the 201
+SQL-expressible ones.
 
 Ray is initialised by the driver BEFORE this module is imported: no
 ``ray.init()`` / ``ray.shutdown()`` happens here or anywhere in the

@@ -50,55 +50,46 @@ BENCH_QUERIES = [
     # per iteration (~10s fixed each at toy scale — amortized at
     # real scale, pathological in a wall-clock bench)
     "inverted_index", "pagerank_pregel", "triangle_count",
-    "events_hourly", "events_by_type_salted", "user_sessions",
-    "event_gaps", "events_rollup", "events_pivot",
-    "events_cube", "events_frame_window",
-    "events_sliding_window", "click_attribution", "peak_sessions",
-    "events_value_histogram",
-    "campaign_attribution", "sequence_packing", "revenue_by_nation",
-    "customers_no_orders", "customer_running_spend",
+    "sequence_packing",
     "corpus_filter", "corpus_quantiles", "profile_table",
     "tfidf_top_terms",
     "top_tokens",
-    "kmeans_assign", "lm_score", "skew_join_enrich",
+    "kmeans_assign", "lm_score",
     "shuffle_shards", "doc_embed", "mix_sample", "packed_windows",
     "lm_buckets", "split_leakage_safe",
     "quality_rank", "source_overlap",
     "sample_exact_k", "approx_quantiles", "docs_except",
     "docs_union",
-    "bucketed_join_orders", "bucketed_order_counts",
-    "bucket_point_lookup", "customer_orders_full",
-    "distinct_users_by_type", "events_value_stats",
+    "bucket_point_lookup",
+    "distinct_users_by_type",
     "doc_chunks", "cms_sketch", "approx_users_by_type",
     "hll_users_by_type",
     "lang_doc_rank", "source_extract", "quality_classifier",
-    "fuzzy_name_pairs", "user_event_trail", "docs_checksum", "user_retention",
+    "docs_checksum",
     "near_dup_incremental",
     "extraction_flagship",
     "extraction_boilerplate", "media_decode", "training_pipeline",
     # session-3 additions
     "snapshot_diff_summary", "locf_fill", "bucketed_upsert",
-    "interval_union", "interval_coverage", "events_value_zscore",
-    "priority_sample", "bm25_search", "hybrid_search", "event_funnel",
-    "event_funnel_windowed", "sliding_distinct_users",
-    "join_size_estimate", "dup_cluster_sizes", "collocations",
-    "label_centroids", "containment_pairs", "recency_user_scores",
-    "churned_users", "value_outliers", "lang_confusion",
+    "priority_sample", "bm25_search", "hybrid_search",
+    "dup_cluster_sizes", "collocations",
+    "label_centroids", "containment_pairs",
+    "value_outliers", "lang_confusion",
     "host_entropy", "lang_doc_rank_dist", "ks_drift", "chi2_drift",
-    "doc_novelty", "asof_last_purchase", "extraction_pdf_roundtrip",
-    "link_graph", "events_value_corr",
+    "doc_novelty", "extraction_pdf_roundtrip",
+    "link_graph",
     # session-5 additions
-    "event_transitions", "dq_audit", "dsir_weights", "anchor_texts",
-    "events_winsorized", "image_dhash",
-    "scd2_build", "user_mode_event", "robots_allowed",
+    "dsir_weights", "anchor_texts",
+    "image_dhash",
+    "scd2_build", "robots_allowed",
     "distinctive_terms",
     "lang_top_tokens", "host_components", "host_gini",
     "dedup_best_survivor",
     "wordlist_gate", "minhash_jaccard_estimate", "mirror_hosts",
-    "cocitation_pairs", "polyglot_hosts", "event_type_affinity",
+    "cocitation_pairs", "polyglot_hosts",
     # session-7 additions
-    "url_churn", "embedding_quantize", "host_boilerplate",
-    "pq_codes", "ann_topk_pq", "interval_overlap",
+    "embedding_quantize", "host_boilerplate",
+    "pq_codes", "ann_topk_pq",
     "video_scene_cuts", "zonemap_scan", "range_shards",
     "url_latest_k", "phrase_match", "simhash_near_pairs",
     "schema_evolution", "deobfuscate", "lang_approx_quantiles",
@@ -106,31 +97,30 @@ BENCH_QUERIES = [
     "url_path_rollup",
     # session-8 additions
     "minhash_banded_pairs", "dictionary_tag", "prefix_dup",
-    "char_entropy", "oov_rate", "events_by_type_adaptive",
+    "char_entropy", "oov_rate",
     "sparse_cosine_pairs", "rarity_dispersion", "paragraph_lang_mix",
     # session-9 additions
-    "zorder_scan", "stitch_pairs", "user_skyline", "events_trend",
-    "mutual_nn_pairs", "golden_record", "rendezvous_shards",
+    "zorder_scan", "stitch_pairs",
+    "mutual_nn_pairs", "rendezvous_shards",
     "url_features", "filter_cascade",
     "coreset_select", "frontier_pipeline", "robots_parse",
     # session-10 additions
     "lang_host_mi", "script_mix", "calibration_bins",
-    "type_hour_bursts", "syndication_sources",
-    "adaptive_join_orders", "agg_refresh", "compaction_plan",
+    "syndication_sources",
+    "agg_refresh", "compaction_plan",
     "audio_silence", "semantic_blocklist", "hard_negatives",
     "vocab_growth", "inference_buckets", "domain_holdout_split",
     "sitemap_parse", "fix_mojibake", "seed_pipeline",
     "homoglyph_hosts",
     # session-11 additions (sssp is iterative — excluded like
     # crawl_depth; see the note below)
-    "pricing_summary", "canonical_url", "canonical_dup_groups",
+    "canonical_url", "canonical_dup_groups",
     "politeness_plan",
     "intradoc_dedup", "random_projection", "image_resize",
-    "watermark_windows", "store_repair_plan", "bloom_join_revenue",
+    "store_repair_plan",
     "embedding_covariance", "stratified_priority_sample",
-    "rolling_p95", "embedding_outliers", "multi_touch_attribution",
-    "column_diff", "shipping_priority", "forecast_revenue",
-    "events_geomean",
+    "embedding_outliers",
+    "column_diff",
     # communities (label propagation), ppr_scores (seeded pagerank)
     # and stitch_chains (pointer-doubling reassembly) are
     # oracle-gated but excluded like pagerank/
@@ -144,7 +134,7 @@ BENCH_QUERIES = [
 
 # the sf1 scale tier (--families): one representative query per
 # operator family, runnable against a gen_sf.py-synthesized dir where
-# the full 215-query bench would take hours. Shuffle-heavy operators
+# the full query bench would take hours. Shuffle-heavy operators
 # lead each family — they are where scale regressions hide (the
 # 50-query correctness sample can't see a 10x slowdown).
 FAMILY_BENCH = {
@@ -157,10 +147,6 @@ FAMILY_BENCH = {
     "similarity": ["ann_topk", "embedding_near_dup", "kmeans_assign"],
     "graph": ["pagerank_pregel", "triangle_count", "link_graph"],
     "text_stats": ["token_count", "tfidf_top_terms", "lm_buckets"],
-    "events": ["events_hourly", "events_pivot", "user_sessions",
-               "events_by_type_salted"],
-    "joins": ["bloom_join_revenue", "bucketed_join_orders",
-              "skew_join_enrich"],
     "training_tail": ["sequence_packing", "split_leakage_safe",
                       "mix_sample"],
 }

@@ -330,7 +330,7 @@ def _write_wet(out_root: str, log) -> None:
 
 def _write_audit(out_root: str, log) -> None:
     """Corpus-audit tail over the extraction output (the CLI surface
-    of the `dq_audit` / `host_gini` operators): exact expectation
+    of the `host_gini` operator): exact expectation
     counts from per-block scalar partials (driver folds blocks-scale
     rows), duplicate urls via ONE url-hash co-shuffle of the key
     column only, and host concentration from the map-side-combined

@@ -28,7 +28,6 @@ from typing import Dict, List, Sequence, Tuple
 
 # QA-irrelevant characters (reference: lib/ocr_step.py:503)
 BAD_CHARS = '0123456789“„"\'?!*.;:-=[]()|'
-_BAD_SET = frozenset(BAD_CHARS)
 # char-class removal as ONE compiled regex sub (same semantics as the
 # reference's per-char filter at lib/ocr_step.py:504; ~3× faster than
 # a dict-table str.translate on realistic lines)

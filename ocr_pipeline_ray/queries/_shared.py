@@ -5,8 +5,9 @@ Driver-facing operator queries + their DuckDB oracle SQL twins.
 Each entry in :data:`QUERIES` is one operator from SURVEY.md §2 (or a
 training-data-pipeline extension: dedup / similarity / text analysis)
 expressed as a Ray Data pipeline over the driver's parquet tables
-(``documents``, ``embeddings``, ``events``); :data:`ORACLE_SQL` holds
-the exact ANSI-SQL twin DuckDB runs on the same tables.
+(``documents``, ``embeddings``, ``events``, ``orders``);
+:data:`ORACLE_SQL` holds the exact ANSI-SQL twin DuckDB runs on the
+same tables.
 
 Parity rules baked in everywhere:
 
@@ -294,7 +295,6 @@ def _diff_snapshots(sf_dir: str):
     return old, new
 BM25_QUERY = ["window", "merge", "stream"]
 HYBRID_LEG_K = 20  # candidates per retrieval leg before fusion
-FUNNEL_STEPS = ["view", "click", "purchase"]
 PAGE_NS = "http://schema.primaresearch.org/PAGE/gts/pagecontent/2019-07-15"
 # shared CTE fragments for the minhash family (3-token shingles,
 # 4 md5-salted band hashes — mirrors stages/dedup.py exactly)
@@ -680,11 +680,6 @@ def _mojibake_sql() -> str:
         f"SELECT doc_id, {expr} AS text_fixed FROM aug "
         "ORDER BY doc_id"
     )
-# TPC-H Q1 shape: the classic wide multi-aggregate scan — eight
-# aggregates per (returnflag, linestatus) group over the filtered
-# fact table.  The reference's analyze() (ocr_pipeline.py:238-246)
-# is the one-key analogue; this is the engine-completeness version.
-PRICING_CUTOFF = "2000-09-02 00:00:00"
 def _aliased_urls(batch: pa.Table) -> pa.Table:
     """Deterministic alias-variant urls: shared paths (collisions),
     tracking params, trailing slashes, fragments, www labels, :80
@@ -785,7 +780,6 @@ _BUCKET_CHECKSUM_SQL = (
     "AS UBIGINT)) % 9223372036854775808 AS BIGINT) AS cs "
     "FROM {src} GROUP BY o_orderkey % 32"
 )
-Q3_CUTOFF = "1998-06-01 00:00:00"
 
 
 __all__ = [
@@ -819,7 +813,6 @@ __all__ = [
     "_diff_snapshots",
     "BM25_QUERY",
     "HYBRID_LEG_K",
-    "FUNNEL_STEPS",
     "PAGE_NS",
     "shingle_cte",
     "SHINGLE_CTE",
@@ -850,10 +843,8 @@ __all__ = [
     "_KC_SIM",
     "_sitemap_fixture",
     "_mojibake_sql",
-    "PRICING_CUTOFF",
     "_aliased_urls",
     "_ALIASED_URL_SQL",
     "_CANONICAL_SQL",
     "_BUCKET_CHECKSUM_SQL",
-    "Q3_CUTOFF",
 ]

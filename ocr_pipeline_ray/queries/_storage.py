@@ -411,7 +411,7 @@ FROM documents
 QUERIES["range_shards"] = q_range_shards
 def q_url_latest_k(sf_dir: str):
     """Crawl-store retention: keep the LATEST 2 snapshots per url
-    (the url_churn revisit layout; descending group_cap) —
+    (descending group_cap) —
     one bucketed exchange, whole-bucket rank mask."""
     import numpy as np
 

@@ -920,7 +920,7 @@ ORACLE_SQL["distinctive_terms"] = (
 QUERIES["distinctive_terms"] = q_distinctive_terms
 def q_lang_top_tokens(sf_dir: str):
     """Per-language top-5 vocabulary (stages/stats.grouped_topk —
-    grouped heavy hitters, grouped_mode's k>1 generalization):
+    grouped heavy hitters):
     vectorized per-block (lang, token) partial counts, one key
     co-shuffle of the pair partials, whole-bucket rank kernel."""
     from ..stages.stats import grouped_topk

@@ -555,8 +555,8 @@ def q_host_skew_stats(sf_dir: str):
     the synthetic crawl's per-host counts (1/3 of docs on host0 by
     construction): n_keys / n_rows / max / exact count percentiles /
     hot-key ppm share — the pre-shuffle skew probe that tells a
-    pipeline whether a key needs `skew_join`, salting or
-    `group_cap` BEFORE the groupby runs. All passes over the
+    pipeline whether a key needs salting or `group_cap` BEFORE the
+    groupby runs. All passes over the
     key-cardinality table."""
     from ..stages.stats import key_skew_stats
     from ..stages.web import host_stats

@@ -58,15 +58,3 @@ QUALITY_TYPE = pa.struct(
 # the same tuple as the flat columns the chain and the rescore
 # pipeline append, in this order
 QUALITY_FIELDS = tuple((f.name, f.type) for f in QUALITY_TYPE)
-
-EXTRACTED_SCHEMA = pa.schema(
-    [
-        pa.field("url", pa.string()),
-        pa.field("warc_ts", pa.timestamp("us")),
-        pa.field("lang", pa.string()),
-        pa.field("extracted_text", pa.string()),
-        pa.field("lines", LINES_TYPE),
-        pa.field("n_lines", pa.int32()),
-        pa.field("error", pa.string()),
-    ]
-)

@@ -1,26 +1,24 @@
-"""Persistent key-bucketed storage + bucket-aligned (shuffle-free) join.
+"""Persistent key-bucketed storage: point lookup, upsert, checkpoint.
 
 "Pick ONE partitioning key and reuse it across stages": a table
 written bucketed by ``hash(key) % n_buckets`` (Hive-style
-``_bucket=`` partition dirs) can be joined against any other table
-bucketed the SAME way without ANY exchange — each bucket pair is
-independent, so the join is one task per bucket reading exactly two
-bucket directories. At 100 TB this turns every repeat join on the
-canonical key (url/custkey) from an all-to-all shuffle into an
-embarrassingly parallel scan — the storage layout IS the shuffle,
-paid once at write time and amortized over every downstream join,
-and the per-bucket output directories double as resumable units
-(the S6/S8 partition-aligned-sink contract of SURVEY §2.1).
+``_bucket=`` partition dirs) answers a key lookup by reading one
+bucket directory and merges a delta by rewriting only the buckets
+the delta touches — the storage layout IS the shuffle, paid once at
+write time, and the per-bucket output directories double as
+resumable units (the S6/S8 partition-aligned-sink contract of
+SURVEY §2.1).
 
 * :func:`write_bucketed` — one pass: attach ``_bucket``, then
   ``write_parquet(partition_cols=["_bucket"])`` (workers write their
   own bucket files; the driver never sees rows).
-* :func:`bucketed_join` — one Ray task per bucket id: read the two
-  bucket dirs (pyarrow, worker-side IO), probe with the SAME
-  vectorized dictionary-encode hash-join kernel as
-  ``repartition_join`` (last-right-wins, NULL keys match nothing),
-  wrap the result refs with ``from_arrow_refs``. Driver state =
-  bucket paths plus ONE footer-metadata schema read per side.
+* :func:`bucketed_lookup` — reads the key's one bucket dir on the
+  driver (a handful of rows; nothing to distribute).
+* :func:`bucketed_upsert` — one Ray task per bucket the delta
+  touches rewrites that bucket; untouched buckets carry over.
+* :func:`bucketed_join` / :func:`bucketed_aggregate` — one Ray task
+  per bucket joins or aggregates two tables written with the same
+  ``n_buckets`` with no shuffle.
 
 The bucket function is :func:`..functions.hashing.bucket_ids` — the
 one partitioning hash the whole engine shares, which is what makes

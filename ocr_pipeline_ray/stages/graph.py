@@ -504,7 +504,7 @@ def triangle_count(edges, src_col: str = "src", dst_col: str = "dst",
 
     # two consumers (half-edge explode, closing-edge keys):
     # materialize ONCE or the canon+dedup exchange re-executes per
-    # consumer (lazy-lineage re-execution — the skew_join guard)
+    # consumer (lazy-lineage re-execution)
     simple = edges.map_batches(_canon, batch_format="pyarrow").groupby(
         "_bucket", num_partitions=n_buckets
     ).map_groups(_dedup, batch_format="pyarrow").materialize()

@@ -22,9 +22,13 @@ Both are inner joins by default; ``how="left"`` keeps unmatched left
 rows with nulls.
 
 Both strategies are LOOKUP joins — duplicate right keys keep the
-last row (dimension-table semantics). :func:`expand_join` is the
-SQL-multiplicity join: duplicate keys expand to the full per-key
-cross product, and ``how`` extends to ``right``/``full`` outer.
+last row (dimension-table semantics). :func:`adaptive_join` picks
+one of them from a measured right-side row count.
+:func:`expand_join` is the SQL-multiplicity join: duplicate keys
+expand to the full per-key cross product, and ``how`` extends to
+``right``/``full`` outer. :func:`range_join`, :func:`skew_join` and
+:func:`bloom_join` are the band, hot-key-split and Bloom-prefiltered
+variants.
 """
 
 from __future__ import annotations
@@ -877,288 +881,6 @@ def skew_join(left, right, on: str,
     return res_hot.union(res_cold)
 
 
-def asof_join(left, right, on: str, ts_col: str = "ts",
-              right_cols: Optional[List[str]] = None,
-              suffix: str = "_r", strict: bool = False,
-              how: str = "left", n_buckets: int = 64):
-    """As-of join: each left row gets the LATEST right row of the
-    same key with ``right.ts <= left.ts`` (``<`` when
-    ``strict=True``) — SQL ``ASOF LEFT JOIN`` (the point-in-time
-    lookup behind "state of the dimension when the event happened":
-    price at trade time, last purchase before a click).
-
-    Ray Data has no asof primitive, so this is the repo's standard
-    co-shuffle shape: tag both sides into one union schema, ONE
-    groupby on ``bucket_ids(key)``, and a fully vectorized
-    whole-bucket UDF — sort by ``(key, ts, side)`` with right rows
-    first at equal ts (flip for ``strict``), then
-    ``np.maximum.accumulate`` over right-row positions gives every
-    left row its most recent visible right row; comparing the carry
-    against the row's key-segment start stops it leaking across
-    keys (same kernel as :func:`..temporal.locf_fill`). Unmatched
-    left rows keep nulls (``how="left"``, the default) or are
-    dropped (``how="inner"``). Right rows tied on
-    ``(key, ts)`` resolve to one arbitrary-but-deterministic row
-    (sorted order), matching SQL ASOF's unspecified tie choice.
-    NULL keys and NULL timestamps match nothing, like SQL
-    comparisons.
-
-    Partitioning assumption: one KEY's rows fit in one bucket UDF
-    (bucket = all rows of ~keys/n_buckets keys). A key hot enough to
-    overflow a worker needs pre-aggregation or a time-sliced variant
-    — the same caveat as any per-key window.
-    """
-    import numpy as np
-    import pyarrow.compute as pc
-
-    from ..functions.segments import key_segments
-
-    if how not in ("inner", "left"):
-        raise ValueError(f"how must be inner|left, got {how!r}")
-    left_schema = left.schema()
-    right_schema = right.schema()
-    left_cols = list(left_schema.names)
-    left_types = dict(zip(left_schema.names, left_schema.types))
-    right_types = dict(zip(right_schema.names, right_schema.types))
-    cols = right_cols if right_cols is not None else [
-        c for c in right_schema.names if c != on
-    ]
-    out_names = left_cols + [
-        (c if c not in left_cols else c + suffix) for c in cols
-    ]
-    key_type = left_types[on]
-    ts_type = left_types[ts_col]
-
-    payload_left = [c for c in left_cols if c not in (on, ts_col)]
-    right_payload = [c for c in cols]
-    union_fields = (
-        [("_bucket", pa.int64()), ("_side", pa.int32()),
-         (on, key_type), (ts_col, ts_type)]
-        + [(f"_l_{c}", left_types[c]) for c in payload_left]
-        + [(f"_r_{c}", right_types[c]) for c in right_payload]
-    )
-    union_schema = pa.schema(union_fields)
-
-    def _tag(side: int, payload_names: List[str], prefix: str):
-        def _fn(batch: pa.Table) -> pa.Table:
-            n = batch.num_rows
-            keys = batch.column(on)
-            arrays = {
-                "_bucket": pa.array(bucket_ids(keys, n_buckets),
-                                    pa.int64()),
-                "_side": pa.array([side] * n, pa.int32()),
-                on: keys,
-                ts_col: batch.column(ts_col),
-            }
-            for name, typ in union_fields[4:]:
-                arrays[name] = pa.nulls(n, typ)
-            for c in payload_names:
-                arrays[f"{prefix}{c}"] = batch.column(c)
-            return pa.table(
-                {name: arrays[name] for name, _ in union_fields},
-                schema=union_schema,
-            )
-        return _fn
-
-    # side 0 = right so it sorts BEFORE left at equal (key, ts):
-    # a right row AT the probe ts is visible under <=. strict flips
-    # the order so an equal-ts right row is NOT visible.
-    rs, ls = (1, 0) if strict else (0, 1)
-    tagged_right = right.select_columns(
-        sorted(set([on, ts_col] + right_payload))
-    ).map_batches(_tag(rs, right_payload, "_r_"),
-                  batch_format="pyarrow")
-    tagged_left = left.map_batches(
-        _tag(ls, payload_left, "_l_"), batch_format="pyarrow")
-
-    def _asof_bucket(group: pa.Table) -> pa.Table:
-        empty = pa.table({
-            name: pa.array(
-                [], left_types.get(name) if name in left_cols
-                else right_types[name if name in cols
-                                 else name[:-len(suffix)]])
-            for name in out_names
-        })
-        if group.num_rows == 0:
-            return empty
-        g = group.sort_by([(on, "ascending"), (ts_col, "ascending"),
-                           ("_side", "ascending")])
-        n = g.num_rows
-        sides = g.column("_side").combine_chunks().to_numpy()
-        ts_valid = pc.is_valid(g.column(ts_col)).to_numpy(
-            zero_copy_only=False)
-        key_valid = pc.is_valid(g.column(on)).to_numpy(
-            zero_copy_only=False)
-        usable = ts_valid & key_valid
-        pos = np.arange(n, dtype=np.int64)
-        right_pos = np.where((sides == rs) & usable, pos, -1)
-        carried = np.maximum.accumulate(right_pos)
-        # key run boundaries on the SORTED key column: dictionary
-        # codes give int equality for any key type (strings incl.)
-        codes = pc.dictionary_encode(
-            g.column(on).combine_chunks()
-        ).indices.fill_null(-1).to_numpy(zero_copy_only=False)
-        seg_start, seg_len = key_segments(codes)
-        own_start = np.repeat(seg_start, seg_len)
-        ok = (carried >= own_start) & usable
-        left_sel = np.flatnonzero(sides == ls)
-        match = np.where(ok[left_sel], carried[left_sel], -1)
-        if how == "inner":
-            keep = match >= 0
-            left_sel = left_sel[keep]
-            match = match[keep]
-        left_rows = g.take(pa.array(left_sel, pa.int64()))
-        right_rows = g.take(
-            pa.array(match, pa.int64(), mask=match < 0))
-        arrays = []
-        for name in out_names:
-            if name in left_cols:
-                col = (left_rows.column(name)
-                       if name in (on, ts_col)
-                       else left_rows.column(f"_l_{name}"))
-            else:
-                src = name if name in cols else name[:-len(suffix)]
-                col = right_rows.column(f"_r_{src}")
-            arrays.append(col)
-        return pa.table(dict(zip(out_names, arrays)), schema=pa.schema(
-            [(name, a.type) for name, a in zip(out_names, arrays)]))
-
-    return tagged_left.union(tagged_right).groupby(
-        "_bucket", num_partitions=n_buckets
-    ).map_groups(_asof_bucket, batch_format="pyarrow")
-
-
-def interval_overlap_join(left, right, l_id: str = "l_id",
-                          r_id: str = "r_id",
-                          lo_col: str = "lo", hi_col: str = "hi",
-                          grid: int = 64, n_buckets: int = 64,
-                          chunk: int = 4096):
-    """INTERVAL × INTERVAL overlap join — pairs (l, r) with
-    ``l.lo <= r.hi AND r.lo <= l.hi`` (inclusive int64 bounds), plus
-    the overlap length. The generalization `range_join` (point ∈
-    interval) can't express: session-vs-session concurrency,
-    crawl-window collisions, validity-interval reconciliation.
-
-    Grid-cell co-shuffle, the standard spatial-join shape: the value
-    domain is cut into cells of width ``grid``; EACH side replicates
-    an interval to every cell it touches (factor ≈ len/grid + 1 —
-    pick ``grid`` near the typical interval length), cells co-shuffle
-    via ``bucket_ids(cell)``, and the whole-bucket UDF probes each
-    cell run with a chunked vectorized mask. A pair meeting in many
-    cells is emitted ONLY in the first cell both intervals inhabit
-    (``max(l.lo_cell, r.lo_cell) == cell`` — no global dedup pass,
-    the trick is row-local arithmetic).
-
-    Both inputs need ``(id, lo, hi)`` columns named per the
-    parameters. Returns ``(l_id, r_id, overlap:int64)`` where
-    ``overlap = min(hi) - max(lo) + 1``.
-    """
-    import numpy as np
-
-    from ..functions.hashing import bucket_ids
-
-    def _replicate(side: int, id_col: str):
-        def _fn(batch: pa.Table) -> pa.Table:
-            ids = batch.column(id_col).combine_chunks().to_numpy(
-                zero_copy_only=False).astype(np.int64)
-            lo = batch.column(lo_col).combine_chunks().to_numpy(
-                zero_copy_only=False).astype(np.int64)
-            hi = batch.column(hi_col).combine_chunks().to_numpy(
-                zero_copy_only=False).astype(np.int64)
-            ok = hi >= lo
-            ids, lo, hi = ids[ok], lo[ok], hi[ok]
-            c_lo = lo // grid
-            n_cells = (hi // grid - c_lo + 1).astype(np.int64)
-            rep = np.repeat(np.arange(len(ids)), n_cells)
-            cell = c_lo[rep] + (
-                np.arange(n_cells.sum(), dtype=np.int64)
-                - np.repeat(np.cumsum(n_cells) - n_cells, n_cells))
-            cells = pa.array(cell, pa.int64())
-            return pa.table({
-                "_iid": pa.array(ids[rep], pa.int64()),
-                "_ilo": pa.array(lo[rep], pa.int64()),
-                "_ihi": pa.array(hi[rep], pa.int64()),
-                "_icell": cells,
-                "_ilocell": pa.array(c_lo[rep], pa.int64()),
-                "_iside": pa.array(
-                    np.full(len(rep), side, np.int8)),
-                "_cbucket": pa.array(
-                    bucket_ids(cells, n_buckets), pa.int64()),
-            })
-        return _fn
-
-    lrep = left.map_batches(_replicate(0, l_id), batch_format="pyarrow")
-    rrep = right.map_batches(_replicate(1, r_id), batch_format="pyarrow")
-
-    empty = pa.table({
-        l_id: pa.array([], pa.int64()),
-        r_id: pa.array([], pa.int64()),
-        "overlap": pa.array([], pa.int64()),
-    })
-
-    def _join_bucket(group: pa.Table) -> pa.Table:
-        n = group.num_rows
-        if n == 0:
-            return empty
-        g = group.sort_by([("_icell", "ascending"),
-                           ("_iside", "ascending")])
-        cell = g.column("_icell").combine_chunks().to_numpy(
-            zero_copy_only=False)
-        side = g.column("_iside").combine_chunks().to_numpy(
-            zero_copy_only=False)
-        ids = g.column("_iid").combine_chunks().to_numpy(
-            zero_copy_only=False)
-        lo = g.column("_ilo").combine_chunks().to_numpy(
-            zero_copy_only=False)
-        hi = g.column("_ihi").combine_chunks().to_numpy(
-            zero_copy_only=False)
-        locell = g.column("_ilocell").combine_chunks().to_numpy(
-            zero_copy_only=False)
-        starts = np.flatnonzero(np.r_[True, cell[1:] != cell[:-1]])
-        bounds = np.r_[starts, n]
-        out_l, out_r, out_o = [], [], []
-        for s, e in zip(bounds[:-1], bounds[1:]):
-            sl = slice(s, e)
-            seg_side = side[sl]
-            lmask = seg_side == 0
-            if not lmask.any() or lmask.all():
-                continue
-            li = np.flatnonzero(lmask) + s
-            ri = np.flatnonzero(~lmask) + s
-            c = cell[s]
-            # chunk BOTH sides: mask memory is O(chunk^2) even when a
-            # hot cell holds millions of replicas on one side
-            for cs in range(0, len(li), chunk):
-                lc = li[cs:cs + chunk]
-                for rs in range(0, len(ri), chunk):
-                    rc = ri[rs:rs + chunk]
-                    m = ((lo[lc][:, None] <= hi[rc][None, :])
-                         & (lo[rc][None, :] <= hi[lc][:, None])
-                         & (np.maximum(locell[lc][:, None],
-                                       locell[rc][None, :]) == c))
-                    pl, pr = np.nonzero(m)
-                    if len(pl) == 0:
-                        continue
-                    al, ar = lc[pl], rc[pr]
-                    out_l.append(ids[al])
-                    out_r.append(ids[ar])
-                    out_o.append(np.minimum(hi[al], hi[ar])
-                                 - np.maximum(lo[al], lo[ar]) + 1)
-        if not out_l:
-            return empty
-        return pa.table({
-            l_id: pa.array(np.concatenate(out_l), pa.int64()),
-            r_id: pa.array(np.concatenate(out_r), pa.int64()),
-            "overlap": pa.array(np.concatenate(out_o), pa.int64()),
-        })
-
-    return (
-        lrep.union(rrep)
-        .groupby("_cbucket", num_partitions=n_buckets)
-        .map_groups(_join_bucket, batch_format="pyarrow")
-    )
-
-
 def adaptive_join(left, right, on: str,
                   right_cols: Optional[List[str]] = None,
                   how: str = "inner", suffix: str = "_r",
@@ -1166,9 +888,8 @@ def adaptive_join(left, right, on: str,
                   n_buckets: int = 64):
     """ADAPTIVE physical join planning — the engine's broadcast-vs-
     shuffle decision made from a measured right-side row count
-    instead of a hand-picked operator (the AQE join-strategy switch;
-    cf. stages/stats.adaptive_salted_agg, which makes the same
-    measure-then-plan move for skewed aggregates).
+    instead of a hand-picked operator (the AQE join-strategy
+    switch).
 
     ``right.count()`` is a metadata fold for un-transformed reads
     (parquet footers; no data moves) and a one-pass projection

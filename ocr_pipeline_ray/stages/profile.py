@@ -178,136 +178,6 @@ def profile_table(ds, numeric_cols: Sequence[str],
     })
 
 
-def dq_audit(docs, orders, customer_keys, events):
-    """Data-quality EXPECTATION SUITE: one row per assertion with its
-    exact violation count — the ingest gate every production pipeline
-    runs before training data ships (Deequ/Great-Expectations shape,
-    engine-native).
-
-    Checks (all exact, all streaming):
-
-    * ``documents.null_text`` / ``documents.empty_text`` — null and
-      zero-length content rows (per-batch vectorized partial counts,
-      driver-folds the per-block scalars; no shuffle).
-    * ``documents.n_chars_mismatch`` — declared ``n_chars`` differs
-      from the recomputed codepoint length (consistency assertion).
-    * ``documents.dup_doc_id`` — primary-key uniqueness: ``rows −
-      distinct`` via ONE doc_id-hash-bucket co-shuffle of the int64
-      key column only; each whole-bucket UDF reports rows − unique
-      (a key lands in exactly one bucket, so bucket partials sum to
-      the global violation count).
-    * ``orders.orphan_custkey`` — referential integrity against the
-      customer dimension as a BROADCAST anti-probe: the key set
-      ships to the object store once (``ray.put``), every task reads
-      it zero-copy. For dimensions beyond worker heap, swap in the
-      bloom-filter pre-prune of ``dedup_incremental_bloom`` —
-      contract unchanged.
-    * ``events.negative_value`` — domain assertion on a measure.
-
-    Returns ``(check_name, violations)`` sorted by check_name.
-    ``customer_keys`` is a pyarrow Array/ChunkedArray of valid keys.
-    """
-    import pyarrow.compute as pc
-    import ray
-
-    from ..functions.hashing import bucket_ids
-
-    # --- per-batch scalar partials over documents (one pruned scan)
-    def _doc_partial(batch: pa.Table) -> pa.Table:
-        text = batch.column("text")
-        nulls = text.null_count
-        lens = pc.utf8_length(pc.fill_null(text, ""))
-        empty = pc.sum(
-            pc.cast(pc.and_(pc.is_valid(text), pc.equal(lens, 0)),
-                    pa.int64())
-        ).as_py() or 0
-        mismatch = pc.sum(pc.cast(
-            pc.not_equal(lens, pc.fill_null(batch.column("n_chars"), -1)),
-            pa.int64())).as_py() or 0
-        return pa.table({
-            "null_text": pa.array([nulls], pa.int64()),
-            "empty_text": pa.array([empty], pa.int64()),
-            "n_chars_mismatch": pa.array([mismatch], pa.int64()),
-        })
-
-    doc_parts = docs.select_columns(["text", "n_chars"]).map_batches(
-        _doc_partial, batch_format="pyarrow")
-    totals = {"null_text": 0, "empty_text": 0, "n_chars_mismatch": 0}
-    for b in doc_parts.iter_batches(batch_format="pyarrow",
-                                    batch_size=None):
-        for k in totals:
-            totals[k] += pc.sum(b.column(k)).as_py() or 0
-
-    # --- duplicate primary keys: one int64-key co-shuffle
-    def _keyed(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id")
-        return pa.table({
-            "doc_id": ids,
-            "_kbucket": pa.array(bucket_ids(ids, 64), pa.int64()),
-        })
-
-    def _dups(group: pa.Table) -> pa.Table:
-        n = group.num_rows
-        uniq = len(pc.unique(group.column("doc_id")))
-        return pa.table({"d": pa.array([n - uniq], pa.int64())})
-
-    dup_parts = docs.select_columns(["doc_id"]).map_batches(
-        _keyed, batch_format="pyarrow"
-    ).groupby("_kbucket", num_partitions=64).map_groups(
-        _dups, batch_format="pyarrow")
-    dup_total = 0
-    for b in dup_parts.iter_batches(batch_format="pyarrow",
-                                    batch_size=None):
-        dup_total += pc.sum(b.column("d")).as_py() or 0
-
-    # --- referential integrity: broadcast anti-probe
-    if isinstance(customer_keys, pa.ChunkedArray):
-        customer_keys = customer_keys.combine_chunks()
-    keys_ref = ray.put(customer_keys)
-
-    def _orphans(batch: pa.Table) -> pa.Table:
-        valid = ray.get(keys_ref)
-        keys = batch.column("o_custkey")
-        # NULL keys are not violations (SQL NOT IN semantics)
-        miss = pc.sum(pc.cast(pc.and_(
-            pc.is_valid(keys),
-            pc.invert(pc.is_in(keys, value_set=valid)),
-        ), pa.int64()))
-        return pa.table({"d": pa.array([miss.as_py() or 0], pa.int64())})
-
-    orphan_total = 0
-    for b in orders.select_columns(["o_custkey"]).map_batches(
-            _orphans, batch_format="pyarrow").iter_batches(
-            batch_format="pyarrow", batch_size=None):
-        orphan_total += pc.sum(b.column("d")).as_py() or 0
-
-    # --- domain assertion on events
-    def _neg(batch: pa.Table) -> pa.Table:
-        neg = pc.sum(pc.cast(
-            pc.less(pc.fill_null(batch.column("value"), 0.0), 0.0),
-            pa.int64()))
-        return pa.table({"d": pa.array([neg.as_py() or 0], pa.int64())})
-
-    neg_total = 0
-    for b in events.select_columns(["value"]).map_batches(
-            _neg, batch_format="pyarrow").iter_batches(
-            batch_format="pyarrow", batch_size=None):
-        neg_total += pc.sum(b.column("d")).as_py() or 0
-
-    rows = sorted([
-        ("documents.null_text", totals["null_text"]),
-        ("documents.empty_text", totals["empty_text"]),
-        ("documents.n_chars_mismatch", totals["n_chars_mismatch"]),
-        ("documents.dup_doc_id", dup_total),
-        ("orders.orphan_custkey", orphan_total),
-        ("events.negative_value", neg_total),
-    ])
-    return pa.table({
-        "check_name": pa.array([r[0] for r in rows], pa.string()),
-        "violations": pa.array([r[1] for r in rows], pa.int64()),
-    })
-
-
 def filter_cascade(ds, stages):
     """Filter-funnel ATTRITION audit: run an ordered gate cascade and
     report, per stage, how many rows entered and survived — the

@@ -202,7 +202,7 @@ def grouped_rank(ds, key_col: str, order_by, n_dense: int = None,
     import pyarrow.compute as pc
 
     from ..functions.hashing import bucket_ids
-    from .rollup import _composite_key
+    from .stats import _composite_key
 
     order_by = [(c, d) for c, d in order_by]
     if n_dense is None:

@@ -9,8 +9,8 @@ audit actually wants.
 
 Physical plan: both sides are tagged and co-shuffled ONCE by a
 bucket of the composite row key (every column, null-sentinel
-encoded — the same trick `rollup_agg` uses for null-safe composite
-grouping); each whole-bucket UDF sorts its rows by the composite
+encoded — `stats._composite_key`, the null-safe composite grouping
+key); each whole-bucket UDF sorts its rows by the composite
 key, collapses duplicates with a boundary mask, and keeps the
 distinct rows satisfying the membership predicate (EXCEPT: left
 present, right absent; INTERSECT: both present). Output is bounded

@@ -24,11 +24,25 @@ DuckDB; the oracle recomputes it natively).
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import List, Sequence
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+
+
+_NULL_SENTINEL = "\x00"
+
+
+def _composite_key(batch: pa.Table, cols: List[str]) -> pa.Array:
+    """Deterministic string key over nullable mixed-type columns
+    (NULL encoded as a sentinel that cannot appear in cast output)."""
+    parts = []
+    for c in cols:
+        parts.append(pc.fill_null(
+            pc.cast(batch.column(c), pa.string()), _NULL_SENTINEL))
+        parts.append("\x1f")
+    return pc.binary_join_element_wise(*parts, "")
 
 
 def exact_quantiles(ds, col: str, qs: Sequence[float]) -> pa.Table:
@@ -515,7 +529,7 @@ def grouped_distinct_count(ds, key_col: str, value_col: str,
     their own group.
 
     Dedup identity is a sentinel-encoded composite STRING
-    (``rollup._composite_key`` — same contract: cast output must not
+    (``_composite_key`` — same contract: cast output must not
     contain the \\x00/\\x1f sentinels, true for numeric/timestamp
     and real-text keys) dictionary-encoded to dense codes +
     ``np.unique`` first-occurrence take — NEVER a pyarrow
@@ -534,7 +548,6 @@ def grouped_distinct_count(ds, key_col: str, value_col: str,
     import pyarrow.compute as pc
 
     from ..functions.hashing import bucket_ids
-    from .rollup import _composite_key
 
     def _dedup_pairs(sub: pa.Table) -> pa.Table:
         if not sub.num_rows:
@@ -708,7 +721,7 @@ def grouped_corr(ds, key_col: str, x_col: str, y_col: str):
 
 def _cross_moments(ds, key_col: str, x_col: str, y_col: str):
     """Shared sufficient-statistics plan for the per-key bivariate
-    family (:func:`grouped_corr`, :func:`grouped_ols`): block-local
+    statistics (:func:`grouped_corr`): block-local
     Arrow ``group_by`` partials of ``(n, sx, sy, sxx, syy, sxy)``
     then ONE key-scale groupby sum. Rows with a NULL on either side
     are ignored (SQL ``corr``/``regr_*`` semantics).
@@ -748,51 +761,6 @@ def _cross_moments(ds, key_col: str, x_col: str, y_col: str):
                    Sum("syy", alias_name="syy"),
                    Sum("sxy", alias_name="sxy"))
     )
-
-
-def grouped_ols(ds, key_col: str, x_col: str, y_col: str):
-    """Per-key simple linear regression (trend detection): the SQL
-    ``regr_slope`` / ``regr_intercept`` pair from the SAME
-    sufficient-statistic plan as :func:`grouped_corr` — one pass, one
-    key-scale groupby, finish is
-    ``slope = (n·sxy − sx·sy) / (n·sxx − sx²)``,
-    ``intercept = (sy − slope·sx) / n``. At web scale this is the
-    per-host / per-type drift monitor (is quality sinking over crawl
-    time?) for the cost of an aggregate.
-
-    NULL-x/y rows are ignored; keys with ``n < 1`` or zero x-variance
-    yield NULL slope/intercept (``regr_slope`` semantics). Callers
-    should feed SMALL x values (day index, not raw epoch): the
-    two-pass normal-equation form loses precision when ``x`` has a
-    huge common offset — the slope is shift-invariant, so shift.
-    """
-    import numpy as np
-    import pyarrow.compute as pc
-
-    agg = _cross_moments(ds, key_col, x_col, y_col)
-
-    def _finish(batch: pa.Table) -> pa.Table:
-        n = batch.column("n").to_numpy(zero_copy_only=False).astype(
-            np.float64)
-        sx = batch.column("sx").to_numpy(zero_copy_only=False)
-        sy = batch.column("sy").to_numpy(zero_copy_only=False)
-        sxx = batch.column("sxx").to_numpy(zero_copy_only=False)
-        sxy = batch.column("sxy").to_numpy(zero_copy_only=False)
-        vx = n * sxx - sx * sx
-        bad = (n < 1) | (vx <= 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            slope = (n * sxy - sx * sy) / vx
-            intercept = (sy - slope * sx) / n
-        return pa.table({
-            key_col: batch.column(key_col),
-            "n": pc.cast(batch.column("n"), pa.int64()),
-            "slope": pa.array(np.where(bad, 0.0, slope),
-                              pa.float64(), mask=bad),
-            "intercept": pa.array(np.where(bad, 0.0, intercept),
-                                  pa.float64(), mask=bad),
-        })
-
-    return agg.map_batches(_finish, batch_format="pyarrow")
 
 
 def cms_sketch(ds, text_col: str = "text", width: int = 1024,
@@ -957,8 +925,6 @@ def grouped_kmv(ds, key_col: str, value_col: str, k: int = 16,
             })
         # block-level pair dedup first (sentinel composite — the
         # null-safe dedup kernel shared with grouped_distinct_count)
-        from .rollup import _composite_key
-
         ck = _composite_key(sub, ["k", "v"])
         if isinstance(ck, pa.ChunkedArray):
             ck = ck.combine_chunks()
@@ -1052,7 +1018,6 @@ def grouped_hll(ds, key_col: str, value_col: str,
     import pyarrow.compute as pc
 
     from ..functions.hashing import bucket_ids
-    from .rollup import _composite_key
 
     M = 64
 
@@ -1151,81 +1116,6 @@ def grouped_hll(ds, key_col: str, value_col: str,
     ).map_groups(_bucket, batch_format="pyarrow")
 
 
-def grouped_concat(ds, key_col: str, value_col: str, order_cols,
-                   sep: str = ",", out_col: str = "agg",
-                   n_buckets: int = 64):
-    """Ordered per-key string aggregation — SQL
-    ``string_agg(value, sep ORDER BY order_cols) GROUP BY key`` in
-    ONE key-hash shuffle.
-
-    The whole-bucket UDF sorts once by (key, order_cols) with Arrow
-    ``sort_by``, then assembles every key's string in one
-    ListArray + ``binary_join`` over segment offsets (the
-    paragraph-reassembly kernel, `stages/dedup.paragraph_dedup`) —
-    no per-key UDF, no Python join loop. NULL values are skipped
-    (SQL string_agg semantics); a key whose values are all NULL
-    yields a NULL aggregate (kept, like GROUP BY). NULL keys form
-    their own group. Output strings are key-cardinality-scale: at
-    100 TB cap the group size upstream (`group_cap`) — an unbounded
-    hot key's concat is a single giant row by definition.
-    """
-    import numpy as np
-    import pyarrow.compute as pc
-
-    from ..functions.hashing import bucket_ids
-    from .rollup import _composite_key
-
-    order_cols = list(order_cols)
-
-    def _tag(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_bucket",
-            pa.array(bucket_ids(batch.column(key_col), n_buckets),
-                     pa.int64()))
-
-    def _bucket(group: pa.Table) -> pa.Table:
-        g = group.sort_by(
-            [(key_col, "ascending")]
-            + [(c, "ascending") for c in order_cols])
-        n = g.num_rows
-        kck = _composite_key(g, [key_col])
-        if isinstance(kck, pa.ChunkedArray):
-            kck = kck.combine_chunks()
-        kch = np.ones(n, dtype=bool)
-        if n > 1:
-            kch[1:] = np.asarray(
-                pc.not_equal(kck.slice(1), kck.slice(0, n - 1)))
-        starts = np.flatnonzero(kch)
-        ends = np.concatenate([starts[1:], [n]])
-        vals = g.column(value_col).combine_chunks()
-        valid = pc.is_valid(vals).to_numpy(zero_copy_only=False)
-        # drop NULL values but keep segment accounting: per-segment
-        # valid counts via cumsum difference
-        cs = np.concatenate(
-            [[0], np.cumsum(valid, dtype=np.int64)])
-        seg_n = cs[ends] - cs[starts]
-        kept = vals.filter(pa.array(valid))
-        offsets = np.concatenate(
-            [[0], np.cumsum(seg_n)]).astype(np.int32)
-        lists = pa.ListArray.from_arrays(
-            pa.array(offsets, pa.int32()),
-            kept.cast(pa.string()))
-        joined = pc.binary_join(lists, sep)
-        # all-NULL segment -> empty join -> NULL (SQL string_agg)
-        agg = pc.if_else(
-            pa.array(seg_n > 0), joined,
-            pa.scalar(None, pa.string()))
-        return pa.table({
-            key_col: g.column(key_col).take(
-                pa.array(starts, pa.int64())),
-            out_col: agg,
-        })
-
-    return ds.map_batches(_tag, batch_format="pyarrow").groupby(
-        "_bucket", num_partitions=n_buckets
-    ).map_groups(_bucket, batch_format="pyarrow")
-
-
 _CHECKSUM_MOD = 1 << 63
 
 
@@ -1283,7 +1173,7 @@ def key_skew_stats(counts_ds, count_col: str = "n",
                    qs=(0.5, 0.9, 0.99)):
     """Skew diagnostics over a per-key count table — the operator
     you run BEFORE choosing a shuffle strategy ("is this key safe to
-    groupby, or does it need `skew_join` / salting / `group_cap`?").
+    groupby, or does it need salting / `group_cap`?").
 
     Input: any Dataset with one row per key and an int64 count
     column (e.g. `web.host_stats` output). Output: one (stat,
@@ -1317,53 +1207,6 @@ def key_skew_stats(counts_ds, count_col: str = "n",
         "stat": pa.array([s for s, _ in stats], pa.string()),
         "value": pa.array([v for _, v in stats], pa.int64()),
     })
-
-
-def grouped_histogram(ds, key_col: str, value_col: str,
-                      lo: float, width: float, n_bins: int):
-    """Per-key equi-width histogram: ``bin = clip(floor((v - lo) /
-    width), 0, n_bins-1)``, counted per (key, bin) — the grouped
-    twin of the engine's global fixed-bin shapes (`analyze`'s 5-bin
-    quality histogram, `binned_quantiles`' sketch). Row-local bin
-    math + map-side (key, bin) partial combine -> ONE tiny groupby;
-    shuffle carries keys x bins x blocks rows. NULL values are
-    dropped (SQL aggregate semantics); under/overflow values clamp
-    into the edge bins (loud in the SQL twin via the same
-    least/greatest math, never silently dropped).
-    """
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
-
-    def _partial(batch: pa.Table) -> pa.Table:
-        v = batch.column(value_col)
-        ok = pc.is_valid(v)
-        sub = pa.table({"key": batch.column(key_col), "v": v}).filter(ok)
-        b = pc.floor(pc.divide(pc.subtract(
-            pc.cast(sub.column("v"), pa.float64()), lo), width))
-        b = pc.min_element_wise(
-            pc.max_element_wise(b, 0.0), float(n_bins - 1))
-        g = pa.table({
-            "key": sub.column("key"),
-            "bin": pc.cast(b, pa.int64()),
-        }).group_by(["key", "bin"]).aggregate([([], "count_all")])
-        return pa.table({
-            key_col: g.column("key"),
-            "bin": g.column("bin"),
-            "n": pc.cast(g.column("count_all"), pa.int64()),
-        })
-
-    return (
-        ds.map_batches(_partial, batch_format="pyarrow")
-        .groupby([key_col, "bin"])
-        .aggregate(Sum("n"))
-        .map_batches(
-            lambda b: pa.table({
-                key_col: b.column(key_col),
-                "bin": b.column("bin"),
-                "n": pc.cast(b.column("sum(n)"), pa.int64()),
-            }),
-            batch_format="pyarrow")
-    )
 
 
 def priority_sample_k(ds, k: int, key_col: str, weight_col: str):
@@ -1416,224 +1259,15 @@ def priority_sample_k(ds, k: int, key_col: str, weight_col: str):
     )
 
 
-def join_size_exact(left, right, left_key: str, right_key: str,
-                    n_buckets: int = 64) -> pa.Table:
-    """EXACT inner-join output cardinality |A JOIN B| = sum over
-    keys of count_A(k) * count_B(k) — the optimizer statistic you
-    compute BEFORE paying for the join itself. ONE exchange of
-    (key, count, side) block partials (map-side combine: a key
-    enters the shuffle once per block, never once per row);
-    whole-bucket boundary masks multiply the two sides' per-key
-    totals; the driver folds bucket-scale partial sums. NULL keys
-    match nothing (SQL semantics)."""
-    import pyarrow.compute as pc
-
-    from ..functions.hashing import bucket_ids
-
-    def _partial(key_col: str, side: int):
-        def _fn(batch: pa.Table) -> pa.Table:
-            keys = batch.column(key_col)
-            if isinstance(keys, pa.ChunkedArray):
-                keys = keys.combine_chunks()
-            keys = keys.drop_null()
-            vc = pc.value_counts(keys)
-            k = vc.field("values")
-            return pa.table({
-                "_bucket": pa.array(bucket_ids(k, n_buckets),
-                                    pa.int64()),
-                "k": pc.cast(k, pa.int64()),
-                "n": pc.cast(vc.field("counts"), pa.int64()),
-                "side": pa.array([side] * len(k), pa.int8()),
-            })
-        return _fn
-
-    tagged = left.map_batches(
-        _partial(left_key, 0), batch_format="pyarrow"
-    ).union(right.map_batches(
-        _partial(right_key, 1), batch_format="pyarrow"))
-
-    def _bucket(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return pa.table({"s": pa.array([0], pa.int64())})
-        g = group.sort_by([("k", "ascending")])
-        k = g.column("k").to_numpy(zero_copy_only=False)
-        n = g.column("n").to_numpy(zero_copy_only=False)
-        side = g.column("side").to_numpy(zero_copy_only=False)
-        starts = np.flatnonzero(
-            np.concatenate(([True], k[1:] != k[:-1])))
-        ends = np.concatenate((starts[1:], [len(k)]))
-        na = np.add.reduceat(np.where(side == 0, n, 0), starts)
-        nb = np.add.reduceat(np.where(side == 1, n, 0), starts)
-        # reduceat quirk: empty slices impossible here (starts from
-        # flatnonzero of a non-empty array)
-        del ends
-        return pa.table({
-            "s": pa.array([int((na * nb).sum())], pa.int64()),
-        })
-
-    total = 0
-    for b in tagged.groupby(
-            "_bucket", num_partitions=n_buckets).map_groups(
-            _bucket, batch_format="pyarrow").iter_batches(
-            batch_format="pyarrow", batch_size=None):
-        if b.num_rows:
-            import pyarrow.compute as pc2
-            total += int(pc2.sum(b.column("s")).as_py() or 0)
-    return pa.table({"n_join_rows": pa.array([total], pa.int64())})
-
-
-def cms_inner_product(sketch_a: pa.Table, sketch_b: pa.Table,
-                      width: int = 1024, depth: int = 4) -> int:
-    """Join-size ESTIMATE from two :func:`cms_sketch` tables:
-    ``min_r sum_b cmsA[r][b] * cmsB[r][b]`` — the classic Count-Min
-    inner-product upper bound on ``sum_v fA(v) * fB(v)`` (Cormode &
-    Muthukrishnan 2005, §4.2). Driver-side: the sketches are
-    depth x width counters; deterministic integer math, so the
-    estimate itself is oracle-pinnable."""
-
-    def _mat(sk: pa.Table) -> np.ndarray:
-        m = np.zeros((depth, width), dtype=np.int64)
-        m[sk.column("r").to_numpy(zero_copy_only=False),
-          sk.column("b").to_numpy(zero_copy_only=False)] = \
-            sk.column("c").to_numpy(zero_copy_only=False)
-        return m
-
-    a, b = _mat(sketch_a), _mat(sketch_b)
-    return int(min(int((a[r] * b[r]).sum()) for r in range(depth)))
-
-
-def winsorized_group_mean(ds, key_col: str, cents_col: str,
-                          lo_q: float = 0.05, hi_q: float = 0.95):
-    """Winsorized per-group mean: clip an int64 measure to its exact
-    GLOBAL ``percentile_disc`` [lo_q, hi_q] bounds, then average per
-    key — the outlier-robust aggregate every metrics pipeline wants
-    before a mean (a heavy-tail click can otherwise move a daily KPI
-    alone).
-
-    Two streaming passes, no wide shuffle of raw rows: pass 1 is
-    :func:`exact_quantiles` (value-histogram partials → tiny
-    value-keyed fold); the two clip bounds broadcast by closure
-    (scalars); pass 2 clips vectorized per batch and reduces to
-    map-side ``(key, sum, n)`` partials before ONE tiny groupby.
-    The measure must be int64 (cents) so sums are order-free and the
-    DuckDB ``least(greatest(...))`` twin is bit-exact; the mean is
-    the single terminal division.
-
-    Returns ``(key_col, n, mean_winsorized)`` with the mean rounded
-    via ``floor(x*1000+0.5)/1000``.
-    """
-    import math
-
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
-
-    bounds = exact_quantiles(ds, cents_col, [lo_q, hi_q])
-    lo = bounds.column("value")[0].as_py()
-    hi = bounds.column("value")[1].as_py()
-
-    def _partial(batch: pa.Table) -> pa.Table:
-        v = batch.column(cents_col).combine_chunks().to_numpy(
-            zero_copy_only=False)
-        clipped = np.clip(v, lo, hi)
-        return partial_sum_count(
-            pa.table({key_col: batch.column(key_col),
-                      "w": pa.array(clipped, pa.int64())}),
-            [key_col], "w",
-        )
-
-    agg = ds.select_columns([key_col, cents_col]).map_batches(
-        _partial, batch_format="pyarrow"
-    ).groupby(key_col).aggregate(Sum("sum_value"), Sum("n_events"))
-
-    def _finish(batch: pa.Table) -> pa.Table:
-        s = batch.column("sum(sum_value)").to_numpy(zero_copy_only=False)
-        n = batch.column("sum(n_events)").to_numpy(zero_copy_only=False)
-        mean = [
-            math.floor(si / ni / 100.0 * 1000.0 + 0.5) / 1000.0
-            for si, ni in zip(s, n)
-        ]
-        return pa.table({
-            key_col: batch.column(key_col),
-            "n": pa.array(n, pa.int64()),
-            "mean_winsorized": pa.array(mean, pa.float64()),
-        })
-
-    return agg.map_batches(_finish, batch_format="pyarrow")
-
-
-def grouped_mode(ds, key_col: str, value_col: str, n_buckets: int = 64):
-    """Exact per-key MODE: the most frequent ``value_col`` per
-    ``key_col`` with deterministic tie-break (count desc, value asc)
-    — e.g. each user's dominant event type. SQL's
-    ``mode() WITHIN GROUP`` with a pinned tie rule.
-
-    Shape: map-side ``(key, value, n)`` partial combine (the shuffle
-    carries distinct pairs per block, never raw rows), then ONE
-    key-hash co-shuffle of the pair partials; each whole-bucket UDF
-    re-combines with one Arrow group_by and picks first-per-key via a
-    single sort + boundary mask — no per-key UDF invocation.
-
-    Returns ``(key_col, mode_value, n)``.
-    """
-    import pyarrow.compute as pc
-
-    from ..functions.hashing import bucket_ids
-
-    def _partial(batch: pa.Table) -> pa.Table:
-        g = batch.select([key_col, value_col]).group_by(
-            [key_col, value_col]).aggregate([([], "count_all")])
-        out = pa.table({
-            key_col: g.column(key_col),
-            value_col: g.column(value_col),
-            "n": pc.cast(g.column("count_all"), pa.int64()),
-        })
-        return out.append_column("_kbucket", pa.array(
-            bucket_ids(out.column(key_col), n_buckets), pa.int64()))
-
-    def _mode(group: pa.Table) -> pa.Table:
-        key_t = group.schema.field(key_col).type
-        val_t = group.schema.field(value_col).type
-        empty = pa.table({
-            key_col: pa.array([], key_t),
-            "mode_value": pa.array([], val_t),
-            "n": pa.array([], pa.int64()),
-        })
-        if group.num_rows == 0:
-            return empty
-        # fold the per-block partials, then one sort + first-per-key
-        g = group.select([key_col, value_col, "n"]).group_by(
-            [key_col, value_col]).aggregate([("n", "sum")])
-        g = g.sort_by([(key_col, "ascending"), ("n_sum", "descending"),
-                       (value_col, "ascending")])
-        keys = g.column(key_col).combine_chunks()
-        codes = pc.dictionary_encode(keys).indices.to_numpy(
-            zero_copy_only=False)
-        first = np.ones(len(codes), dtype=bool)
-        first[1:] = codes[1:] != codes[:-1]
-        idx = pa.array(np.flatnonzero(first), pa.int64())
-        return pa.table({
-            key_col: keys.take(idx),
-            "mode_value": g.column(value_col).take(idx),
-            "n": pc.cast(g.column("n_sum").take(idx), pa.int64()),
-        })
-
-    return ds.select_columns([key_col, value_col]).map_batches(
-        _partial, batch_format="pyarrow"
-    ).groupby("_kbucket", num_partitions=n_buckets).map_groups(
-        _mode, batch_format="pyarrow")
-
-
 def grouped_topk(ds, key_col: str, value_col: str, k: int,
                  n_buckets: int = 64):
     """Exact top-``k`` values per key by frequency (grouped heavy
     hitters): ``(key, value, n, rk)`` for the k most frequent
     ``value_col`` per ``key_col`` — e.g. each language's dominant
     vocabulary. Tie rule pinned: count desc, value asc.
-    :func:`grouped_mode` is the k = 1 special case.
 
-    Same shape as grouped_mode: map-side (key, value, n) partial
-    combine, ONE key-hash co-shuffle of the pair partials, per
-    whole bucket one Arrow group_by + sort + vectorized per-key rank
+    Map-side (key, value, n) partial combine, ONE key-hash
+    co-shuffle of the pair partials, per whole bucket one Arrow group_by + sort + vectorized per-key rank
     (cumcount via boundary subtraction) and a rank filter.
     """
     import pyarrow.compute as pc
@@ -1881,160 +1515,6 @@ def grouped_binned_quantiles(ds, key_col: str, col: str,
         "q": pa.array(out_q, pa.float64()),
         "value_est": pa.array(out_v, pa.int64()),
     })
-
-
-def adaptive_salted_agg(ds, key_col: str, value_col: str, salt_src: str,
-                        sample_mod: int = 20,
-                        target_per_reducer: int = 200_000,
-                        max_salt: int = 64, plan_ds=None):
-    """Grouped count/sum with MEASURED, per-key salting — the
-    adaptive version of the fixed-fan-out salted shape (cf.
-    ``q_events_by_type_salted``): a fixed salt multiplies EVERY key's
-    phase-2 input by the fan-out, which is exactly wrong at 10^9 cold
-    keys; here only keys a plan-time sample says are hot get salted,
-    each with a fan-out sized to its estimated volume.
-
-    Three phases, result identical to a plain groupby (the sample
-    tunes the PLAN, never the values):
-
-    0. Plan sample: a pruned ``columns=[key]`` read of the
-       deterministic ``crc32(str(salt_src)) % sample_mod == 0`` row
-       slice → map-side per-key partial counts → tiny key groupby →
-       the driver keeps only keys whose extrapolated count exceeds
-       ``target_per_reducer`` (the hot dict is bounded by data volume
-       / target, not by key cardinality).
-    1. Salted partial combine: salt = crc32(str(salt_src)) %
-       fan_out(key) (1 for cold keys) → groupby (key, salt).
-    2. Re-aggregate the ≤ fan_out partials per key.
-
-    Output: ``(key, n_events: int64, sum_value: float round6)``.
-    """
-    import math
-    from zlib import crc32
-
-    import numpy as np
-    import pyarrow.compute as pc
-
-    from ray.data.aggregate import Sum
-
-    def _row_hash(col) -> np.ndarray:
-        return np.fromiter(
-            (crc32(str(v).encode()) for v in col.to_pylist()),
-            np.int64, len(col))
-
-    def _sample_counts(batch: pa.Table) -> pa.Table:
-        h = _row_hash(batch.column(salt_src))
-        t = batch.filter(pa.array(h % sample_mod == 0))
-        agg = t.select([key_col]).group_by([key_col]).aggregate(
-            [([], "count_all")])
-        return pa.table({
-            key_col: agg.column(key_col),
-            "n": pc.cast(agg.column("count_all"), pa.int64()),
-        })
-
-    # the plan pass only touches (key, salt_src) — pass a pruned
-    # read as plan_ds so the sample never lifts the value column
-    sampled = (plan_ds if plan_ds is not None else ds).map_batches(
-        _sample_counts, batch_format="pyarrow"
-    ).groupby(key_col).aggregate(Sum("n"))
-    hot: dict = {}
-    for row in sampled.take_all():
-        est = row["sum(n)"] * sample_mod
-        if est > target_per_reducer:
-            hot[row[key_col]] = min(
-                max_salt, math.ceil(est / target_per_reducer))
-
-    def _partial(batch: pa.Table) -> pa.Table:
-        if hot:
-            fan = np.fromiter(
-                (hot.get(k, 1) for k in
-                 batch.column(key_col).to_pylist()),
-                np.int64, batch.num_rows)
-            salt = _row_hash(batch.column(salt_src)) % fan
-        else:
-            salt = np.zeros(batch.num_rows, np.int64)
-        return partial_sum_count(
-            pa.table({
-                key_col: batch.column(key_col),
-                "salt": pa.array(salt, pa.int64()),
-                value_col: batch.column(value_col),
-            }),
-            [key_col, "salt"], value_col,
-        )
-
-    phase1 = ds.map_batches(_partial, batch_format="pyarrow").groupby(
-        [key_col, "salt"]
-    ).aggregate(Sum("n_events"), Sum("sum_value"))
-    phase2 = phase1.groupby(key_col).aggregate(
-        Sum("sum(n_events)"), Sum("sum(sum_value)"))
-
-    def _finish(batch: pa.Table) -> pa.Table:
-        sums = [
-            math.floor(s * 1000000.0 + 0.5) / 1000000.0
-            for s in batch.column("sum(sum(sum_value))").to_pylist()
-        ]
-        return pa.table({
-            key_col: batch.column(key_col),
-            "n_events": pc.cast(
-                batch.column("sum(sum(n_events))"), pa.int64()),
-            "sum_value": pa.array(sums, pa.float64()),
-        })
-
-    return phase2.map_batches(_finish, batch_format="pyarrow")
-
-
-def grouped_count_and_distinct(ds, key_col: str, value_col: str,
-                               n_buckets: int = 64):
-    """Per-key ``(n_rows, n_distinct_values)`` in ONE exchange of
-    ``(key, value, n)`` partials: each batch pre-combines to its
-    distinct (key, value) pairs (map-side shrink — at web scale the
-    per-batch pair set is far smaller than the rows), the pairs
-    co-shuffle by crc32(key) bucket, and the whole-bucket UDF folds
-    both statistics with vectorized Arrow group_bys — never a
-    per-key UDF. NULL keys are dropped; a NULL value counts toward
-    ``n_rows`` and contributes one distinct value, matching SQL
-    ``count(*)`` / ``count(DISTINCT v)``-with-NULLs-excluded would
-    NOT — so the value column is coalesced by the caller if SQL
-    parity matters (the oracle twins here never feed NULL values).
-    """
-    from zlib import crc32
-
-    def _partial(batch: pa.Table) -> pa.Table:
-        sub = batch.select([key_col, value_col]).drop_null()
-        g = sub.group_by([key_col, value_col]).aggregate([
-            ([], "count_all")])
-        keys = g.column(key_col).to_pylist()
-        return pa.table({
-            key_col: g.column(key_col),
-            value_col: g.column(value_col),
-            "n": g.column("count_all"),
-            "_kbucket": pa.array(
-                [crc32(str(k).encode()) % n_buckets for k in keys],
-                pa.int32()),
-        })
-
-    def _bucket(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return pa.table({
-                key_col: pa.array([], pa.int64()),
-                "n_rows": pa.array([], pa.int64()),
-                "n_distinct": pa.array([], pa.int64()),
-            })
-        pairs = group.group_by([key_col, value_col]).aggregate([
-            ("n", "sum")])
-        fold = pairs.group_by(key_col).aggregate([
-            ("n_sum", "sum"), ([], "count_all")])
-        return pa.table({
-            key_col: fold.column(key_col),
-            "n_rows": fold.column("n_sum_sum").cast(pa.int64()),
-            "n_distinct": fold.column("count_all").cast(pa.int64()),
-        })
-
-    return (
-        ds.map_batches(_partial, batch_format="pyarrow")
-        .groupby("_kbucket", num_partitions=n_buckets)
-        .map_groups(_bucket, batch_format="pyarrow")
-    )
 
 
 def _skyline_mask(x: np.ndarray, y: np.ndarray) -> np.ndarray:

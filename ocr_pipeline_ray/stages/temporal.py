@@ -1,13 +1,17 @@
-"""Temporal operators over an event stream: sessionization + sliding
-windows.
+"""Temporal operators over keyed, ordered rows: last-observation-
+carried-forward fill and type-2 slowly-changing-dimension intervals,
+plus sessionization, running sums, frame windows, interval union and
+peak concurrency, funnels, transitions, rate bursts, watermark
+windows, rolling percentiles and linear attribution.
 
-The reference is strictly batch (SURVEY.md §2.9 — no windows exist),
-but a large-scale training-data/telemetry pipeline needs both shapes,
-so they ship as first-class operators with DuckDB oracles. Both use
-the engine's standard skew-safe layout: ONE shuffle, hash-partitioned
-by ``bucket_ids(key) % n_buckets`` (never a per-key groupby — that is one
-Python UDF call per user/type), then a single Arrow sort + vectorized
-numpy segment math inside each whole-bucket UDF.
+The reference is strictly batch (SURVEY.md §2.9 — no windows exist);
+``locf_fill`` and ``scd2_intervals`` back the storage queries
+(``locf_fill``, ``scd2_build``) and ship with DuckDB oracles. The
+keyed operators use the engine's standard skew-safe layout: ONE
+shuffle, hash-partitioned by ``bucket_ids(key) % n_buckets`` (never a
+per-key groupby — that is one Python UDF call per user/type), then a
+single Arrow sort + vectorized numpy segment math inside each
+whole-bucket UDF.
 """
 
 from __future__ import annotations
@@ -151,159 +155,6 @@ def grouped_running_sum(ds, key_col: str, order_cols: List[str],
     )
 
 
-def sliding_window_agg(ds, key_col: str = "event_type", ts_col: str = "ts",
-                       value_col: str = "value", window_hours: int = 3,
-                       n_buckets: int = 16):
-    """Trailing sliding-window aggregate per key (RANGE semantics).
-
-    Two-phase: (1) map-side partial combine into (key, hour) hourly
-    partials — the shuffle carries one row per (key, hour, block), not
-    one per event; (2) per-bucket whole-bucket UDF computes, for every
-    present hour, the count/sum over the trailing ``window_hours``
-    window by VALUE (missing hours weigh zero — identical to SQL
-    ``RANGE BETWEEN INTERVAL n PRECEDING AND CURRENT ROW``), via two
-    ``np.searchsorted`` cumulative-sum lookups per key run.
-    Output: ``(key, hour, n_events_w, sum_value_w)``.
-    """
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Count, Sum
-
-    def _hour_partial(batch: pa.Table) -> pa.Table:
-        hours = pc.floor_temporal(batch.column(ts_col), unit="hour")
-        return pa.table({
-            key_col: batch.column(key_col),
-            "hour": hours,
-            value_col: batch.column(value_col),
-        })
-
-    hourly = (
-        ds.select_columns([key_col, ts_col, value_col])
-        .map_batches(_hour_partial, batch_format="pyarrow")
-        .groupby([key_col, "hour"])
-        .aggregate(Count(), Sum(value_col))
-    )
-
-    win_us = window_hours * 3600 * 1_000_000
-
-    def _slide(group: pa.Table) -> pa.Table:
-        empty = pa.table({
-            key_col: pa.array([], pa.string()),
-            "hour": pa.array([], pa.timestamp("us")),
-            "n_events_w": pa.array([], pa.int64()),
-            "sum_value_w": pa.array([], pa.float64()),
-        })
-        if group.num_rows == 0:
-            return empty
-        g = group.sort_by([(key_col, "ascending"), ("hour", "ascending")])
-        keys = g.column(key_col).to_pylist()
-        hours = g.column("hour").combine_chunks().to_numpy().astype(
-            "datetime64[us]"
-        ).view(np.int64)
-        counts = g.column("count()").combine_chunks().to_numpy()
-        sums = g.column(f"sum({value_col})").combine_chunks().to_numpy()
-        out_keys: List[str] = []
-        out_hours, out_counts, out_sums = [], [], []
-        i = 0
-        n = len(keys)
-        while i < n:
-            j = i
-            while j < n and keys[j] == keys[i]:
-                j += 1
-            h = hours[i:j]
-            cnt = counts[i:j]
-            val = sums[i:j]
-            # trailing window (h - window, h]: first index with
-            # hour > h_k - window_us
-            lo = np.searchsorted(h, h - win_us + 1, side="left")
-            ccum = np.concatenate([[0], np.cumsum(cnt)])
-            idx = np.arange(len(h))
-            out_keys.extend(keys[i:j])
-            out_hours.append(h)
-            out_counts.append(ccum[idx + 1] - ccum[lo])
-            # frame sums DIRECTLY in ascending-hour order (≤
-            # window_hours addends) — a cumsum difference would
-            # accumulate float cancellation the SQL frame sum
-            # doesn't have
-            out_sums.append(np.array(
-                [val[a:k + 1].sum() for k, a in enumerate(lo)]
-            ))
-            i = j
-        return pa.table({
-            key_col: pa.array(out_keys, pa.string()),
-            "hour": pa.array(
-                np.concatenate(out_hours).view("datetime64[us]"),
-                pa.timestamp("us"),
-            ),
-            "n_events_w": pa.array(
-                np.concatenate(out_counts).astype(np.int64), pa.int64()
-            ),
-            "sum_value_w": pa.array(
-                [_round6(s) for s in np.concatenate(out_sums)], pa.float64()
-            ),
-        })
-
-    bucketed = _bucket_by(hourly, key_col, n_buckets)
-    return bucketed.groupby(
-        "_kbucket", num_partitions=n_buckets
-    ).map_groups(
-        _slide, batch_format="pyarrow"
-    )
-
-
-def event_gaps(ds, user_col: str = "user_id", ts_col: str = "ts",
-               order_col: str = "event_id", n_buckets: int = 64):
-    """Per-user inter-event gaps (the LAG window): for every user with
-    ≥ 2 events, the count / max / total of the microsecond gaps
-    between consecutive events ordered by ``(ts, order_col)``.
-
-    Output: ``(user_id, n_gaps, max_gap_us, total_gap_us)`` — all
-    int64, so the DuckDB ``lag() OVER`` twin is bit-exact. Standard
-    skew-safe layout: ONE user-hash-bucket shuffle, then a single
-    Arrow sort + vectorized numpy diff/segment math per whole bucket.
-    """
-
-    def _gaps(group: pa.Table) -> pa.Table:
-        empty = pa.table({
-            user_col: pa.array([], pa.int64()),
-            "n_gaps": pa.array([], pa.int64()),
-            "max_gap_us": pa.array([], pa.int64()),
-            "total_gap_us": pa.array([], pa.int64()),
-        })
-        if group.num_rows < 2:
-            return empty
-        g = group.sort_by([(user_col, "ascending"),
-                           (ts_col, "ascending"),
-                           (order_col, "ascending")])
-        users = g.column(user_col).combine_chunks().to_numpy()
-        ts = g.column(ts_col).combine_chunks().to_numpy().astype(
-            "datetime64[us]").view(np.int64)
-        same = users[1:] == users[:-1]
-        if not same.any():
-            return empty
-        gaps = (ts[1:] - ts[:-1])[same]
-        gusers = users[1:][same]
-        # consecutive runs per user (input sorted by user)
-        starts = np.flatnonzero(
-            np.r_[True, gusers[1:] != gusers[:-1]])
-        ends = np.append(starts[1:], len(gusers))
-        return pa.table({
-            user_col: pa.array(gusers[starts], pa.int64()),
-            "n_gaps": pa.array(ends - starts, pa.int64()),
-            "max_gap_us": pa.array(
-                np.maximum.reduceat(gaps, starts), pa.int64()),
-            "total_gap_us": pa.array(
-                np.add.reduceat(gaps, starts), pa.int64()),
-        })
-
-    bucketed = _bucket_by(
-        ds.select_columns([user_col, ts_col, order_col]),
-        user_col, n_buckets,
-    )
-    return bucketed.groupby(
-        "_kbucket", num_partitions=n_buckets
-    ).map_groups(_gaps, batch_format="pyarrow")
-
-
 def peak_concurrency(ds, start_col: str = "session_start",
                      dur_col: str = "duration_us",
                      band_minutes: int = 60, n_buckets: int = 64):
@@ -400,9 +251,7 @@ def frame_window(ds, key_col: str, order_cols: List[str],
     row: ``SUM(val) OVER (PARTITION BY key ORDER BY order_cols ROWS
     BETWEEN preceding PRECEDING AND CURRENT ROW)`` as ``win_sum``
     plus ``LEAD(val)`` as ``lead_val`` (NULL at each partition's last
-    row). Complements ``sliding_window_agg`` (a RANGE/value frame
-    over pre-aggregated hours) with the positional-frame twin over
-    raw rows.
+    row). The frame counts rows, not values, over raw rows.
 
     ``val_col`` must be int64 so the frame sums are order-free and
     the DuckDB twin is bit-exact. Standard skew-safe layout: ONE
@@ -658,117 +507,6 @@ def funnel_counts(ds, steps: List[str], user_col: str = "user_id",
     })
 
 
-def sliding_distinct(ds, key_col: str = "event_type",
-                     ts_col: str = "ts", user_col: str = "user_id",
-                     window_hours: int = 3, n_buckets: int = 16):
-    """Trailing sliding-window DISTINCT count per key (rolling
-    active users): for every present hour, how many distinct users
-    appeared in the trailing ``window_hours`` hours. Unlike
-    :func:`sliding_window_agg`, distinct does NOT decompose into
-    per-hour partials (the same user in two hours must count once) —
-    the standard exact plan is window-explode + global distinct:
-
-    1. map-side dedup to (key, hour, user) triples (block-level);
-    2. each triple replicates to the ``window_hours`` windows it can
-       affect — the explode factor is the window size, the price of
-       exactness (the KMV sketch family is the approximate
-       alternative when windows are huge);
-    3. ONE co-shuffle by (key, window) bucket; whole-bucket sort +
-       boundary masks give exact distinct counts per (key, window).
-       Only windows anchored at an hour where the key actually had
-       an event are emitted (SQL-twin parity).
-    """
-    import pyarrow.compute as pc
-
-    from ..functions.hashing import bucket_ids
-
-    _HOUR_US = 3_600_000_000
-
-    def _explode(batch: pa.Table) -> pa.Table:
-        hours = pc.cast(pc.floor_temporal(
-            batch.column(ts_col), unit="hour"), pa.int64())
-        sub = pa.table({
-            "k": batch.column(key_col),
-            "h": hours,
-            "u": batch.column(user_col),
-        })
-        sub = sub.filter(pc.and_(pc.is_valid(sub.column("u")),
-                                 pc.is_valid(sub.column("k"))))
-        ded = sub.group_by(["k", "h", "u"]).aggregate([])
-        n = ded.num_rows
-        k = ded.column("k").combine_chunks()
-        h = ded.column("h").combine_chunks().to_numpy(
-            zero_copy_only=False)
-        u = ded.column("u").combine_chunks()
-        ks, hs, us, anchor = [], [], [], []
-        for w in range(window_hours):
-            ks.append(k)
-            us.append(u)
-            hs.append(h)                      # source hour
-            anchor.append(h + w * _HOUR_US)   # window it affects
-        k_all = pa.concat_arrays([x for x in ks])
-        u_all = pa.concat_arrays([x for x in us])
-        win = np.concatenate(anchor)
-        src = np.concatenate(hs)
-        out = pa.table({
-            "k": k_all,
-            "win": pa.array(win, pa.int64()),
-            "src": pa.array(src, pa.int64()),
-            "u": u_all,
-        })
-        # composite (key, window) bucket
-        kb = bucket_ids(k_all, n_buckets).astype(np.int64)
-        wb = (win // _HOUR_US).astype(np.int64)
-        out = out.append_column(
-            "_bucket",
-            pa.array((kb * 31 + wb) % n_buckets, pa.int64()))
-        return out
-
-    def _count(group: pa.Table) -> pa.Table:
-        empty = pa.table({
-            key_col: pa.array([], pa.string()),
-            "hour": pa.array([], pa.timestamp("us")),
-            "n_users_w": pa.array([], pa.int64()),
-        })
-        if group.num_rows == 0:
-            return empty
-        g = group.sort_by([("k", "ascending"), ("win", "ascending"),
-                           ("u", "ascending")])
-        k = g.column("k").to_numpy(zero_copy_only=False)
-        w = g.column("win").to_numpy(zero_copy_only=False)
-        u = g.column("u").to_numpy(zero_copy_only=False)
-        src = g.column("src").to_numpy(zero_copy_only=False)
-        new_grp = np.ones(len(k), dtype=bool)
-        new_grp[1:] = (k[1:] != k[:-1]) | (w[1:] != w[:-1])
-        starts = np.flatnonzero(new_grp)
-        ends = np.concatenate([starts[1:], [len(k)]])
-        # distinct users within each (key, window) group
-        new_u = np.ones(len(k), dtype=bool)
-        new_u[1:] = new_grp[1:] | (u[1:] != u[:-1])
-        cs = np.concatenate([[0], np.cumsum(new_u)])
-        n_distinct = cs[ends] - cs[starts]
-        # anchored windows only: the window's own hour must have an
-        # event for this key (src == win for some row in the group)
-        cs_anchor = np.concatenate(
-            [[0], np.cumsum((src == w).astype(np.int64))])
-        anchored = (cs_anchor[ends] - cs_anchor[starts]) > 0
-        sel = anchored
-        return pa.table({
-            key_col: pa.array(k[starts[sel]]),
-            "hour": pa.array(
-                w[starts[sel]].astype("datetime64[us]"),
-                pa.timestamp("us")),
-            "n_users_w": pa.array(n_distinct[sel], pa.int64()),
-        })
-
-    exploded = ds.select_columns(
-        [key_col, ts_col, user_col]
-    ).map_batches(_explode, batch_format="pyarrow")
-    return exploded.groupby(
-        "_bucket", num_partitions=n_buckets
-    ).map_groups(_count, batch_format="pyarrow")
-
-
 def event_transitions(ds, user_col: str = "user_id", ts_col: str = "ts",
                       type_col: str = "event_type",
                       order_col: str = "event_id", n_buckets: int = 64):
@@ -899,166 +637,6 @@ def scd2_intervals(ds, user_col: str = "user_id", ts_col: str = "ts",
     return bucketed.groupby(
         "_kbucket", num_partitions=n_buckets
     ).map_groups(_runs, batch_format="pyarrow")
-
-
-def event_type_affinity(ds, user_col: str = "user_id",
-                        type_col: str = "event_type",
-                        n_buckets: int = 64):
-    """Market-basket pair affinity: for each UNORDERED pair of
-    distinct event types, how many users exhibit both — the Apriori
-    first pass (pair support counts) over per-user behavior baskets.
-
-    Shape: map-side DISTINCT (user, type) per block (Arrow group_by
-    — the shuffle carries distinct pairs per block, never raw
-    events), ONE user-hash co-shuffle, whole-bucket kernel
-    re-distincts, sorts, and expands each user's ≤ |types| basket
-    into unordered pairs with a vectorized segment walk; final tiny
-    (type_a, type_b) groupby sums supports.
-    """
-    from itertools import combinations
-
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
-
-    def _distinct(batch: pa.Table) -> pa.Table:
-        g = batch.select([user_col, type_col]).group_by(
-            [user_col, type_col]).aggregate([])
-        from ..functions.hashing import bucket_ids
-
-        return g.append_column("_kbucket", pa.array(
-            bucket_ids(g.column(user_col), n_buckets), pa.int64()))
-
-    def _pairs(group: pa.Table) -> pa.Table:
-        empty = pa.table({
-            "type_a": pa.array([], pa.string()),
-            "type_b": pa.array([], pa.string()),
-            "n_users": pa.array([], pa.int64()),
-        })
-        if group.num_rows == 0:
-            return empty
-        g = group.select([user_col, type_col]).group_by(
-            [user_col, type_col]).aggregate([])
-        g = g.sort_by([(user_col, "ascending"),
-                       (type_col, "ascending")])
-        users = g.column(user_col).combine_chunks().to_numpy()
-        types = g.column(type_col).to_pylist()
-        pa_, pb_ = [], []
-        i = 0
-        while i < len(users):
-            j = i
-            while j < len(users) and users[j] == users[i]:
-                j += 1
-            for a, b in combinations(types[i:j], 2):
-                pa_.append(a)
-                pb_.append(b)
-            i = j
-        t = pa.table({"type_a": pa.array(pa_, pa.string()),
-                      "type_b": pa.array(pb_, pa.string())})
-        c = t.group_by(["type_a", "type_b"]).aggregate(
-            [([], "count_all")])
-        return pa.table({
-            "type_a": c.column("type_a"),
-            "type_b": c.column("type_b"),
-            "n_users": pc.cast(c.column("count_all"), pa.int64()),
-        })
-
-    return ds.select_columns([user_col, type_col]).map_batches(
-        _distinct, batch_format="pyarrow"
-    ).groupby("_kbucket", num_partitions=n_buckets).map_groups(
-        _pairs, batch_format="pyarrow"
-    ).groupby(["type_a", "type_b"]).aggregate(
-        Sum("n_users", alias_name="n_users"))
-
-
-def golden_record(ds, key_col: str, order_cols: List[str],
-                  field_cols: List[str], n_buckets: int = 64):
-    """GOLDEN-RECORD survivorship (MDM consolidation): collapse every
-    key's event/CDC history into ONE row carrying, per field, the
-    value of the LATEST row where that field is non-null — fields
-    survive independently, which plain ``arg_max`` per key cannot
-    express (the latest row may have a null phone but an older row
-    the real one). Also emits ``n_rows`` and the first/last value of
-    ``order_cols[0]`` per key.
-
-    Scale shape: one crc32(key)-bucket co-shuffle; inside each
-    whole-bucket UDF the rows sort ONCE by (key asc, order desc) and
-    every statistic falls out of boundary masks + ``reduceat`` —
-    never a per-key UDF. Ordering NULLs in ``order_cols`` are not
-    supported (CDC streams timestamp every change).
-    """
-    import pyarrow.compute as pc
-
-    from ..functions.hashing import bucket_ids
-
-    ts_col = order_cols[0]
-
-    def _tag(batch: pa.Table) -> pa.Table:
-        sub = batch.select([key_col] + order_cols + field_cols)
-        return sub.append_column("_gbucket", pa.array(
-            bucket_ids(sub.column(key_col), n_buckets), pa.int64()))
-
-    def _empty_out(schema_src: pa.Table) -> pa.Table:
-        cols = {key_col: schema_src.column(key_col).slice(0, 0),
-                "n_rows": pa.array([], pa.int64()),
-                f"first_{ts_col}": schema_src.column(ts_col).slice(0, 0),
-                f"last_{ts_col}": schema_src.column(ts_col).slice(0, 0)}
-        for f in field_cols:
-            cols[f"last_{f}"] = schema_src.column(f).slice(0, 0)
-        return pa.table(cols)
-
-    def _bucket(group: pa.Table) -> pa.Table:
-        base = group.drop_columns(["_gbucket"])
-        if base.num_rows == 0:
-            return _empty_out(base)
-        g = base.sort_by(
-            [(key_col, "ascending")]
-            + [(c, "descending") for c in order_cols])
-        keys = g.column(key_col).combine_chunks()
-        codes = pc.dictionary_encode(keys).indices.to_numpy(
-            zero_copy_only=False)
-        first = np.ones(len(codes), dtype=bool)
-        first[1:] = codes[1:] != codes[:-1]
-        starts = np.flatnonzero(first)
-        bounds = np.append(starts, len(codes))
-        n_rows = np.diff(bounds)
-        ts = g.column(ts_col).combine_chunks()
-        ts_i = pc.cast(ts, pa.int64()).to_numpy(zero_copy_only=False)
-        # rows are ts-desc within a key: segment head = last, and
-        # reduceat(min) = first
-        last_ts = ts_i[starts]
-        first_ts = np.minimum.reduceat(ts_i, starts)
-        out = {
-            key_col: keys.take(pa.array(starts, pa.int64())),
-            "n_rows": pa.array(n_rows, pa.int64()),
-            f"first_{ts_col}": pa.array(first_ts, pa.int64()).cast(
-                ts.type),
-            f"last_{ts_col}": pa.array(last_ts, pa.int64()).cast(
-                ts.type),
-        }
-        n_keys = len(starts)
-        for f in field_cols:
-            col = g.column(f).combine_chunks()
-            valid = pc.is_valid(col).to_numpy(zero_copy_only=False)
-            iv = np.flatnonzero(valid)
-            seg = np.searchsorted(bounds[:-1], iv, side="right") - 1
-            head = np.ones(len(seg), dtype=bool)
-            head[1:] = seg[1:] != seg[:-1]
-            pick_rows = iv[head]          # latest non-null per key
-            pick_segs = seg[head]
-            take_idx = np.full(n_keys, -1, dtype=np.int64)
-            take_idx[pick_segs] = pick_rows
-            # a NULL take index yields a NULL output row — exactly
-            # the "no non-null version exists" case
-            idx_arr = pa.array(np.maximum(take_idx, 0), pa.int64(),
-                               mask=take_idx < 0)
-            out[f"last_{f}"] = col.take(idx_arr)
-        return pa.table(out)
-
-    return (
-        ds.map_batches(_tag, batch_format="pyarrow")
-        .groupby("_gbucket", num_partitions=n_buckets)
-        .map_groups(_bucket, batch_format="pyarrow")
-    )
 
 
 def rate_bursts(ds, key_col: str = "event_type", ts_col: str = "ts",
@@ -1318,8 +896,8 @@ def rolling_percentile(ds, window_hours: int = 6,
     bit-exact.
 
     A trailing-window percentile does NOT decompose into per-hour
-    partials (same reason as `sliding_distinct`), so the plan is the
-    window-EXPLODE shape:
+    partials (a percentile of percentiles is not the percentile), so
+    the plan is the window-EXPLODE shape:
 
     1. map-side ``(key, hour, bin) → n`` partials per block;
     2. each partial fans out to the ``window_hours`` anchor hours it
@@ -1329,8 +907,7 @@ def rolling_percentile(ds, window_hours: int = 6,
        partials, cumsums bins per (key, anchor) segment, and picks
        the smallest bin with ``cum·pct_den ≥ total·pct_num``.
        Anchors where the key had no event in that exact hour are
-       dropped (windows anchor on activity, the `sliding_distinct`
-       contract).
+       dropped (windows anchor on activity).
 
     Output: ``(key, hour, n_window, p95_bin)`` — bin index, lower
     edge = ``bin · bin_width``.
@@ -1468,8 +1045,8 @@ def linear_attribution(ds, window_hours: int = 24,
                        n_buckets: int = 64):
     """Multi-touch LINEAR attribution: every conversion splits its
     value equally across the user's touches in the preceding
-    ``window_hours`` (the adtech budget-allocation operator;
-    `click_attribution` is the last-touch special case). All-integer:
+    ``window_hours`` (the adtech budget-allocation operator; last-
+    touch attribution is the special case). All-integer:
     value in cents, per-touch credit = ``cents // n_touches``
     (trunc-div; the remainder is deliberately unassigned, like every
     integer split here), so sums are order-free and the SQL twin is

@@ -12,8 +12,7 @@ dominate any real crawl). These operators make that first-class:
   block (Arrow ``Table.group_by``), so the global shuffle carries
   (hosts × blocks) partial rows instead of every document — the hot
   host's traffic into the shuffle collapses from its document count
-  to its block count. Same shape as the salted/partial event
-  aggregates (`queries.q_user_activity`).
+  to its block count.
 * :func:`blocklist_filter` — drop documents whose host is on a
   blocklist, as a broadcast ANTI join (`stages/join.broadcast_join`):
   the blocklist ships to the object store ONCE (``ray.put`` inside
@@ -28,10 +27,8 @@ from typing import List, Optional, Union
 import pyarrow as pa
 import pyarrow.compute as pc
 
-# RE2 subset shared by Arrow and DuckDB: scheme://host[:port]/...
-# (named group for Arrow's extract_regex; DuckDB uses group index 1)
+# scheme://host[:port]/... (named group for Arrow's extract_regex)
 HOST_PATTERN = r"^[a-z][a-z0-9+.-]*://(?P<host>[^/:?#]+)"
-HOST_PATTERN_SQL = r"^[a-z][a-z0-9+.-]*://([^/:?#]+)"
 
 
 def url_host_fn(batch: pa.Table, url_col: str = "url",
@@ -139,7 +136,6 @@ _SPLIT_PATTERN = (
     r"^(?P<scheme>[A-Za-z][A-Za-z0-9+.-]*)://"
     r"(?P<host>[^/?#]*)(?P<rest>.*)$"
 )
-SPLIT_PATTERN_SQL = r"^([A-Za-z][A-Za-z0-9+.-]*)://([^/?#]*)(.*)$"
 
 
 # --- link graph --------------------------------------------------------
@@ -641,96 +637,6 @@ def robots_rep_filter(ds, rules: pa.Table, url_col: str = "url",
         return batch.filter(pa.array(mask))
 
     return ds.map_batches(_probe, batch_format="pyarrow")
-
-
-def url_churn(ds, url_col: str = "url", fp_col: str = "fp",
-              ts_col: str = "ts", n_buckets: int = 64):
-    """Per-URL crawl-revisit CHURN: how often a page's content changed
-    across snapshots — the signal behind Common-Crawl-style recrawl
-    scheduling (stable pages get visited less) and freshness scoring.
-
-    Input: one row per (url, snapshot) carrying a content fingerprint
-    and a snapshot timestamp — project those three small columns
-    BEFORE calling so page payloads never shuffle. ONE exchange
-    hash-partitioned by ``bucket_ids(url)`` (never a groupby on the
-    raw url — that is the per-key-UDF trap, see `dedup.dedup_first`);
-    each whole-bucket UDF sorts once by (url, fp) and derives every
-    per-url statistic from vectorized boundary masks + ``reduceat``.
-
-    Output per url: ``n_snapshots``, ``n_versions`` (distinct
-    fingerprints), ``first_ts``/``last_ts`` (int64), and
-    ``change_ratio = round3((n_versions-1)/(n_snapshots-1))``
-    (0.0 for single-snapshot urls).
-    """
-    import numpy as np
-
-    from ..functions.hashing import bucket_ids
-
-    def _bucketize(batch: pa.Table) -> pa.Table:
-        buckets = bucket_ids(batch.column(url_col), n_buckets)
-        return pa.table({
-            url_col: batch.column(url_col),
-            fp_col: batch.column(fp_col),
-            ts_col: pc.cast(batch.column(ts_col), pa.int64()),
-            "_kbucket": pa.array(buckets, pa.int64()),
-        })
-
-    empty = pa.table({
-        url_col: pa.array([], pa.string()),
-        "n_snapshots": pa.array([], pa.int64()),
-        "n_versions": pa.array([], pa.int64()),
-        "first_ts": pa.array([], pa.int64()),
-        "last_ts": pa.array([], pa.int64()),
-        "change_ratio": pa.array([], pa.float64()),
-    })
-
-    def _churn_bucket(group: pa.Table) -> pa.Table:
-        n = group.num_rows
-        if n == 0:
-            return empty
-        g = group.sort_by([(url_col, "ascending"), (fp_col, "ascending")])
-        urls = g.column(url_col).combine_chunks()
-        fps = g.column(fp_col).combine_chunks()
-        new_url = np.empty(n, dtype=bool)
-        new_url[0] = True
-        if n > 1:
-            new_url[1:] = pc.fill_null(pc.not_equal(
-                urls.slice(1, n - 1), urls.slice(0, n - 1)),
-                True).to_numpy(zero_copy_only=False)
-            fp_neq = pc.fill_null(pc.not_equal(
-                fps.slice(1, n - 1), fps.slice(0, n - 1)),
-                True).to_numpy(zero_copy_only=False)
-        new_ver = new_url.copy()
-        if n > 1:
-            new_ver[1:] |= fp_neq
-        starts = np.flatnonzero(new_url)
-        n_snapshots = np.diff(np.append(starts, n)).astype(np.int64)
-        n_versions = np.add.reduceat(
-            new_ver.astype(np.int64), starts)
-        ts = g.column(ts_col).combine_chunks().to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        first_ts = np.minimum.reduceat(ts, starts)
-        last_ts = np.maximum.reduceat(ts, starts)
-        multi = n_snapshots > 1
-        raw = np.where(
-            multi,
-            (n_versions - 1.0) / np.where(multi, n_snapshots - 1.0, 1.0),
-            0.0)
-        ratio = np.floor(raw * 1000.0 + 0.5) / 1000.0
-        return pa.table({
-            url_col: urls.take(pa.array(starts, pa.int64())),
-            "n_snapshots": pa.array(n_snapshots, pa.int64()),
-            "n_versions": pa.array(n_versions, pa.int64()),
-            "first_ts": pa.array(first_ts, pa.int64()),
-            "last_ts": pa.array(last_ts, pa.int64()),
-            "change_ratio": pa.array(ratio, pa.float64()),
-        })
-
-    return (
-        ds.map_batches(_bucketize, batch_format="pyarrow")
-        .groupby("_kbucket", num_partitions=n_buckets)
-        .map_groups(_churn_bucket, batch_format="pyarrow")
-    )
 
 
 _TITLE_RE = re.compile(rb"<title[^>]*>(.*?)</title>", re.I | re.S)

@@ -18,10 +18,7 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 import duckdb
 import pandas as pd
 
-TABLES = [
-    "region", "nation", "customer", "supplier", "part", "orders",
-    "lineitem", "events", "documents", "embeddings",
-]
+TABLES = ["orders", "events", "documents", "embeddings"]
 
 
 def to_pandas(result) -> pd.DataFrame:

@@ -1,6 +1,6 @@
-"""Unit tests for the session-5 curation wave: event transitions,
-dq_audit, DSIR scoring, anchor aggregation, winsorized means, and the
-perceptual image hash."""
+"""Unit tests for curation operators: event transitions, DSIR
+scoring, anchor aggregation, the perceptual image hash, SCD2 intervals
+and the web curation operators."""
 
 import os
 import sys
@@ -58,44 +58,6 @@ class TestEventTransitions:
             ).take_all()
         }
         assert got == {("a", "b"): 1, ("b", "c"): 1}
-
-
-class TestDqAudit:
-    def test_violations_counted(self, ray_session):
-        import ray
-
-        from ocr_pipeline_ray.stages.profile import dq_audit
-
-        docs = pa.table({
-            "doc_id": pa.array([1, 2, 2, 3], pa.int64()),
-            "text": pa.array(["ok", "", None, "abcd"], pa.string()),
-            "n_chars": pa.array([2, 0, 0, 3], pa.int64()),
-        })
-        orders = pa.table({
-            "o_custkey": pa.array([10, 11, 99, None], pa.int64()),
-        })
-        events = pa.table({
-            "value": pa.array([1.0, -2.0, None, -0.5], pa.float64()),
-        })
-        keys = pa.array([10, 11], pa.int64())
-        out = dq_audit(
-            ray.data.from_arrow(docs).repartition(2),
-            ray.data.from_arrow(orders),
-            keys,
-            ray.data.from_arrow(events),
-        )
-        got = dict(zip(out.column("check_name").to_pylist(),
-                       out.column("violations").to_pylist()))
-        assert got == {
-            "documents.dup_doc_id": 1,
-            "documents.empty_text": 1,
-            # row 3 (NULL text, n_chars=0): coalesce(len,0)=0 == n_chars
-            # -> not a mismatch; row 4: len 4 != 3 -> mismatch
-            "documents.n_chars_mismatch": 1,
-            "documents.null_text": 1,
-            "events.negative_value": 2,
-            "orders.orphan_custkey": 1,
-        }
 
 
 class TestDsir:
@@ -176,39 +138,6 @@ class TestAnchorStats:
         assert row["top_anchor"] == "alpha"
 
 
-class TestWinsorized:
-    def test_clipping_matches_duckdb(self, ray_session):
-        import duckdb
-        import ray
-
-        from ocr_pipeline_ray.stages.stats import winsorized_group_mean
-
-        rng = np.random.RandomState(7)
-        keys = rng.choice(["a", "b", "c"], size=300).tolist()
-        cents = rng.randint(-500, 50_000, size=300).astype(np.int64)
-        tbl = pa.table({
-            "k": pa.array(keys, pa.string()),
-            "cents": pa.array(cents, pa.int64()),
-        })
-        got = winsorized_group_mean(
-            ray.data.from_arrow(tbl).repartition(4), "k", "cents"
-        ).to_pandas().sort_values("k").reset_index(drop=True)
-        con = duckdb.connect()
-        con.register("t", tbl)
-        want = con.sql(
-            "WITH b AS (SELECT percentile_disc(0.05) WITHIN GROUP "
-            "(ORDER BY cents) AS lo, percentile_disc(0.95) WITHIN GROUP "
-            "(ORDER BY cents) AS hi FROM t) "
-            "SELECT k, CAST(count(*) AS BIGINT) AS n, "
-            "floor(sum(least(greatest(cents, lo), hi)) / count(*) "
-            "/ 100.0 * 1000.0 + 0.5) / 1000.0 AS mean_winsorized "
-            "FROM t CROSS JOIN b GROUP BY k, lo, hi ORDER BY k"
-        ).df()
-        assert got["n"].tolist() == want["n"].tolist()
-        assert got["mean_winsorized"].tolist() == \
-            want["mean_winsorized"].tolist()
-
-
 class TestImageDhash:
     def test_dhash_bits(self):
         from ocr_pipeline_ray.stages.multimodal import dhash64
@@ -276,23 +205,6 @@ class TestScd2:
                 (1, "a", 0.0, 2.0), (1, "a", 3.0, None),
                 (1, "b", 2.0, 3.0), (2, "x", 0.0, None),
             ], layout
-
-
-class TestGroupedMode:
-    def test_mode_and_tie(self, ray_session):
-        import ray
-
-        from ocr_pipeline_ray.stages.stats import grouped_mode
-
-        tbl = pa.table({
-            "k": pa.array([1, 1, 1, 2, 2], pa.int64()),
-            "v": pa.array(["b", "b", "a", "z", "a"], pa.string()),
-        })
-        got = {r["k"]: (r["mode_value"], r["n"]) for r in grouped_mode(
-            ray.data.from_arrow(tbl).repartition(3), "k", "v",
-            n_buckets=4).take_all()}
-        # key 1: 'b' wins by count; key 2: tie broken lexicographically
-        assert got == {1: ("b", 2), 2: ("a", 1)}
 
 
 class TestRobotsFilter:
@@ -477,25 +389,6 @@ class TestPolyglotHosts:
                    n_buckets=4).take_all()}
         # b (one lang) and c (one doc) are not polyglot
         assert got == {"a": (3, 2, "en")}
-
-
-class TestEventTypeAffinity:
-    def test_pair_supports(self, ray_session):
-        import ray
-
-        from ocr_pipeline_ray.stages.temporal import event_type_affinity
-
-        tbl = pa.table({
-            "user_id": pa.array([1, 1, 1, 2, 2, 3], pa.int64()),
-            "event_type": pa.array(["x", "y", "x", "x", "y", "z"],
-                                   pa.string()),
-        })
-        got = {(r["type_a"], r["type_b"]): r["n_users"]
-               for r in event_type_affinity(
-                   ray.data.from_arrow(tbl).repartition(3),
-                   n_buckets=4).take_all()}
-        # duplicate (1, x) collapses; user 3 has no pair
-        assert got == {("x", "y"): 2}
 
 
 def test_bench_queries_exist():

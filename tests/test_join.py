@@ -89,45 +89,6 @@ class TestJoins:
         assert sorted(map(key, a)) == sorted(map(key, b))
         assert len(a) == sum(1 for i in range(40) if i % 7 < 5)
 
-    def test_asof_join_semantics(self, ray_session):
-        """At-or-before INCLUSIVE bound; latest wins; per-key
-        isolation; no-prior match → null (left) / dropped (inner)."""
-        import numpy as np
-        import ray.data
-
-        from ocr_pipeline_ray.stages.join import asof_join
-
-        def _ts(vals):
-            return pa.array(np.array(vals, dtype="datetime64[us]"),
-                            pa.timestamp("us"))
-
-        left = pa.table({
-            "k": pa.array([1, 1, 1, 2], pa.int64()),
-            "ts": _ts([100, 50, 5, 100]),
-            "lv": pa.array(["a", "b", "c", "d"], pa.string()),
-        })
-        right = pa.table({
-            "k": pa.array([1, 1, 2], pa.int64()),
-            "ts": _ts([10, 50, 999]),
-            "rv": pa.array(["r10", "r50", "r999"], pa.string()),
-        })
-        for layout in (1, 3):
-            lds = ray.data.from_arrow(left).repartition(layout)
-            rds = ray.data.from_arrow(right)
-            rows = asof_join(lds, rds, on="k", ts_col="ts",
-                             n_buckets=4).take_all()
-            got = {r["lv"]: r["rv"] for r in rows}
-            assert got == {
-                "a": "r50",   # latest of {10, 50} <= 100
-                "b": "r50",   # ts == right ts: INCLUSIVE bound
-                "c": None,    # no right row at-or-before 5
-                "d": None,    # k=2's only view is later
-            }
-        inner = asof_join(ray.data.from_arrow(left),
-                          ray.data.from_arrow(right), on="k",
-                          ts_col="ts", how="inner").take_all()
-        assert {r["lv"] for r in inner} == {"a", "b"}
-
     def test_null_keys_match_nothing(self, ray_session):
         """SQL join semantics for NULL keys in BOTH strategies:
         never matched (not even to a null-keyed right row), dropped
@@ -247,89 +208,6 @@ class TestJoins:
         assert {(r["k"], r["w"]) for r in rows} == {
             (1, 10.0), (2, 20.0), (3, 30.0)
         }
-
-    def test_asof_join_randomized_vs_reference(self, ray_session):
-        """Vectorized run-loop probe == a naive per-row reference on
-        randomized streams (duplicate timestamps, shared and disjoint
-        keys, multiple block layouts)."""
-        import bisect
-        import random
-
-        import numpy as np
-        import ray.data
-
-        from ocr_pipeline_ray.stages.join import asof_join
-
-        rng = random.Random(23)
-        lrows = [(i, rng.randint(0, 6), rng.randint(0, 50))
-                 for i in range(120)]
-        rrows = [(100 + i, rng.randint(0, 8), rng.randint(0, 50))
-                 for i in range(80)]
-
-        def _ts(vals):
-            return pa.array(np.array(vals, dtype="datetime64[us]"),
-                            pa.timestamp("us"))
-
-        left = pa.table({
-            "lid": pa.array([r[0] for r in lrows], pa.int64()),
-            "k": pa.array([r[1] for r in lrows], pa.int64()),
-            "ts": _ts([r[2] for r in lrows]),
-        })
-        right = pa.table({
-            "k": pa.array([r[1] for r in rrows], pa.int64()),
-            "ts": _ts([r[2] for r in rrows]),
-            "rid": pa.array([r[0] for r in rrows], pa.int64()),
-        })
-        # reference: per key, right rows sorted by (ts, input order);
-        # latest ts <= left ts, last input row winning ties
-        by_key = {}
-        for pos, (rid, k, ts) in enumerate(rrows):
-            by_key.setdefault(k, []).append((ts, pos, rid))
-        for k in by_key:
-            by_key[k].sort(key=lambda x: (x[0], x[1]))
-        expected = {}
-        for lid, k, ts in lrows:
-            hit = None
-            entries = by_key.get(k, [])
-            i = bisect.bisect_right([e[0] for e in entries], ts)
-            if i > 0:
-                hit = entries[i - 1][2]
-            expected[lid] = hit
-        for layout in (1, 4):
-            got = {
-                r["lid"]: r["rid"]
-                for r in asof_join(
-                    ray.data.from_arrow(left).repartition(layout),
-                    ray.data.from_arrow(right).repartition(2),
-                    on="k", ts_col="ts", n_buckets=4,
-                ).take_all()
-            }
-            assert got == expected
-
-    def test_asof_join_null_keys(self, ray_session):
-        import numpy as np
-        import ray.data
-
-        from ocr_pipeline_ray.stages.join import asof_join
-
-        def _ts(vals):
-            return pa.array(np.array(vals, dtype="datetime64[us]"),
-                            pa.timestamp("us"))
-
-        left = pa.table({
-            "k": pa.array([1, None], pa.int64()),
-            "ts": _ts([100, 100]),
-            "lv": pa.array(["a", "b"], pa.string()),
-        })
-        right = pa.table({
-            "k": pa.array([1, None], pa.int64()),
-            "ts": _ts([50, 50]),
-            "rv": pa.array(["r", "rnull"], pa.string()),
-        })
-        rows = asof_join(ray.data.from_arrow(left),
-                         ray.data.from_arrow(right), on="k",
-                         ts_col="ts").take_all()
-        assert {r["lv"]: r["rv"] for r in rows} == {"a": "r", "b": None}
 
     def test_right_cols_projection(self, ray_session):
         import ray.data
@@ -655,68 +533,3 @@ class TestExpandJoin:
         nulls = [t for t in got if t[0] is None]
         assert sorted(nulls, key=str) == [
             (None, "c", None), (None, None, "rn")]
-
-
-class TestIntervalOverlapJoin:
-    def _sides(self):
-        left = pa.table({
-            "l_id": pa.array([1, 2, 3], pa.int64()),
-            "lo": pa.array([0, 100, 50], pa.int64()),
-            "hi": pa.array([10, 200, 60], pa.int64()),
-        })
-        right = pa.table({
-            "r_id": pa.array([7, 8, 9], pa.int64()),
-            "lo": pa.array([5, 300, 0], pa.int64()),
-            "hi": pa.array([55, 400, 500], pa.int64()),
-        })
-        return left, right
-
-    def _expect(self):
-        # brute force: pairs with lo<=hi both ways + overlap length
-        return sorted([
-            (1, 7, 6), (1, 9, 11), (2, 9, 101),
-            (3, 7, 6), (3, 9, 11),
-        ])
-
-    def test_pairs_and_overlap(self, ray_session):
-        import ray
-        from ocr_pipeline_ray.stages.join import interval_overlap_join
-
-        l, r = self._sides()
-        out = interval_overlap_join(
-            ray.data.from_arrow(l).repartition(2),
-            ray.data.from_arrow(r).repartition(3), grid=16,
-        ).to_pandas()
-        got = sorted(map(tuple, out[["l_id", "r_id", "overlap"]]
-                         .itertuples(index=False)))
-        assert got == self._expect()
-
-    def test_grid_and_layout_invariant(self, ray_session):
-        import ray
-        from ocr_pipeline_ray.stages.join import interval_overlap_join
-
-        l, r = self._sides()
-        for grid in (1, 7, 64, 1000):
-            for parts in (1, 4):
-                out = interval_overlap_join(
-                    ray.data.from_arrow(l).repartition(parts),
-                    ray.data.from_arrow(r).repartition(parts),
-                    grid=grid, n_buckets=3, chunk=2,
-                ).to_pandas()
-                got = sorted(map(tuple, out[["l_id", "r_id", "overlap"]]
-                                 .itertuples(index=False)))
-                assert got == self._expect(), (grid, parts)
-
-    def test_inverted_bounds_dropped(self, ray_session):
-        import ray
-        from ocr_pipeline_ray.stages.join import interval_overlap_join
-
-        l = pa.table({"l_id": pa.array([1], pa.int64()),
-                      "lo": pa.array([10], pa.int64()),
-                      "hi": pa.array([5], pa.int64())})
-        r = pa.table({"r_id": pa.array([2], pa.int64()),
-                      "lo": pa.array([0], pa.int64()),
-                      "hi": pa.array([100], pa.int64())})
-        out = interval_overlap_join(
-            ray.data.from_arrow(l), ray.data.from_arrow(r)).to_pandas()
-        assert len(out) == 0

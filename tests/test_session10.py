@@ -1,4 +1,5 @@
-"""Session-10 operators: rate bursts, calibration, script mix."""
+"""Rate bursts, calibration, script mix, adaptive join and other
+operators."""
 
 import numpy as np
 import pyarrow as pa

@@ -1,4 +1,5 @@
-"""Session-11 operators: pricing summary, weighted SSSP."""
+"""Watermark windows, Bloom join, rolling percentile, linear
+attribution, weighted SSSP, canonical urls and other operators."""
 
 import numpy as np
 import pyarrow as pa
@@ -92,54 +93,6 @@ class TestSsspInt:
 
         with pytest.raises(ValueError):
             sssp_int(self._edge_ds(), seeds=[], rounds=2)
-
-
-class TestPricingSummary:
-    def test_matches_duckdb(self, ray_session, tmp_path):
-        """q_pricing_summary over a miniature lineitem vs its oracle."""
-        import duckdb
-
-        from ocr_pipeline_ray.queries import ORACLE_SQL, QUERIES
-
-        rng = np.random.RandomState(3)
-        n = 500
-        base = np.datetime64("1999-01-01", "us")
-        day = np.timedelta64(86400, "s").astype("timedelta64[us]")
-        tbl = pa.table({
-            "l_orderkey": pa.array(np.arange(n), pa.int64()),
-            "l_partkey": pa.array(np.zeros(n), pa.int64()),
-            "l_suppkey": pa.array(np.zeros(n), pa.int64()),
-            "l_linenumber": pa.array(np.ones(n), pa.int32()),
-            "l_quantity": pa.array(
-                rng.randint(1, 51, n).astype(float)),
-            "l_extendedprice": pa.array(
-                np.round(rng.uniform(900, 10000, n), 2)),
-            "l_discount": pa.array(rng.randint(0, 11, n) / 100.0),
-            "l_tax": pa.array(rng.randint(0, 9, n) / 100.0),
-            "l_returnflag": pa.array(
-                rng.choice(["A", "N", "R"], n)),
-            "l_linestatus": pa.array(rng.choice(["F", "O"], n)),
-            "l_shipdate": pa.array(
-                [base + int(d) * day
-                 for d in rng.randint(0, 1200, n)],
-                pa.timestamp("us")),
-        })
-        import pyarrow.parquet as pq
-
-        pq.write_table(tbl, tmp_path / "lineitem.parquet")
-        got = QUERIES["pricing_summary"](str(tmp_path)).to_pandas()
-
-        con = duckdb.connect()
-        con.sql(f"CREATE VIEW lineitem AS SELECT * FROM "
-                f"read_parquet('{tmp_path}/lineitem.parquet')")
-        exp = con.sql(ORACLE_SQL["pricing_summary"]).df()
-        got = got.sort_values(
-            ["l_returnflag", "l_linestatus"]).reset_index(drop=True)
-        exp = exp.sort_values(
-            ["l_returnflag", "l_linestatus"]).reset_index(drop=True)
-        assert got.columns.tolist() == exp.columns.tolist()
-        for c in got.columns:
-            assert (got[c] == exp[c]).all(), c
 
 
 class TestCanonicalUrl:

@@ -1,8 +1,8 @@
-"""Session-9 operators: stitching, skyline, grouped trend, mutual-NN."""
+"""Stitching, skyline, mutual-NN, rendezvous sharding and other
+operators."""
 
 import numpy as np
 import pyarrow as pa
-import pytest
 
 
 def _ds(tbl):
@@ -78,44 +78,6 @@ class TestSkyline:
         assert all((r.x, r.y) in brute for r in out.itertuples())
 
 
-class TestGroupedCountDistinct:
-    def test_matches_pandas(self, ray_session):
-        from ocr_pipeline_ray.stages.stats import (
-            grouped_count_and_distinct,
-        )
-
-        tbl = pa.table({
-            "k": pa.array([1, 1, 1, 2, 2, 3], pa.int64()),
-            "v": pa.array(["a", "a", "b", "c", "c", "a"]),
-        })
-        out = grouped_count_and_distinct(
-            _ds(tbl).repartition(3), "k", "v"
-        ).to_pandas().sort_values("k").reset_index(drop=True)
-        assert out["n_rows"].tolist() == [3, 2, 1]
-        assert out["n_distinct"].tolist() == [2, 1, 1]
-
-
-class TestGroupedOls:
-    def test_exact_line_and_degenerate_keys(self, ray_session):
-        from ocr_pipeline_ray.stages.stats import grouped_ols
-
-        # key a: exact line y = 3x + 2; key b: zero x-variance;
-        # key c: single point
-        tbl = pa.table({
-            "k": pa.array(["a", "a", "a", "b", "b", "c"]),
-            "x": pa.array([0, 1, 2, 5, 5, 7], pa.int64()),
-            "y": pa.array([2.0, 5.0, 8.0, 1.0, 3.0, 9.0]),
-        })
-        out = grouped_ols(_ds(tbl).repartition(3), "k", "x", "y")
-        df = out.to_pandas().set_index("k")
-        assert abs(df.loc["a", "slope"] - 3.0) < 1e-12
-        assert abs(df.loc["a", "intercept"] - 2.0) < 1e-12
-        assert df.loc["b", "slope"] is None or np.isnan(
-            df.loc["b", "slope"])
-        assert df.loc["c", "slope"] is None or np.isnan(
-            df.loc["c", "slope"])
-
-
 class TestMutualNN:
     def _emb(self, ids, vecs):
         return pa.table({
@@ -155,34 +117,6 @@ class TestMutualNN:
             got[parts] = sorted(map(tuple, out.values.tolist()))
         assert got[1] == got[5]
         assert len(got[1]) > 0
-
-
-class TestGoldenRecord:
-    def test_fields_survive_independently(self, ray_session):
-        from ocr_pipeline_ray.stages.temporal import golden_record
-
-        tbl = pa.table({
-            "k": pa.array([1, 1, 1, 2], pa.int64()),
-            "ts": pa.array([10, 20, 30, 5], pa.int64()),
-            "seq": pa.array([0, 1, 2, 3], pa.int64()),
-            "a": pa.array(["x", None, None, None], pa.string()),
-            "b": pa.array([1.0, 2.0, None, None], pa.float64()),
-        })
-        out = golden_record(
-            _ds(tbl).repartition(2), "k", ["ts", "seq"], ["a", "b"]
-        ).to_pandas().set_index("k").sort_index()
-        # latest non-null a for key 1 is the OLDEST row's "x";
-        # latest non-null b is the middle row's 2.0
-        assert out.loc[1, "last_a"] == "x"
-        assert out.loc[1, "last_b"] == 2.0
-        assert out.loc[1, "n_rows"] == 3
-        assert out.loc[1, "first_ts"] == 10
-        assert out.loc[1, "last_ts"] == 30
-        # key 2 has no non-null fields at all
-        assert out.loc[2, "last_a"] is None or (
-            isinstance(out.loc[2, "last_a"], float)
-            and np.isnan(out.loc[2, "last_a"]))
-        assert np.isnan(out.loc[2, "last_b"])
 
 
 class TestRendezvous:

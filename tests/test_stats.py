@@ -727,40 +727,6 @@ class TestLinearScore:
         assert got[2][0] == 3  # NULL text = zero vector = bias
 
 
-class TestGroupedConcat:
-    @pytest.mark.parametrize("layout", [1, 4])
-    def test_differential_vs_duckdb(self, ray_session, layout):
-        import random
-
-        import duckdb
-        import ray.data
-
-        from ocr_pipeline_ray.stages.stats import grouped_concat
-
-        rng = random.Random(13)
-        n = 250
-        tbl = pa.table({
-            "k": pa.array(
-                [None if rng.random() < 0.1 else f"g{rng.randrange(5)}"
-                 for _ in range(n)], pa.string()),
-            "v": pa.array(
-                [None if rng.random() < 0.15 else f"v{rng.randrange(9)}"
-                 for _ in range(n)], pa.string()),
-            "o": pa.array(range(n), pa.int64()),
-        })
-        got = sorted(((r["k"], r["agg"]) for r in grouped_concat(
-            ray.data.from_arrow(tbl).repartition(layout),
-            "k", "v", ["o"], sep="|", n_buckets=5).take_all()),
-            key=repr)
-        con = duckdb.connect()
-        con.register("t", tbl)
-        want = sorted((tuple(r) for r in con.execute(
-            "SELECT k, string_agg(v, '|' ORDER BY o) FROM t GROUP BY k"
-        ).fetchall()), key=repr)
-        con.close()
-        assert got == want
-
-
 class TestTableChecksum:
     def test_order_and_layout_invariant_change_sensitive(
             self, ray_session):
@@ -815,64 +781,6 @@ class TestKeySkewStats:
         assert got["max_count"] == 100
         assert got["p50_count"] == 10
         assert got["top_share_ppm"] == 100 * 1_000_000 // 190
-
-
-class TestJoinSize:
-    def test_exact_matches_sql_and_layouts(self, ray_session):
-        import duckdb
-        import numpy as np
-        import ray.data
-
-        from ocr_pipeline_ray.stages.stats import join_size_exact
-
-        rng = np.random.default_rng(3)
-        a = pa.table({"k": pa.array(
-            rng.integers(0, 30, 500), pa.int64())})
-        b = pa.table({"k": pa.array(
-            np.concatenate([rng.integers(0, 30, 200),
-                            np.array([999])]), pa.int64())})
-        want = duckdb.sql(
-            "SELECT count(*) FROM a JOIN b ON a.k = b.k").fetchone()[0]
-        for parts in (1, 5):
-            got = join_size_exact(
-                ray.data.from_arrow(a).repartition(parts),
-                ray.data.from_arrow(b).repartition(2),
-                "k", "k", n_buckets=8)
-            assert got.column("n_join_rows").to_pylist() == [want]
-
-    def test_cms_inner_product_upper_bound(self, ray_session):
-        import numpy as np
-        import ray.data
-
-        from ocr_pipeline_ray.stages.stats import (cms_inner_product,
-                                                   cms_sketch,
-                                                   join_size_exact)
-
-        rng = np.random.default_rng(4)
-        a = pa.table({"k": pa.array(rng.integers(0, 50, 800),
-                                    pa.int64())})
-        b = pa.table({"k": pa.array(rng.integers(0, 50, 300),
-                                    pa.int64())})
-
-        def _txt(t):
-            return pa.table({"text": pa.array(
-                [str(x) for x in t.column("k").to_pylist()],
-                pa.string())})
-
-        def _collect(ds):
-            return pa.concat_tables(
-                [x for x in ds.iter_batches(batch_format="pyarrow",
-                                            batch_size=None)
-                 if x.num_rows])
-
-        ska = _collect(cms_sketch(ray.data.from_arrow(_txt(a))))
-        skb = _collect(cms_sketch(ray.data.from_arrow(_txt(b))))
-        est = cms_inner_product(ska, skb)
-        exact = join_size_exact(
-            ray.data.from_arrow(a), ray.data.from_arrow(b),
-            "k", "k").column("n_join_rows").to_pylist()[0]
-        assert est >= exact          # overestimate-only
-        assert est <= exact * 2      # tight at this width
 
 
 class TestGroupedCorr:

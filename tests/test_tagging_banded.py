@@ -194,38 +194,6 @@ class TestPrefixDup:
         assert len(rows) == 1 and rows[0]["n_docs"] == 2
 
 
-class TestAdaptiveSaltedAgg:
-    def _events(self, rows):
-        import ray.data
-
-        return ray.data.from_arrow(pa.table({
-            "k": pa.array([r[0] for r in rows], pa.string()),
-            "uid": pa.array([r[1] for r in rows], pa.int64()),
-            "v": pa.array([r[2] for r in rows], pa.float64()),
-        }))
-
-    def test_matches_plain_groupby(self, ray_session):
-        from ocr_pipeline_ray.stages.stats import adaptive_salted_agg
-
-        rows = [("hot", i, float(i % 7)) for i in range(400)]
-        rows += [("cold", i, 1.0) for i in range(5)]
-        out = {r["k"]: r for r in adaptive_salted_agg(
-            self._events(rows), "k", "v", "uid",
-            sample_mod=2, target_per_reducer=50).take_all()}
-        assert out["hot"]["n_events"] == 400
-        assert out["hot"]["sum_value"] == sum(i % 7 for i in range(400))
-        assert out["cold"]["n_events"] == 5 and out["cold"]["sum_value"] == 5.0
-
-    def test_no_hot_keys_single_salt(self, ray_session):
-        from ocr_pipeline_ray.stages.stats import adaptive_salted_agg
-
-        rows = [("a", i, 2.0) for i in range(10)]
-        out = adaptive_salted_agg(
-            self._events(rows), "k", "v", "uid",
-            sample_mod=2, target_per_reducer=10_000).take_all()
-        assert out == [{"k": "a", "n_events": 10, "sum_value": 20.0}]
-
-
 class TestSparseCosinePairs:
     def test_repetition_sensitivity_vs_jaccard(self, ray_session):
         from ocr_pipeline_ray.stages.dedup import sparse_cosine_pairs

@@ -1,4 +1,5 @@
-"""Temporal operators: sessionization + sliding windows."""
+"""Temporal operators: sessionization, running sums, interval and
+funnel windows, last-observation-carried-forward fill."""
 
 import numpy as np
 import pyarrow as pa
@@ -63,35 +64,6 @@ class TestSessionize:
         got = sessionize(ray.data.from_arrow(_events(rows))).take_all()
         assert len(got) == 1
         assert got[0]["n_events"] == 2 and got[0]["sum_value"] == 3.0
-
-
-class TestSlidingWindow:
-    def test_missing_hours_weigh_zero(self, ray_session):
-        """RANGE semantics: a 3-hour trailing window over hours
-        0, 1, 5 — hour 5's window covers only itself (hours 3-5)."""
-        import ray.data
-
-        from ocr_pipeline_ray.stages.temporal import sliding_window_agg
-
-        rows = [
-            (0, 10 * MIN, 1, "x", 1.0),
-            (1, 1 * HOUR + 10 * MIN, 1, "x", 2.0),
-            (2, 1 * HOUR + 20 * MIN, 1, "x", 4.0),
-            (3, 5 * HOUR, 1, "x", 8.0),
-            (4, 10 * MIN, 1, "y", 16.0),
-        ]
-        ds = ray.data.from_arrow(_events(rows))
-        got = {
-            (r["event_type"], r["hour"].hour): (r["n_events_w"],
-                                                r["sum_value_w"])
-            for r in sliding_window_agg(ds, window_hours=3).take_all()
-        }
-        assert got == {
-            ("x", 0): (1, 1.0),
-            ("x", 1): (3, 7.0),   # hours 0+1 in range
-            ("x", 5): (1, 8.0),   # hours 3-5: only hour 5 present
-            ("y", 0): (1, 16.0),  # keys are windowed independently
-        }
 
 
 class TestRunningSum:
@@ -164,29 +136,6 @@ class TestRunningSum:
         ).take_all()
         got = {r["o"]: r["running"] for r in out}
         assert got == expect
-
-
-class TestEventGaps:
-    def test_gaps_per_user(self, ray_session):
-        import pyarrow as pa
-        import ray.data
-
-        from ocr_pipeline_ray.stages.temporal import event_gaps
-
-        us = pa.timestamp("us")
-        tbl = pa.table({
-            "user_id": pa.array([1, 1, 1, 2, 3, 3], pa.int64()),
-            "ts": pa.array([0, 5_000_000, 5_000_000, 9, 100, 40],
-                           us),
-            "event_id": pa.array([10, 12, 11, 1, 2, 3], pa.int64()),
-        })
-        got = {r["user_id"]: (r["n_gaps"], r["max_gap_us"],
-                              r["total_gap_us"])
-               for r in event_gaps(ray.data.from_arrow(tbl),
-                                   n_buckets=4).take_all()}
-        # user 1: order by (ts, event_id) -> gaps 5_000_000 then 0
-        # user 2: single event -> absent; user 3: 40 -> 100 gap 60
-        assert got == {1: (2, 5_000_000, 5_000_000), 3: (1, 60, 60)}
 
 
 class TestPeakConcurrency:
@@ -402,58 +351,6 @@ class TestFunnelCounts:
         got = funnel_counts(ray.data.from_arrow(tbl).repartition(5),
                             ["A", "B", "C"], n_buckets=8)
         assert got.column("n_users").to_pylist() == list(want)
-
-
-class TestSlidingDistinct:
-    def test_distinct_not_sum(self, ray_session):
-        import ray.data
-
-        from ocr_pipeline_ray.stages.temporal import sliding_distinct
-
-        rows = [
-            # user 1 in hours 0 and 1: window at hour 1 must count
-            # them ONCE (sum-of-hourly-distinct would say 2)
-            (0, 0, 1, "x", 0.0), (1, 1 * HOUR, 1, "x", 0.0),
-            (2, 1 * HOUR, 2, "x", 0.0),
-            # hour 5: outside hour-1's window; fresh anchor
-            (3, 5 * HOUR, 1, "x", 0.0),
-            (4, 0, 9, "y", 0.0),
-        ]
-        ds = ray.data.from_arrow(_events(rows)).repartition(3)
-        got = {(r["event_type"], r["hour"].hour): r["n_users_w"]
-               for r in sliding_distinct(
-                   ds, window_hours=3, n_buckets=4).take_all()}
-        assert got == {("x", 0): 1, ("x", 1): 2, ("x", 5): 1,
-                       ("y", 0): 1}
-
-    def test_vs_duckdb(self, ray_session):
-        import duckdb
-        import ray.data
-
-        from ocr_pipeline_ray.stages.temporal import sliding_distinct
-
-        rng = np.random.default_rng(9)
-        n = 2500
-        rows = [(i, int(rng.integers(0, 12)) * HOUR
-                 + int(rng.integers(0, 60)) * MIN,
-                 int(rng.integers(0, 25)),
-                 ["x", "y"][int(rng.integers(0, 2))], 0.0)
-                for i in range(n)]
-        tbl = _events(rows)
-        want = duckdb.sql(
-            "WITH p AS (SELECT DISTINCT event_type AS k, "
-            "date_trunc('hour', ts) AS h, user_id AS u FROM tbl), "
-            "anchors AS (SELECT DISTINCT k, h FROM p) "
-            "SELECT a.k, a.h, count(DISTINCT p.u) FROM anchors a "
-            "JOIN p ON p.k = a.k AND p.h BETWEEN "
-            "a.h - INTERVAL 2 HOUR AND a.h GROUP BY a.k, a.h "
-            "ORDER BY a.k, a.h").fetchall()
-        got = sorted(
-            (r["event_type"], r["hour"], r["n_users_w"])
-            for r in sliding_distinct(
-                ray.data.from_arrow(tbl).repartition(4),
-                window_hours=3, n_buckets=8).take_all())
-        assert got == [(k, h, int(c)) for k, h, c in want]
 
 
 class TestFunnelWindowed:

@@ -211,46 +211,6 @@ class TestRobotsRepFilter:
             "http://h.com/a/1", "http://h.com/a/pub/x/1"])
 
 
-class TestUrlChurn:
-    def _pages(self):
-        # 3 urls: u0 never changes (3 visits), u1 has 2 versions over
-        # 4 visits, u2 single visit
-        return pa.table({
-            "url": pa.array(["u0", "u0", "u0",
-                             "u1", "u1", "u1", "u1", "u2"]),
-            "fp": pa.array([7, 7, 7, 1, 2, 1, 2, 9], pa.int64()),
-            "ts": pa.array([10, 20, 30, 1, 2, 3, 4, 5], pa.int64()),
-        })
-
-    def test_churn_stats(self, ray_session):
-        import ray
-        from ocr_pipeline_ray.stages.web import url_churn
-
-        out = url_churn(
-            ray.data.from_arrow(self._pages()).repartition(5)
-        ).to_pandas().sort_values("url").reset_index(drop=True)
-        assert out["n_snapshots"].tolist() == [3, 4, 1]
-        assert out["n_versions"].tolist() == [1, 2, 1]
-        assert out["first_ts"].tolist() == [10, 1, 5]
-        assert out["last_ts"].tolist() == [30, 4, 5]
-        assert out["change_ratio"].tolist() == [0.0, 0.333, 0.0]
-
-    def test_layout_independent(self, ray_session):
-        import ray
-        from ocr_pipeline_ray.stages.web import url_churn
-
-        ref = None
-        for parts in (1, 3, 8):
-            ds = ray.data.from_arrow(self._pages()).repartition(parts)
-            got = url_churn(ds, n_buckets=4).to_pandas().sort_values(
-                "url").reset_index(drop=True)
-            if ref is None:
-                ref = got
-            else:
-                import pandas.testing as pdt
-                pdt.assert_frame_equal(ref, got)
-
-
 class TestMetaExtract:
     def test_fields_orders_entities_missing(self):
         from ocr_pipeline_ray.stages.web import extract_meta
