@@ -7,6 +7,11 @@ similarity / text-analysis / web / storage extensions);
 ``oracle_sql()`` gives the DuckDB twin for each of the 201
 SQL-expressible ones.
 
+The registry is being cut down to a keep-list, written out in the
+``ocr_pipeline_ray.queries`` docstring: the ``_extraction`` queries
+that pin a SURVEY §2 row, plus the queries that pin the operators of
+the CLI tails (``--training-data``, ``--audit``, ``--embed``).
+
 Ray is initialised by the driver BEFORE this module is imported: no
 ``ray.init()`` / ``ray.shutdown()`` happens here or anywhere in the
 library. Run from the repo root (or with PYTHONPATH=/root/repo) so Ray
@@ -27,7 +32,7 @@ if _REPO_DIR not in sys.path:
 
 def entry() -> Any:
     """Flagship pipeline on /root/testdata/sf0.001 (rows >= 0, stable schema)."""
-    from ocr_pipeline_ray.queries import q_extraction_flagship
+    from ocr_pipeline_ray.queries._extraction import q_extraction_flagship
 
     return q_extraction_flagship("/root/testdata/sf0.001")
 

@@ -92,7 +92,8 @@ def estimate_quality(
     }
     if not line_texts:
         return record
-    # fused textlines2data: same values as the public function
+    # fused textlines2data: same values as the reference-shaped
+    # composition in tests/replicas.py
     # (pinned by TestQualityFusionParity) without the per-line
     # join → corpus join → re-split round trip. Equivalences used:
     # the '..' removal is a no-op ('.' is already removed by the

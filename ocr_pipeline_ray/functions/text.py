@@ -178,50 +178,6 @@ def sanitize_chars(lines: Sequence[str]) -> List[str]:
     return sanitized
 
 
-def textlines2data(
-    line_texts: Sequence[str], minlen: int = 2
-) -> Tuple[str, int, int, int, int]:
-    """Lines → QA word-string + counts (lib/ocr_step.py:449-469).
-
-    Returns ``(word_string, n_lines, n_wraps, n_shorts, n_dense)``
-    where word_string joins the dense (len > minlen after
-    sanitization) lines with single spaces.
-    """
-    non_empty = [t for t in line_texts if len(t) > 0]
-    normalized, n_normalized = sanitize_wraps(non_empty)
-    filtered = sanitize_chars(normalized)
-    n_sparse = 0
-    dense: List[str] = []
-    for filtered_line in filtered:
-        if len(filtered_line) > minlen:
-            dense.append(filtered_line)
-        else:
-            n_sparse += 1
-    file_string = " ".join(dense)
-    return (file_string, len(line_texts), n_normalized, n_sparse, len(dense))
-
-
-def analyze(
-    ratios: Sequence[float], bins: int = 5, step_bin: int = 15
-) -> Tuple[float, List[int]]:
-    """Corpus mean + histogram binning (lib/ocr_step.py:426-446).
-
-    Bin index = ``round(ratio // step_bin)`` clamped to ``bins - 1``
-    (so every ratio >= (bins-1)*step_bin lands in the last bin).
-    Returns ``(mean, [count_per_bin])``; mean uses :func:`round3`.
-    """
-    if not ratios:
-        return (0.0, [0] * bins)
-    mean = round3(sum(ratios) / len(ratios))
-    bin_counts = [0] * bins
-    for ratio in ratios:
-        target_bin = round(ratio // step_bin)
-        if target_bin >= bins:
-            target_bin = bins - 1
-        bin_counts[int(target_bin)] += 1
-    return (mean, bin_counts)
-
-
 def parse_dict(the_dict) -> Dict[str, str]:
     """Loose ``"{'a':'b', ...}"`` string → dict (lib/ocr_step.py:197-207).
 
@@ -270,17 +226,6 @@ def page_id_from_url(url: str, page_prefix: str = "p") -> str:
     """Page id = prefix + doc id (default prefix 'p',
     lib/ocr_step.py:551-555)."""
     return page_prefix + doc_id_from_url(url)
-
-
-def line_center(hpos: int, vpos: int, width: int, height: int,
-                vertical: bool = False) -> float:
-    """Center coordinate of a line box — x unless ``vertical``.
-
-    The engine's analogue of coords_center/to_center_coords
-    (lib/ocr_model.py:181-200) over the synthesized rectangular
-    geometry: mean of the 4 corner points.
-    """
-    return (vpos + height / 2.0) if vertical else (hpos + width / 2.0)
 
 
 def wtr_filename(dir_name: str, ts_struct) -> str:

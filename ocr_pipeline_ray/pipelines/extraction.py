@@ -87,13 +87,3 @@ def read_pages(paths, columns: Optional[List[str]] = None, **kwargs):
     if columns is None:
         columns = ["url", "warc_ts", "html", "lang"]
     return ray.data.read_parquet(paths, columns=columns, **kwargs)
-
-
-def extraction_pipeline(
-    paths,
-    steps: Optional[Sequence[StepSpec]] = None,
-    ctx: Optional[PipelineContext] = None,
-    **read_kwargs,
-) -> "ray.data.Dataset":
-    """read → extract → normalize → finalize → score, fully streaming."""
-    return build_pipeline(read_pages(paths, **read_kwargs), steps, ctx)

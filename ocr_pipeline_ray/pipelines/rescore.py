@@ -21,8 +21,6 @@ from typing import FrozenSet, Optional
 
 import pyarrow as pa
 
-import ray.data
-
 from ..config import PipelineContext, register_step
 from ..functions.quality import estimate_quality
 from ..schema import QUALITY_FIELDS

@@ -4,38 +4,10 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-import re
 from typing import Dict
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
-from ray.data.aggregate import Count, Sum
-from ..functions.text import replace_chars_regex, round3
-from ..stages.dedup import (
-    exact_dedup_summary,
-    fingerprint_fn,
-    minhash_bucket_stats,
-    minhash_dup_pairs,
-    minhash_signatures,
-    simhash_signatures,
-    jaccard_dup_pairs,
-)
-from ..stages.similarity import (
-    brute_force_topk,
-    bucketed_near_dup_pairs,
-    embedding_near_dup_pairs,
-    lsh_bucketed_topk,
-)
-from ..stages.textstats import (
-    doc_quality_fn,
-    lang_id_fn,
-    quality_heuristics_fn,
-    repetition_stats_fn,
-    sanitize_fn,
-    token_count_fn,
-    token_rarity,
-)
-from ..stages.pii import PII_PATTERNS as _PII_PATTERNS
 from ._registry import ORACLE_SQL, QUERIES
 from ._shared import *  # noqa: F401,F403
 

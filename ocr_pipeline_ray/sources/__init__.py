@@ -5,18 +5,10 @@ column-pruned scans). This package adds JSONL, CSV and WARC
 ingestion of the SAME logical table so corpora delivered as
 newline-JSON, CSV exports or raw Common-Crawl-style crawl shards run
 through every pipeline unchanged: each adapter returns a Dataset
-with exactly ``schema.PAGES_SCHEMA``.
+with exactly ``schema.PAGES_SCHEMA``. The one writer is the WET
+export of the extraction output (``extracted_to_wet``, CLI
+``--emit-wet``).
 """
 
-from .ingest import (  # noqa: F401
-    pages_from_csv,
-    pages_from_jsonl,
-    pages_to_jsonl,
-)
-from .warc import (  # noqa: F401
-    extracted_to_wet,
-    pages_from_warc,
-    pages_to_warc,
-    text_from_wet,
-    write_warc_file,
-)
+from .ingest import pages_from_csv, pages_from_jsonl  # noqa: F401
+from .warc import extracted_to_wet, pages_from_warc  # noqa: F401

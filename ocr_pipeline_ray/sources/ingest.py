@@ -1,8 +1,8 @@
-"""JSONL / CSV ingestion (and JSONL export) of the pages table.
+"""JSONL / CSV ingestion of the pages table.
 
 Text formats cannot carry raw binary or typed timestamps, so the
 wire encoding is: ``html`` → base64 string (``html_b64``),
-``warc_ts`` → ISO-8601 string. The adapters coerce to/from
+``warc_ts`` → ISO-8601 string. The adapters coerce to
 ``schema.PAGES_SCHEMA`` with Arrow casts (vectorized) — only the
 base64 step is a per-row stdlib call (pyarrow ships no base64
 kernel); ingestion is a one-time boundary pass, not a pipeline hot
@@ -41,21 +41,6 @@ def _decode_wire(batch: pa.Table) -> pa.Table:
     }, schema=PAGES_SCHEMA)
 
 
-def _encode_wire(batch: pa.Table) -> pa.Table:
-    html_b64 = pa.array(
-        (None if v is None else base64.b64encode(v).decode("ascii")
-         for v in batch.column("html").to_pylist()),
-        pa.string(),
-    )
-    return pa.table({
-        "url": batch.column("url"),
-        "warc_ts": pc.cast(batch.column("warc_ts"), pa.string()),
-        "html_b64": html_b64,
-        "text": batch.column("text"),
-        "lang": batch.column("lang"),
-    })
-
-
 def _project(ds, columns: Optional[List[str]]):
     return ds.select_columns(columns) if columns else ds
 
@@ -92,14 +77,6 @@ def pages_from_csv(paths, columns: Optional[List[str]] = None,
                            parse_options=parse, **read_kwargs)
     return _project(
         ds.map_batches(_decode_wire, batch_format="pyarrow"), columns
-    )
-
-
-def pages_to_jsonl(ds, out_dir: str):
-    """Export a PAGES_SCHEMA Dataset as sharded newline-JSON (wire
-    encoding) — the inverse of :func:`pages_from_jsonl`."""
-    ds.map_batches(_encode_wire, batch_format="pyarrow").write_json(
-        out_dir
     )
 
 

@@ -46,7 +46,7 @@ from ..schema import PAGES_SCHEMA
 _CRLF2 = b"\r\n\r\n"
 
 
-# --- writing (fixtures, exports) ---------------------------------------
+# --- record writing (the WET export) ------------------------------------
 
 def _warc_date(ts_us: int) -> str:
     # integer µs split (float division would corrupt ~1.6% of values)
@@ -63,36 +63,6 @@ def _record_id(url: str, ts_us: Optional[int]) -> str:
             f"{h[20:32]}>")
 
 
-def response_record(url: str, ts_us: Optional[int], html: bytes,
-                    lang: Optional[str]) -> bytes:
-    """One deterministic ``WARC-Type: response`` record.
-
-    Null ``ts_us`` omits the WARC-Date header (reads back as null);
-    null ``html`` is coerced to an empty body — empty and absent are
-    indistinguishable on the HTTP wire (documented lossy edge, like
-    ``text``)."""
-    body = html or b""
-    http = [b"HTTP/1.1 200 OK",
-            b"Content-Type: text/html; charset=UTF-8"]
-    if lang is not None:
-        http.append(b"Content-Language: " + lang.encode("utf-8"))
-    http.append(b"Content-Length: " + str(len(body)).encode("ascii"))
-    payload = b"\r\n".join(http) + _CRLF2 + body
-    head = [
-        b"WARC/1.0",
-        b"WARC-Type: response",
-        b"WARC-Record-ID: " + _record_id(url, ts_us).encode("ascii"),
-    ]
-    if ts_us is not None:
-        head.append(b"WARC-Date: " + _warc_date(ts_us).encode("ascii"))
-    head.extend([
-        b"WARC-Target-URI: " + url.encode("utf-8"),
-        b"Content-Type: application/http; msgtype=response",
-        b"Content-Length: " + str(len(payload)).encode("ascii"),
-    ])
-    return b"\r\n".join(head) + _CRLF2 + payload + _CRLF2
-
-
 def _warcinfo_record() -> bytes:
     payload = b"software: ocr_pipeline_ray\r\nformat: WARC File Format 1.0\r\n"
     head = [
@@ -103,31 +73,6 @@ def _warcinfo_record() -> bytes:
         b"Content-Length: " + str(len(payload)).encode("ascii"),
     ]
     return b"\r\n".join(head) + _CRLF2 + payload + _CRLF2
-
-
-def write_warc_file(tbl: pa.Table, path: str,
-                    compress: bool = True) -> None:
-    """Pages-table block → one ``.warc``/``.warc.gz`` file
-    (warcinfo record + one response record per row, input order)."""
-    urls = tbl.column("url").to_pylist()
-    tss = tbl.column("warc_ts").cast(pa.int64()).to_pylist() \
-        if "warc_ts" in tbl.column_names else [None] * len(urls)
-    htmls = tbl.column("html").to_pylist()
-    langs = tbl.column("lang").to_pylist() \
-        if "lang" in tbl.column_names else [None] * len(urls)
-    buf = io.BytesIO()
-    buf.write(_warcinfo_record())
-    for u, t, h, lg in zip(urls, tss, htmls, langs):
-        buf.write(response_record(u, t, h, lg))
-    data = buf.getvalue()
-    if compress:
-        # mtime=0: deterministic bytes for identical input blocks
-        data = gzip.compress(data, mtime=0)
-    with open(path + ".tmp", "wb") as fh:
-        fh.write(data)
-    import os
-
-    os.replace(path + ".tmp", path)
 
 
 def _block_tag(urls: List[Optional[str]]) -> str:
@@ -150,30 +95,6 @@ def _clear_shards(out_dir: str, prefix: str) -> None:
         if f.startswith(prefix) and (".warc" in f) and \
                 not f.endswith(".tmp"):
             os.remove(os.path.join(out_dir, f))
-
-
-def pages_to_warc(ds, out_dir: str, compress: bool = True) -> None:
-    """Export a pages Dataset as WARC shards (one file per block,
-    written task-side — blocks never visit the driver; file names
-    digest each block's url sequence, so identical re-runs overwrite
-    idempotently and prior shards are cleared first)."""
-    import os
-
-    os.makedirs(out_dir, exist_ok=True)
-    _clear_shards(out_dir, "pages-")
-    ext = ".warc.gz" if compress else ".warc"
-
-    def _write(batch: pa.Table) -> pa.Table:
-        if batch.num_rows:
-            tag = _block_tag(batch.column("url").to_pylist())
-            write_warc_file(
-                batch, os.path.join(out_dir, f"pages-{tag}{ext}"),
-                compress=compress)
-        return pa.table({"n": pa.array([batch.num_rows], pa.int64())})
-
-    ds.map_batches(
-        _write, batch_format="pyarrow", batch_size=None
-    ).materialize()
 
 
 # --- reading ------------------------------------------------------------
@@ -359,32 +280,3 @@ def extracted_to_wet(ds, out_dir: str, compress: bool = True,
     ds.map_batches(
         _write, batch_format="pyarrow", batch_size=None
     ).materialize()
-
-
-def text_from_wet(paths, columns: Optional[List[str]] = None,
-                  **read_kwargs):
-    """WET shards → Dataset of (url, warc_ts, text) — reads the
-    conversion records back (round-trip twin of extracted_to_wet)."""
-    import ray.data
-
-    def _parse(batch: pa.Table) -> pa.Table:
-        urls, tss, texts = [], [], []
-        for data in batch.column("bytes").to_pylist():
-            for headers, payload in _iter_records(_maybe_gunzip(data)):
-                if headers.get(b"warc-type") != b"conversion":
-                    continue
-                urls.append(headers.get(b"warc-target-uri", b"")
-                            .decode("utf-8", "replace"))
-                tss.append(_parse_warc_ts(
-                    headers.get(b"warc-date", b"")
-                    .decode("ascii", "replace")))
-                texts.append(payload.decode("utf-8", "replace"))
-        return pa.table({
-            "url": pa.array(urls, pa.string()),
-            "warc_ts": pa.array(tss, pa.timestamp("us")),
-            "text": pa.array(texts, pa.string()),
-        })
-
-    ds = ray.data.read_binary_files(paths, **read_kwargs)
-    out = ds.map_batches(_parse, batch_format="pyarrow")
-    return out.select_columns(columns) if columns else out

@@ -15,9 +15,6 @@ loop, structured for scale:
   a vectorized-per-word merge application. The histogram is
   materialized per round (bounded object), so round N+1 does not
   re-execute round N's lineage.
-* `bpe_apply` runs the learned merge table over documents as a
-  broadcast lookup inside `map_batches` — merges ship once via the
-  object store, never per batch.
 
 No SQL oracle (iterative); pytest pins the trainer to a pure-Python
 reference implementation and `q_token_pair_counts` oracle-pins the
@@ -26,7 +23,7 @@ round-1 statistic.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import pyarrow as pa
 
@@ -144,81 +141,3 @@ def bpe_train(ds, text_col: str = "text", n_merges: int = 20,
         "right": pa.array([m[2] for m in merges], pa.string()),
         "count": pa.array([m[3] for m in merges], pa.int64()),
     })
-
-
-def bpe_reference(word_counts: Dict[str, int], n_merges: int,
-                  min_count: int = 2) -> List[Tuple[str, str, int]]:
-    """Sequential reference trainer (tests pin the engine to this)."""
-    from collections import Counter
-
-    vocab = {w: (_word_symbols(w), c) for w, c in word_counts.items()
-             if w}
-    merges: List[Tuple[str, str, int]] = []
-    for _ in range(n_merges):
-        counts: Counter = Counter()
-        for syms, c in vocab.values():
-            for i in range(len(syms) - 1):
-                counts[(syms[i], syms[i + 1])] += c
-        if not counts:
-            break
-        best = min(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        (a, b), n = best
-        if n < min_count:
-            break
-        merges.append((a, b, n))
-        vocab = {w: (_merge_word(s, a, b), c)
-                 for w, (s, c) in vocab.items()}
-    return merges
-
-
-def bpe_apply(ds, merges: pa.Table, text_col: str = "text",
-              out_col: str = "bpe_tokens"):
-    """Tokenize ``text_col`` with a learned merge table.
-
-    The merge table ships ONCE via the object store; each batch
-    applies merges per word in rank order with a per-worker memoized
-    word→tokens cache (web text repeats words heavily)."""
-    import ray
-
-    ranks = {
-        (l, r): i for i, (l, r) in enumerate(
-            zip(merges.column("left").to_pylist(),
-                merges.column("right").to_pylist()))
-    }
-    ref = ray.put(ranks)
-
-    def _encode_word(word: str, ranks: Dict) -> List[str]:
-        syms = _word_symbols(word)
-        while len(syms) > 1:
-            best, best_rank = None, None
-            for i in range(len(syms) - 1):
-                r = ranks.get((syms[i], syms[i + 1]))
-                if r is not None and (best_rank is None or r < best_rank):
-                    best, best_rank = (syms[i], syms[i + 1]), r
-            if best is None:
-                break
-            syms = _merge_word(syms, best[0], best[1])
-        return syms
-
-    cache: Dict[str, List[str]] = {}
-
-    def _fn(batch: pa.Table) -> pa.Table:
-        rk = ray.get(ref)
-        toks = []
-        for t in batch.column(text_col).to_pylist():
-            out: List[str] = []
-            for w in (t or "").split(" "):
-                if not w:
-                    continue
-                enc = cache.get(w)
-                if enc is None:
-                    if len(cache) > 200_000:
-                        cache.clear()
-                    enc = _encode_word(w, rk)
-                    cache[w] = enc
-                out.extend(enc)
-            toks.append(out)
-        return batch.append_column(
-            out_col, pa.array(toks, pa.list_(pa.string())))
-
-    return ds.map_batches(_fn, batch_format="pyarrow")

@@ -16,9 +16,6 @@ SURVEY §2.1).
   driver (a handful of rows; nothing to distribute).
 * :func:`bucketed_upsert` — one Ray task per bucket the delta
   touches rewrites that bucket; untouched buckets carry over.
-* :func:`bucketed_join` / :func:`bucketed_aggregate` — one Ray task
-  per bucket joins or aggregates two tables written with the same
-  ``n_buckets`` with no shuffle.
 
 The bucket function is :func:`..functions.hashing.bucket_ids` — the
 one partitioning hash the whole engine shares, which is what makes
@@ -110,149 +107,6 @@ def _read_bucket(root: str, b: int,
     if not os.path.isdir(path):
         return None
     return pads.dataset(path, format="parquet").to_table(columns=columns)
-
-
-def probe_join_tables(left: pa.Table, right: pa.Table, on: str,
-                      right_cols: List[str], how: str,
-                      suffix: str = "_r") -> pa.Table:
-    """The repartition_join bucket kernel over two plain tables:
-    dictionary-encode the concatenated key column once, resolve each
-    code's LAST right row, gather with Arrow ``take``. NULL keys
-    match nothing (SQL semantics)."""
-    import pyarrow.compute as pc
-
-    n_l = left.num_rows
-    keys = pa.concat_arrays([
-        left.column(on).combine_chunks().cast(left.column(on).type),
-        right.column(on).combine_chunks().cast(left.column(on).type),
-    ])
-    codes = pc.dictionary_encode(keys).indices.fill_null(-1).to_numpy(
-        zero_copy_only=False).astype(np.int64)
-    n_codes = int(codes.max()) + 1 if len(codes) else 0
-    lcodes, rcodes = codes[:n_l], codes[n_l:]
-    last_right = np.full(max(n_codes, 1), -1, dtype=np.int64)
-    rsel = np.flatnonzero(rcodes >= 0)
-    last_right[rcodes[rsel]] = rsel
-    match = (np.where(lcodes >= 0, last_right[np.maximum(lcodes, 0)], -1)
-             if n_l else np.empty(0, dtype=np.int64))
-    if how == "inner":
-        keep = np.flatnonzero(match >= 0)
-        out_left = left.take(pa.array(keep, pa.int64()))
-        match = match[keep]
-    elif how == "left":
-        out_left = left
-    elif how == "semi":
-        return left.take(pa.array(np.flatnonzero(match >= 0), pa.int64()))
-    elif how == "anti":
-        return left.take(pa.array(np.flatnonzero(match < 0), pa.int64()))
-    else:
-        raise ValueError(f"how must be inner|left|semi|anti, got {how!r}")
-    gather = pa.array(match, pa.int64(), mask=match < 0)
-    out = out_left
-    for c in right_cols:
-        name = c if c not in out.column_names else c + suffix
-        out = out.append_column(name, right.column(c).take(gather))
-    return out
-
-
-def bucketed_join(left_dir: str, right_dir: str, on: str,
-                  n_buckets: int,
-                  left_cols: Optional[List[str]] = None,
-                  right_cols: Optional[List[str]] = None,
-                  how: str = "inner", suffix: str = "_r"):
-    """Shuffle-FREE join of two tables previously written with
-    :func:`write_bucketed` under the same ``on`` key and
-    ``n_buckets``. One task per bucket id; returns a Dataset.
-
-    ``left_cols`` / ``right_cols`` prune the bucket reads (the
-    column-prune-at-the-read rule applies to bucket storage too;
-    the join key is always read). Missing/empty buckets yield empty
-    blocks of the resolved output schema — never schemaless.
-    """
-    import ray
-    import ray.data
-
-    if how not in ("inner", "left", "semi", "anti"):
-        raise ValueError(f"how must be inner|left|semi|anti, got {how!r}")
-    ls = _side_schema(left_dir)
-    rs = _side_schema(right_dir)
-    l_names = [c for c in ls.names if c != BUCKET_COL]
-    if left_cols is not None:
-        l_names = [c for c in l_names
-                   if c in left_cols or c == on]
-    r_names = (right_cols if right_cols is not None
-               else [c for c in rs.names if c not in (on, BUCKET_COL)])
-    if how in ("semi", "anti"):
-        r_names = []
-    out_fields = [(c, ls.field(c).type) for c in l_names]
-    out_fields += [
-        (c if c not in l_names else c + suffix, rs.field(c).type)
-        for c in r_names
-    ]
-    out_schema = pa.schema(out_fields)
-
-    @ray.remote
-    def _join_one(b: int) -> pa.Table:
-        empty = out_schema.empty_table()
-        lt = _read_bucket(left_dir, b, l_names)
-        if lt is None or lt.num_rows == 0:
-            return empty
-        rt = _read_bucket(right_dir, b,
-                          sorted(set(r_names) | {on}))
-        if rt is None:
-            if how == "anti":
-                return lt.select(l_names).cast(
-                    pa.schema(out_fields[:len(l_names)]))
-            if how == "left":
-                out = lt.select(l_names)
-                for name, typ in out_fields[len(l_names):]:
-                    out = out.append_column(
-                        name, pa.nulls(out.num_rows, typ))
-                return out
-            return empty
-        out = probe_join_tables(lt.select(l_names), rt, on,
-                                r_names, how, suffix)
-        return out.cast(out_schema) if out.num_rows else empty
-
-    refs = [_join_one.remote(b) for b in range(n_buckets)]
-    return ray.data.from_arrow_refs(refs)
-
-
-def bucketed_aggregate(root: str, key_col: str, n_buckets: int,
-                       count_name: str = "n"):
-    """Shuffle-FREE per-key count over a bucketed table.
-
-    Bucket alignment means every row of a key lives in ONE bucket
-    dir, so a per-bucket local ``group_by`` is already the GLOBAL
-    per-key aggregate — the groupby exchange disappears the same way
-    the join's did. One task per bucket (column-pruned to the key),
-    results wrapped as a Dataset of ``(key, count)``.
-
-    NULL keys hash to bucket 0 and form the standard single NULL
-    group there (SQL ``GROUP BY`` keeps it).
-    """
-    import ray
-    import ray.data
-    import pyarrow.compute as pc  # noqa: F401 (documented dep)
-
-    schema = _side_schema(root)
-    key_type = schema.field(key_col).type
-    out_schema = pa.schema([(key_col, key_type),
-                            (count_name, pa.int64())])
-
-    @ray.remote
-    def _agg_one(b: int) -> pa.Table:
-        tbl = _read_bucket(root, b, [key_col])
-        if tbl is None or tbl.num_rows == 0:
-            return out_schema.empty_table()
-        agg = tbl.group_by([key_col]).aggregate([([], "count_all")])
-        return pa.table({
-            key_col: agg.column(key_col),
-            count_name: agg.column("count_all").cast(pa.int64()),
-        })
-
-    return ray.data.from_arrow_refs(
-        [_agg_one.remote(b) for b in range(n_buckets)])
 
 
 def bucketed_lookup(root: str, key_col: str, value, n_buckets: int,

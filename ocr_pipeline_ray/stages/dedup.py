@@ -670,25 +670,10 @@ def minhash_banded_pairs(ds, id_col: str = "doc_id",
 
 # -------------------------------------------------------------- simhash
 
-def simhash64(text: str) -> int:
-    """64-bit SimHash over single-space tokens (md5-derived bits)."""
-    toks = text.split(" ")
-    if not toks:
-        return 0
-    acc = [0] * 64
-    for tok in toks:
-        h = int.from_bytes(hashlib.md5(tok.encode("utf-8")).digest()[:8], "big")
-        for bit in range(64):
-            acc[bit] += 1 if (h >> bit) & 1 else -1
-    out = 0
-    for bit in range(64):
-        if acc[bit] > 0:
-            out |= 1 << bit
-    return out
-
-
 def simhash64_batch(texts: List[str]) -> List[int]:
-    """Vectorized :func:`simhash64` over a batch (bit-exact).
+    """64-bit SimHash over single-space tokens (md5-derived bits) of
+    each text in a batch; bit-exact to the scalar per-token loop in
+    ``tests/replicas.py``.
 
     One md5 per DISTINCT token in the batch (cross-doc memoization),
     then numpy end to end: ``unpackbits`` turns the 64-bit digests
@@ -746,14 +731,6 @@ def simhash_signatures(ds, id_col: str = "doc_id", text_col: str = "text"):
 
 
 # ------------------------------------------------------- n-gram jaccard
-
-def jaccard(a: List[str], b: List[str]) -> float:
-    sa, sb = set(a), set(b)
-    if not sa and not sb:
-        return 1.0
-    inter = len(sa & sb)
-    return inter / (len(sa) + len(sb) - inter)
-
 
 _EMPTY_PAIRS = pa.table({
     "d1": pa.array([], pa.int64()),

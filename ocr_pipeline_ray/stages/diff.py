@@ -36,7 +36,7 @@ map-side partial combine (no second shuffle of key-scale rows).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 import pyarrow as pa

@@ -47,8 +47,6 @@ extends the same M9 quality-gating slot to the corpus-LM signal.
 
 from __future__ import annotations
 
-from typing import Dict
-
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc

@@ -27,18 +27,6 @@ from typing import Dict, Optional
 import numpy as np
 import pyarrow as pa
 
-MEDIA_SCHEMA = pa.schema(
-    [
-        pa.field("media_id", pa.string()),
-        pa.field("kind", pa.string()),        # image | audio | video
-        pa.field("payload", pa.binary()),
-        pa.field("mime", pa.string()),
-        pa.field("width", pa.int32()),        # -1 when unknown
-        pa.field("height", pa.int32()),
-        pa.field("duration_ms", pa.int32()),
-    ]
-)
-
 
 @dataclass(frozen=True)
 class DecodeConfig:
@@ -364,55 +352,6 @@ def media_feature_stage(ds, config: Optional[DecodeConfig] = None,
         batch_format="pyarrow",
         concurrency=concurrency,
         num_cpus=1,
-    )
-
-
-def resize_plan_fn(batch: pa.Table, max_side: int = 512) -> pa.Table:
-    """Image resize planning: target dims preserving aspect ratio.
-
-    The geometric math + schema plumbing are real; the pixel resample
-    itself would live in the (stubbed) decoder. Unknown dims (-1)
-    pass through unchanged.
-    """
-    widths = batch.column("width").to_pylist()
-    heights = batch.column("height").to_pylist()
-    tw, th = [], []
-    for w, h in zip(widths, heights):
-        if w is None or h is None or w <= 0 or h <= 0:
-            tw.append(-1)
-            th.append(-1)
-            continue
-        scale = min(1.0, max_side / max(w, h))
-        tw.append(max(1, int(w * scale)))
-        th.append(max(1, int(h * scale)))
-    return (
-        batch.append_column("target_width", pa.array(tw, pa.int32()))
-        .append_column("target_height", pa.array(th, pa.int32()))
-    )
-
-
-def frame_sample_fn(batch: pa.Table, fps: float = 1.0,
-                    max_frames: int = 32) -> pa.Table:
-    """Video frame-sampling plan: deterministic timestamps (ms).
-
-    ``fps`` sampling capped at ``max_frames``, evenly re-spaced when
-    the cap binds. Non-video rows (duration -1) get an empty list.
-    """
-    kinds = batch.column("kind").to_pylist()
-    durations = batch.column("duration_ms").to_pylist()
-    plans = []
-    for kind, dur in zip(kinds, durations):
-        if kind != "video" or dur is None or dur <= 0:
-            plans.append([])
-            continue
-        step_ms = 1000.0 / fps
-        n = int(dur / step_ms) + 1
-        if n > max_frames:
-            step_ms = dur / max_frames
-            n = max_frames
-        plans.append([int(i * step_ms) for i in range(n)])
-    return batch.append_column(
-        "frame_times_ms", pa.array(plans, pa.list_(pa.int32()))
     )
 
 

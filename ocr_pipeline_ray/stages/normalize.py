@@ -1,11 +1,9 @@
-"""Text-cleaning batch functions and the replacement-statistic merge.
+"""Text-cleaning batch functions.
 
 Row-local ``map_batches`` functions over a text column (NFC
-normalization, homoglyph de-obfuscation, mojibake repair) and
-:func:`merge_repl_stats`, the corpus-level merge of the chain's
-per-row ``repl_stats`` map column (once-per-line-per-key counts,
-`lib/ocr_step.py:256-262`). The ordered char / regex replacement
-itself runs inside the compiled chain (stages/fused.py).
+normalization, homoglyph de-obfuscation, mojibake repair). The
+ordered char / regex replacement itself runs inside the compiled
+chain (stages/fused.py).
 """
 
 from __future__ import annotations
@@ -53,35 +51,6 @@ def nfc_normalize_fn(batch: pa.Table, col: str = "text",
     else:
         out = arr
     return batch.append_column(out_col, out)
-
-
-def merge_repl_stats(ds) -> Dict[str, int]:
-    """Corpus-level replacement-statistic merge (A3).
-
-    Pre-aggregates per batch (partial combine inside ``map_batches``)
-    so the driver-side merge touches one tiny dict per block — no
-    all-to-all shuffle for what is a handful of keys.
-    """
-
-    def _partial(batch: pa.Table) -> pa.Table:
-        counts: Dict[str, int] = {}
-        for stats in batch.column("repl_stats").to_pylist():
-            for key, val in (stats or []):
-                counts[key] = counts.get(key, 0) + val
-        return pa.table(
-            {
-                "key": pa.array(list(counts.keys()), pa.string()),
-                "n": pa.array(list(counts.values()), pa.int64()),
-            }
-        )
-
-    partials = ds.select_columns(["repl_stats"]).map_batches(
-        _partial, batch_format="pyarrow"
-    )
-    merged: Dict[str, int] = {}
-    for row in partials.iter_rows():
-        merged[row["key"]] = merged.get(row["key"], 0) + row["n"]
-    return merged
 
 
 # Cyrillic/Greek homoglyphs of Latin letters — the classic spam/SEO

@@ -63,15 +63,6 @@ def pii_redact_fn(batch: pa.Table, text_col: str = "text",
     return out.append_column(out_col, col)
 
 
-def pii_redact(ds, text_col: str = "text",
-               out_col: str = "text_redacted"):
-    """Dataset-level PII scrub — embarrassingly parallel."""
-    return ds.map_batches(
-        lambda b: pii_redact_fn(b, text_col, out_col),
-        batch_format="pyarrow",
-    )
-
-
 def pii_summary(ds, text_col: str = "text"):
     """Corpus totals: docs touched + hits per PII type (ONE row).
 

@@ -156,22 +156,6 @@ def _wtr_header(summary: Dict) -> str:
             f"{summary['total']},{summary['invalid']}\n")
 
 
-def write_wtr(path: str, summary: Dict, report_rows) -> str:
-    """Write the ``.wtr``-style report file (S5 parity format).
-
-    ``report_rows``: iterable of dicts in ascending-ratio order (e.g.
-    the rows of :func:`iter_report_parts`).
-    Timestamped naming is the CALLER's job (timestamps come from the
-    driver, never from inside workflow tasks).
-    """
-    with open(path, "w", encoding="UTF-8") as outfile:
-        outfile.write(_wtr_header(summary))
-        for row in report_rows:
-            outfile.write(_WTR_LINE.format(*(row[c] for c in REPORT_COLUMNS)))
-        outfile.write("\n")
-    return path
-
-
 def stream_wtr(path: str, summary: Dict, sorted_rows: pa.Table,
                batch_size: int = 65536) -> str:
     """Single-file ``.wtr`` from a driver-side table of SORTED report
@@ -179,8 +163,8 @@ def stream_wtr(path: str, summary: Dict, sorted_rows: pa.Table,
 
     Formats ``batch_size`` rows at a time from per-column lists, so
     only the narrow report table (about 100 B/doc) plus one chunk of
-    text sit in driver memory. Byte-identical to :func:`write_wtr`
-    over the same rows.
+    text sit in driver memory. Byte-identical to the row-at-a-time
+    writer in ``tests/replicas.py`` over the same rows.
     """
     with open(path, "w", encoding="UTF-8") as outfile:
         outfile.write(_wtr_header(summary))
@@ -201,9 +185,9 @@ def write_report_parts(out_dir: str, summary: Dict, sorted_ds) -> str:
     parquet PARTS from the workers (Ray names output files by
     ascending task/block index, so lexicographic filename order ==
     global ascending-ratio order) plus a tiny ``_summary.json``
-    holding the header aggregate. :func:`iter_report_parts` streams
-    the rows back in order; the ``.wtr`` file stays available as the
-    small-corpus mode (`/root/reference/ocr_pipeline.py:233-269`).
+    holding the header aggregate. Reading the parts in filename order
+    streams the rows back in order; the ``.wtr`` file stays available
+    as the small-corpus mode (`/root/reference/ocr_pipeline.py:233-269`).
     """
     import glob
     import json
@@ -225,25 +209,3 @@ def write_report_parts(out_dir: str, summary: Dict, sorted_ds) -> str:
         json.dump(summary, fh, sort_keys=True)
     sorted_ds.write_parquet(out_dir)
     return out_dir
-
-
-def iter_report_parts(out_dir: str):
-    """(summary, row-iterator) from a :func:`write_report_parts` dir —
-    rows stream back in global ascending-ratio order."""
-    import glob
-    import json
-    import os
-
-    import pyarrow.parquet as pq
-
-    with open(os.path.join(out_dir, "_summary.json"),
-              encoding="UTF-8") as fh:
-        summary = json.load(fh)
-
-    def _rows():
-        for part in sorted(glob.glob(os.path.join(out_dir, "*.parquet"))):
-            pf = pq.ParquetFile(part)
-            for batch in pf.iter_batches():
-                yield from batch.to_pylist()
-
-    return summary, _rows()

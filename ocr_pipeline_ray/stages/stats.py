@@ -602,167 +602,6 @@ def grouped_distinct_count(ds, key_col: str, value_col: str,
     ).map_groups(_bucket, batch_format="pyarrow")
 
 
-def grouped_moments(ds, key_col: str, value_col: str):
-    """Per-key count / mean / sample variance via SUFFICIENT
-    STATISTICS: each block contributes one ``(key, n, sum, sumsq)``
-    partial row (Arrow ``group_by``), ONE tiny per-key groupby sums
-    them, and the driver-scale finish computes
-    ``mean = s1/n`` and ``var_samp = (s2 - s1^2/n) / (n-1)``.
-    The corpus is touched once and the shuffle carries keys x blocks
-    rows — the same contract as ``partial_sum_count``, extended to
-    second moments.
-
-    SQL parity: NULL values are ignored (``n`` counts valid values
-    only, like ``count(value)``); a key with ``n == 0`` keeps its
-    group with NULL mean/variance; ``n == 1`` yields NULL
-    ``var_samp``. Keys must be non-null (pre-filter or fill a
-    sentinel — the Ray groupby null-key hazard).
-
-    Numerical note: the textbook ``s2 - s1^2/n`` form is exact
-    enough here because downstream comparison happens on a 1e-6
-    grid after floor-rounding (the repo-wide float contract); for
-    ill-conditioned data (mean >> stddev) switch to a shifted-value
-    pass using any per-key pivot.
-    """
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
-
-    def _partial(batch: pa.Table) -> pa.Table:
-        v = batch.column(value_col)
-        sq = pc.multiply(v, v)
-        sub = pa.table({
-            "key": batch.column(key_col),
-            "v": v,
-            "v2": sq,
-        })
-        agg = sub.group_by(["key"]).aggregate(
-            [("v", "count"), ("v", "sum"), ("v2", "sum")])
-        return pa.table({
-            key_col: agg.column("key"),
-            "n": pc.cast(agg.column("v_count"), pa.int64()),
-            "s1": agg.column("v_sum"),
-            "s2": agg.column("v2_sum"),
-        })
-
-    agg = (
-        ds.map_batches(_partial, batch_format="pyarrow")
-        .groupby(key_col)
-        .aggregate(Sum("n"), Sum("s1"), Sum("s2"))
-    )
-
-    def _finish(batch: pa.Table) -> pa.Table:
-        import numpy as np
-
-        n = batch.column("sum(n)").to_numpy(zero_copy_only=False)
-        s1 = batch.column("sum(s1)").to_numpy(zero_copy_only=False)
-        s2 = batch.column("sum(s2)").to_numpy(zero_copy_only=False)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            mean = s1 / n
-            var = (s2 - s1 * s1 / n) / (n - 1)
-        # var_samp never goes negative through float cancellation
-        var = np.maximum(var, 0.0)
-        return pa.table({
-            key_col: batch.column(key_col),
-            "n": pa.array(n, pa.int64()),
-            "mean_value": pa.array(mean, pa.float64(),
-                                   mask=(n == 0)),
-            "var_value": pa.array(var, pa.float64(),
-                                  mask=(n < 2)),
-        })
-
-    return agg.map_batches(_finish, batch_format="pyarrow")
-
-
-def grouped_corr(ds, key_col: str, x_col: str, y_col: str):
-    """Per-key Pearson correlation via SUFFICIENT STATISTICS: each
-    block contributes one ``(key, n, sx, sy, sxx, syy, sxy)`` partial
-    row (Arrow ``group_by``), ONE tiny per-key groupby sums them, and
-    the key-scale finish computes
-    ``r = (n*sxy - sx*sy) / sqrt((n*sxx - sx^2) * (n*syy - sy^2))``.
-    The corpus is touched once; the shuffle carries keys x blocks
-    rows — the ``grouped_moments`` contract extended to cross
-    moments.
-
-    SQL parity (``corr(x, y)``): rows where EITHER side is NULL are
-    ignored; keys with ``n < 2`` or a zero-variance side yield NULL.
-    Downstream comparison happens on the repo-wide 1e-6 grid, which
-    absorbs the ulp-level differences between this two-pass form and
-    DuckDB's streaming update formula.
-    """
-    import numpy as np
-    import pyarrow.compute as pc
-
-    agg = _cross_moments(ds, key_col, x_col, y_col)
-
-    def _finish(batch: pa.Table) -> pa.Table:
-        n = batch.column("n").to_numpy(zero_copy_only=False).astype(
-            np.float64)
-        sx = batch.column("sx").to_numpy(zero_copy_only=False)
-        sy = batch.column("sy").to_numpy(zero_copy_only=False)
-        sxx = batch.column("sxx").to_numpy(zero_copy_only=False)
-        syy = batch.column("syy").to_numpy(zero_copy_only=False)
-        sxy = batch.column("sxy").to_numpy(zero_copy_only=False)
-        # float cancellation can push a zero variance slightly negative
-        vx = np.maximum(n * sxx - sx * sx, 0.0)
-        vy = np.maximum(n * syy - sy * sy, 0.0)
-        denom = np.sqrt(vx * vy)
-        bad = (n < 2) | (denom == 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = (n * sxy - sx * sy) / denom
-        return pa.table({
-            key_col: batch.column(key_col),
-            "n": pc.cast(batch.column("n"), pa.int64()),
-            "corr_xy": pa.array(np.where(bad, 0.0, r), pa.float64(),
-                                mask=bad),
-        })
-
-    return agg.map_batches(_finish, batch_format="pyarrow")
-
-
-def _cross_moments(ds, key_col: str, x_col: str, y_col: str):
-    """Shared sufficient-statistics plan for the per-key bivariate
-    statistics (:func:`grouped_corr`): block-local
-    Arrow ``group_by`` partials of ``(n, sx, sy, sxx, syy, sxy)``
-    then ONE key-scale groupby sum. Rows with a NULL on either side
-    are ignored (SQL ``corr``/``regr_*`` semantics).
-    """
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
-
-    def _partial(batch: pa.Table) -> pa.Table:
-        x = pc.cast(batch.column(x_col), pa.float64())
-        y = pc.cast(batch.column(y_col), pa.float64())
-        ok = pc.and_(pc.is_valid(x), pc.is_valid(y))
-        sub = pa.table({
-            "key": batch.column(key_col),
-            "x": x, "y": y,
-            "xx": pc.multiply(x, x),
-            "yy": pc.multiply(y, y),
-            "xy": pc.multiply(x, y),
-        }).filter(ok)
-        agg = sub.group_by(["key"]).aggregate(
-            [("x", "count"), ("x", "sum"), ("y", "sum"),
-             ("xx", "sum"), ("yy", "sum"), ("xy", "sum")])
-        return pa.table({
-            key_col: agg.column("key"),
-            "n": pc.cast(agg.column("x_count"), pa.int64()),
-            "sx": agg.column("x_sum"), "sy": agg.column("y_sum"),
-            "sxx": agg.column("xx_sum"), "syy": agg.column("yy_sum"),
-            "sxy": agg.column("xy_sum"),
-        })
-
-    return (
-        ds.map_batches(_partial, batch_format="pyarrow")
-        .groupby(key_col)
-        .aggregate(Sum("n", alias_name="n"),
-                   Sum("sx", alias_name="sx"),
-                   Sum("sy", alias_name="sy"),
-                   Sum("sxx", alias_name="sxx"),
-                   Sum("syy", alias_name="syy"),
-                   Sum("sxy", alias_name="sxy"))
-    )
-
-
 def cms_sketch(ds, text_col: str = "text", width: int = 1024,
                depth: int = 4):
     """Count-Min sketch of the corpus token frequency — the
@@ -836,29 +675,6 @@ def cms_sketch(ds, text_col: str = "text", width: int = 1024,
         })
 
     return agg.map_batches(_finish, batch_format="pyarrow")
-
-
-def cms_estimate(sketch: pa.Table, tokens, width: int = 1024,
-                 depth: int = 4) -> "pa.Table":
-    """Point-estimate token counts from a materialized (tiny)
-    :func:`cms_sketch` table: ``min_r counter[r][h_r(token)]``.
-    Driver-side by design — the sketch is depth*width counters."""
-    import hashlib
-
-    mat = np.zeros((depth, width), dtype=np.int64)
-    mat[sketch.column("r").to_numpy(zero_copy_only=False),
-        sketch.column("b").to_numpy(zero_copy_only=False)] = \
-        sketch.column("c").to_numpy(zero_copy_only=False)
-    ests = []
-    for t in tokens:
-        d = hashlib.md5(t.encode("utf-8")).hexdigest()
-        ests.append(int(min(
-            mat[r][int(d[8 * r:8 * r + 8], 16) % width]
-            for r in range(depth))))
-    return pa.table({
-        "token": pa.array(list(tokens), pa.string()),
-        "est": pa.array(ests, pa.int64()),
-    })
 
 
 def grouped_kmv(ds, key_col: str, value_col: str, k: int = 16,
@@ -1515,68 +1331,6 @@ def grouped_binned_quantiles(ds, key_col: str, col: str,
         "q": pa.array(out_q, pa.float64()),
         "value_est": pa.array(out_v, pa.int64()),
     })
-
-
-def _skyline_mask(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Boolean keep-mask of the 2-D maxima (both dims maximized).
-
-    Point q is dominated iff some p has ``p.x >= q.x`` and
-    ``p.y >= q.y`` with strict inequality somewhere; coordinate-equal
-    duplicates never dominate each other (standard SKYLINE OF
-    semantics, Börzsönyi et al. ICDE'01). Vectorized: sort by
-    (x desc, y desc); a row survives iff its y equals its equal-x
-    group's max AND strictly exceeds the running y-max over all
-    strictly-greater-x rows.
-    """
-    n = len(x)
-    order = np.lexsort((-y, -x))
-    xs, ys = x[order], y[order]
-    new_x = np.concatenate(([True], xs[1:] != xs[:-1]))
-    idx = np.arange(n)
-    group_start = np.maximum.accumulate(np.where(new_x, idx, 0))
-    group_max_y = ys[group_start]
-    run_max = np.maximum.accumulate(ys)
-    prev_max = np.where(
-        group_start > 0, run_max[np.maximum(group_start - 1, 0)],
-        np.iinfo(np.int64).min)
-    keep_sorted = (ys == group_max_y) & (ys > prev_max)
-    keep = np.zeros(n, dtype=bool)
-    keep[order] = keep_sorted
-    return keep
-
-
-def skyline_2d(ds, x_col: str, y_col: str):
-    """Distributed 2-D SKYLINE (Pareto frontier, maximize both
-    columns): the multi-criteria selection operator (pick documents
-    /users not beaten on BOTH quality axes by anyone).
-
-    Skyline is MERGEABLE — ``sky(S ∪ T) = sky(sky(S) ∪ sky(T))`` —
-    so the plan is a map-side local skyline per block (each block
-    shrinks to its own frontier before anything moves) followed by
-    one final pass over the concatenated local frontiers. The final
-    pass runs in a single task: the skyline of 2-D points with
-    distinct x values has at most |distinct x| members, and after
-    local pruning the survivors of a web-scale input are frontier-
-    scale, not input-scale (the caller's dimensions bound it — the
-    same output-size contract every skyline engine has; a degenerate
-    fully-anticorrelated input keeps O(n) and belongs in a top-k
-    instead). Both columns must be integer-valued (exactness: no
-    float ties).
-    """
-    def _local(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return batch
-        keep = _skyline_mask(
-            batch.column(x_col).to_numpy().astype(np.int64),
-            batch.column(y_col).to_numpy().astype(np.int64))
-        return batch.filter(pa.array(keep))
-
-    return (
-        ds.map_batches(_local, batch_format="pyarrow")
-        .repartition(1)
-        .map_batches(_local, batch_format="pyarrow",
-                     batch_size=None)
-    )
 
 
 def agg_refresh(base_agg, delta, keys, value_col: str,

@@ -13,6 +13,12 @@ statements of the modules ``ocr_pipeline_ray.queries`` loads),
 ``bench.py``, ``scripts/`` and ``clibench/`` (not ``clibench/tests/``).
 Test roots are every statement of ``tests/`` and ``clibench/tests/``.
 
+Import statements are anonymous, so they count as reached whether or
+not the module uses what they bind. The report therefore also lists,
+per package module, the module-level imported names the module never
+uses: a name counts as used if the module refers to it, lists it in
+``__all__``, or its import statement carries ``# noqa: F401``.
+
 A statement reaches the names it uses, resolved through module-level
 and function-level imports, re-exports, ``*`` imports (``__all__``
 when the module defines one) and ``module.attr`` chains. Loading a
@@ -41,6 +47,8 @@ PRODUCT_SOURCES = ("__ray_entry__.py", "bench.py", "scripts", "clibench")
 TEST_SOURCES = ("tests", os.path.join("clibench", "tests"))
 # names a module binds for the interpreter, not for callers
 _DUNDER = re.compile(r"^__\w+__$")
+# an import kept for its side effect or as a re-export
+_NOQA_F401 = re.compile(r"#\s*noqa:[\w\s,]*\bF401\b")
 
 
 class Stmt:
@@ -67,7 +75,8 @@ class Module:
         self.package = name if is_pkg else name.rpartition(".")[0]
         with open(path, encoding="utf-8") as fh:
             source = fh.read()
-        self.total = len(source.splitlines())
+        self.lines = source.splitlines()
+        self.total = len(self.lines)
         self.tree = ast.parse(source, filename=path)
         self.stmts: List[Stmt] = []
         self.defs: Dict[str, Stmt] = {}
@@ -312,6 +321,42 @@ class Graph:
                 for s in self.modules[_module_name(rel)[0]].stmts]
 
 
+def _module_imports(node: ast.stmt):
+    """Import statements a top-level statement runs on load (also
+    under a top-level ``if``/``try``, never inside a def or class)."""
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        yield node
+    elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.ClassDef)):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.stmt):
+                yield from _module_imports(child)
+            elif isinstance(child, ast.excepthandler):
+                for sub in child.body:
+                    yield from _module_imports(sub)
+
+
+def unused_imports(mod: Module) -> List[str]:
+    """``name:line`` of each module-level imported name the module
+    never uses."""
+    used = {n.id for n in ast.walk(mod.tree) if isinstance(n, ast.Name)}
+    used |= mod.all or set()
+    out = []
+    for top in mod.tree.body:
+        for node in _module_imports(top):
+            if (isinstance(node, ast.ImportFrom)
+                    and node.module == "__future__"):
+                continue
+            span = mod.lines[node.lineno - 1:node.end_lineno]
+            if any(_NOQA_F401.search(line) for line in span):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name != "*" and name not in used:
+                    out.append(f"{name}:{node.lineno}")
+    return out
+
+
 def audit() -> Dict:
     g = Graph()
     cli_roots = g.roots([os.path.join(PACKAGE, "__main__.py")])
@@ -324,7 +369,8 @@ def audit() -> Dict:
         mod = g.modules[name]
         row = {"module": os.path.relpath(mod.path, REPO), "total": mod.total,
                "product": 0, "test_only": 0, "dead": 0,
-               "test_only_defs": [], "dead_defs": []}
+               "test_only_defs": [], "dead_defs": [],
+               "unused_imports": unused_imports(mod)}
         for s in mod.stmts:
             kind = ("product" if id(s) in product
                     else "test_only" if id(s) in tests else "dead")
@@ -360,6 +406,8 @@ def _print(report: Dict) -> None:
             print("    test-only: " + ", ".join(r["test_only_defs"]))
         if r["dead_defs"]:
             print("    unreachable: " + ", ".join(r["dead_defs"]))
+        if r["unused_imports"]:
+            print("    unused imports: " + ", ".join(r["unused_imports"]))
     t = report["totals"]
     print(f"{'TOTAL':44} {t['total']:6d} {t['product']:8d} "
           f"{t['test_only']:6d} {t['dead']:6d}")

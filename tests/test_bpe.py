@@ -26,7 +26,8 @@ class TestBpeTrain:
     def test_matches_reference(self, ray_session, layout, n_merges):
         import ray.data
 
-        from ocr_pipeline_ray.stages.bpe import bpe_reference, bpe_train
+        from ocr_pipeline_ray.stages.bpe import bpe_train
+        from replicas import bpe_reference
 
         ds = ray.data.from_arrow(pa.table({
             "text": pa.array(CORPUS, pa.string()),
@@ -53,7 +54,8 @@ class TestBpeTrain:
     def test_apply_roundtrip(self, ray_session):
         import ray.data
 
-        from ocr_pipeline_ray.stages.bpe import bpe_apply, bpe_train
+        from ocr_pipeline_ray.stages.bpe import bpe_train
+        from retired_operators import bpe_apply
 
         ds = ray.data.from_arrow(pa.table({
             "text": pa.array(CORPUS, pa.string()),
@@ -77,7 +79,8 @@ class TestBpeTrain:
     def test_merges_compress(self, ray_session):
         import ray.data
 
-        from ocr_pipeline_ray.stages.bpe import bpe_apply, bpe_train
+        from ocr_pipeline_ray.stages.bpe import bpe_train
+        from retired_operators import bpe_apply
 
         ds = ray.data.from_arrow(pa.table({
             "text": pa.array(CORPUS, pa.string()),

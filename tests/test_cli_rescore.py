@@ -61,7 +61,7 @@ class TestCli:
     def test_report_parts_mode(self, ray_session, small_corpus, tmp_path):
         """--report-parts writes the at-scale partitioned report and
         its rows round-trip in ascending-ratio order."""
-        from ocr_pipeline_ray.stages.report import iter_report_parts
+        from replicas import iter_report_parts
 
         out = str(tmp_path / "out")
         rc = main([*small_corpus, "-o", out, "--report-parts"])
@@ -242,12 +242,12 @@ class TestRescore:
     def test_rescore_matches_original_quality(
         self, ray_session, small_corpus, tmp_path
     ):
-        from ocr_pipeline_ray.pipelines.extraction import extraction_pipeline
+        from ocr_pipeline_ray.pipelines.extraction import build_pipeline, read_pages
 
         out = str(tmp_path / "extracted")
-        extraction_pipeline(small_corpus).write_parquet(out)
+        build_pipeline(read_pages(small_corpus)).write_parquet(out)
         rescored = rescore_pipeline(out).take_all()
-        original = extraction_pipeline(small_corpus).take_all()
+        original = build_pipeline(read_pages(small_corpus)).take_all()
         orig_by_key = {(r["url"], r["warc_ts"]): r for r in original}
         assert len(rescored) == len(original)
         for row in rescored:
@@ -257,10 +257,10 @@ class TestRescore:
                 assert row[key] == orig[key], (row["url"], key)
 
     def test_rescore_cli(self, ray_session, small_corpus, tmp_path):
-        from ocr_pipeline_ray.pipelines.extraction import extraction_pipeline
+        from ocr_pipeline_ray.pipelines.extraction import build_pipeline, read_pages
 
         src = str(tmp_path / "extracted")
-        extraction_pipeline(small_corpus).write_parquet(src)
+        build_pipeline(read_pages(small_corpus)).write_parquet(src)
         out = str(tmp_path / "rescored_out")
         rc = main([os.path.join(src, "*.parquet"), "-o", out, "--rescore"])
         assert rc == 0
@@ -274,10 +274,10 @@ class TestRescore:
         rescored/, so the report counts each doc once."""
         import pyarrow.parquet as pq
 
-        from ocr_pipeline_ray.pipelines.extraction import extraction_pipeline
+        from ocr_pipeline_ray.pipelines.extraction import build_pipeline, read_pages
 
         src = str(tmp_path / "extracted")
-        extraction_pipeline(small_corpus).write_parquet(src)
+        build_pipeline(read_pages(small_corpus)).write_parquet(src)
         out = str(tmp_path / "rescored_out")
         for _ in range(2):
             for wtr in glob.glob(os.path.join(out, "*.wtr")):
@@ -299,10 +299,10 @@ class TestRescoreHonorsConfig:
         (regression: -c used to be silently ignored in rescore mode)."""
         import pyarrow.parquet as pq
 
-        from ocr_pipeline_ray.pipelines.extraction import extraction_pipeline
+        from ocr_pipeline_ray.pipelines.extraction import build_pipeline, read_pages
 
         src = str(tmp_path / "extracted")
-        extraction_pipeline(small_corpus).write_parquet(src)
+        build_pipeline(read_pages(small_corpus)).write_parquet(src)
         ini = tmp_path / "rescore_strict.ini"
         ini.write_text(
             "[step_01]\ntype = RescoreQuality\n"
@@ -319,10 +319,10 @@ class TestRescoreHonorsConfig:
         assert all(n == 0 for n in tbl.column("n_lines_out").to_pylist())
 
     def test_rescore_cli_bad_ini(self, ray_session, small_corpus, tmp_path):
-        from ocr_pipeline_ray.pipelines.extraction import extraction_pipeline
+        from ocr_pipeline_ray.pipelines.extraction import build_pipeline, read_pages
 
         src = str(tmp_path / "extracted")
-        extraction_pipeline(small_corpus).write_parquet(src)
+        build_pipeline(read_pages(small_corpus)).write_parquet(src)
         ini = tmp_path / "no_rescore.ini"
         ini.write_text("[step_01]\ntype = HtmlExtract\n")
         rc = main([os.path.join(src, "*.parquet"),
@@ -339,11 +339,11 @@ class TestRescoreIniConfig:
         from ocr_pipeline_ray.config import load_steps_ini
         from ocr_pipeline_ray.pipelines.extraction import (
             build_pipeline,
-            extraction_pipeline,
+            read_pages,
         )
 
         src = str(tmp_path / "extracted")
-        extraction_pipeline(small_corpus).write_parquet(src)
+        build_pipeline(read_pages(small_corpus)).write_parquet(src)
         specs = load_steps_ini(
             os.path.join(os.path.dirname(__file__), "..",
                          "conf", "rescore_post.ini")
@@ -365,7 +365,7 @@ class TestCliJsonlFormat:
         import duckdb
         import ray.data
 
-        from ocr_pipeline_ray.sources import pages_to_jsonl
+        from fixture_writers import pages_to_jsonl
 
         wire = str(tmp_path / "wire")
         pages_to_jsonl(ray.data.read_parquet(list(small_corpus)), wire)
@@ -399,7 +399,7 @@ class TestCliWarcFormat:
         import duckdb
         import ray.data
 
-        from ocr_pipeline_ray.sources import pages_to_warc
+        from fixture_writers import pages_to_warc
 
         wire = str(tmp_path / "crawl")
         pages_to_warc(ray.data.read_parquet(list(small_corpus)), wire)

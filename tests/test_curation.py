@@ -25,7 +25,7 @@ class TestEventTransitions:
     def test_pairs_and_block_invariance(self, ray_session):
         import ray
 
-        from ocr_pipeline_ray.stages.temporal import event_transitions
+        from retired_temporal import event_transitions
 
         us = 1_000_000
         rows = [
@@ -48,7 +48,7 @@ class TestEventTransitions:
     def test_tie_break_by_event_id(self, ray_session):
         import ray
 
-        from ocr_pipeline_ray.stages.temporal import event_transitions
+        from retired_temporal import event_transitions
 
         rows = [(1, 0, 2, "b"), (1, 0, 1, "a"), (1, 0, 3, "c")]
         got = {

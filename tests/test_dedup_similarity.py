@@ -6,12 +6,8 @@ import numpy as np
 import pyarrow as pa
 import pytest
 
-from ocr_pipeline_ray.stages.dedup import (
-    jaccard,
-    minhash_signature,
-    shingles,
-    simhash64,
-)
+from ocr_pipeline_ray.stages.dedup import minhash_signature, shingles
+from replicas import jaccard, simhash64
 
 
 class TestPrimitives:
@@ -571,10 +567,8 @@ class TestMultimodal:
     def test_media_feature_stage(self, ray_session):
         import ray.data
 
-        from ocr_pipeline_ray.stages.multimodal import (
-            MEDIA_SCHEMA,
-            media_feature_stage,
-        )
+        from fixture_writers import MEDIA_SCHEMA
+        from ocr_pipeline_ray.stages.multimodal import media_feature_stage
 
         tbl = pa.table({
             "media_id": pa.array(["m0", "m1", "m2"], pa.string()),
@@ -717,7 +711,7 @@ class TestMultimodal:
         import pyarrow as pa
         import ray.data
 
-        from ocr_pipeline_ray.stages.multimodal import resize_plan_fn
+        from retired_operators import resize_plan_fn
 
         tbl = pa.table({
             "media_id": pa.array(["a", "b", "c"], pa.string()),
@@ -738,7 +732,7 @@ class TestMultimodal:
         import pyarrow as pa
         import ray.data
 
-        from ocr_pipeline_ray.stages.multimodal import frame_sample_fn
+        from retired_operators import frame_sample_fn
 
         tbl = pa.table({
             "media_id": pa.array(["v1", "v2", "img"], pa.string()),

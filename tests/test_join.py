@@ -275,7 +275,7 @@ class TestRangeJoin:
     def test_matches_duckdb(self, ray_session, strategy, how):
         import ray.data
 
-        from ocr_pipeline_ray.stages.join import range_join
+        from retired_join import range_join
 
         left, right = self._sides()
         got = range_join(
@@ -298,7 +298,7 @@ class TestRangeJoin:
 
         import ray.data
 
-        from ocr_pipeline_ray.stages.join import range_join
+        from retired_join import range_join
 
         base = dt.datetime(2024, 1, 1)
         left = pa.table({
@@ -334,7 +334,7 @@ class TestRangeJoin:
     def test_band_width_invariance(self, ray_session):
         import ray.data
 
-        from ocr_pipeline_ray.stages.join import range_join
+        from retired_join import range_join
 
         left, right = self._sides(seed=11)
         results = []
@@ -370,8 +370,8 @@ class TestSkewJoin:
 
     @pytest.mark.parametrize("how", ["inner", "left", "semi", "anti"])
     def test_equals_plain_repartition_join(self, ray_session, how):
-        from ocr_pipeline_ray.stages.join import (repartition_join,
-                                                  skew_join)
+        from ocr_pipeline_ray.stages.join import repartition_join
+        from retired_join import skew_join
 
         left, right = self._skewed(ray_session)
         cols = ["k", "v"] if how in ("semi", "anti") else ["k", "v", "w"]
@@ -389,7 +389,7 @@ class TestSkewJoin:
         assert got == want
 
     def test_hot_detection_exact(self, ray_session):
-        from ocr_pipeline_ray.stages.join import hot_keys
+        from retired_join import hot_keys
 
         left, _ = self._skewed(ray_session)
         hot = {r["k"]: r["n"] for r in
@@ -397,8 +397,8 @@ class TestSkewJoin:
         assert hot == {7: 40}  # NULLs never hot, cold keys absent
 
     def test_no_hot_keys_degrades(self, ray_session):
-        from ocr_pipeline_ray.stages.join import (repartition_join,
-                                                  skew_join)
+        from ocr_pipeline_ray.stages.join import repartition_join
+        from retired_join import skew_join
 
         left, right = self._skewed(ray_session)
         want = sorted((r["k"], r["v"], r["w"]) for r in
@@ -409,7 +409,7 @@ class TestSkewJoin:
         assert got == want
 
     def test_layout_invariance(self, ray_session):
-        from ocr_pipeline_ray.stages.join import skew_join
+        from retired_join import skew_join
 
         want = None
         for blocks in (1, 3, 7):
@@ -429,7 +429,7 @@ class TestSkewJoinHotOverride:
     def test_supplied_hot_equals_detected(self, ray_session):
         import ray.data
 
-        from ocr_pipeline_ray.stages.join import skew_join
+        from retired_join import skew_join
 
         ks = [7] * 40 + [1, 2, 3] * 5 + [None] * 2
         left = ray.data.from_arrow(pa.table({
@@ -493,7 +493,7 @@ class TestExpandJoin:
 
         import ray.data
 
-        from ocr_pipeline_ray.stages.join import expand_join
+        from retired_join import expand_join
 
         rng = random.Random(41 + hash(how) % 97)
         for trial, (nl, nr, space, layout) in enumerate(
@@ -512,7 +512,7 @@ class TestExpandJoin:
     def test_collision_suffix_and_key_coalesce(self, ray_session):
         import ray.data
 
-        from ocr_pipeline_ray.stages.join import expand_join
+        from retired_join import expand_join
 
         left = ray.data.from_arrow(pa.table({
             "k": pa.array([1, 2, None], pa.int64()),

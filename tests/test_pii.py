@@ -5,7 +5,6 @@ import pyarrow as pa
 
 from ocr_pipeline_ray.stages.pii import (
     PII_PATTERNS,
-    pii_redact,
     pii_redact_fn,
     pii_summary,
 )
@@ -81,7 +80,8 @@ class TestPiiDataset:
         texts = (["e a@b.cc"] * 3 + ["i 1.2.3.4"] * 2
                  + ["p +1-22-333"] + ["clean"] * 4)
         ds = ray.data.from_arrow(_tbl(texts)).repartition(4)
-        red = pii_redact(ds).take_all()
+        red = ds.map_batches(pii_redact_fn,
+                             batch_format="pyarrow").take_all()
         assert sum(r["n_email"] for r in red) == 3
         summary = pii_summary(ds).take_all()
         assert summary == [{

@@ -4,18 +4,14 @@ import pyarrow.parquet as pq
 import pytest
 
 from ocr_pipeline_ray.functions.oracle import process_page
-from ocr_pipeline_ray.pipelines.extraction import extraction_pipeline
-from ocr_pipeline_ray.stages.normalize import merge_repl_stats
-from ocr_pipeline_ray.stages.report import (
-    quality_summary,
-    sorted_report,
-    write_wtr,
-)
+from ocr_pipeline_ray.pipelines.extraction import build_pipeline, read_pages
+from ocr_pipeline_ray.stages.report import quality_summary, sorted_report
+from replicas import analyze, iter_report_parts, merge_repl_stats, write_wtr
 
 
 @pytest.fixture(scope="module")
 def pipeline_rows(ray_session, small_corpus):
-    ds = extraction_pipeline(small_corpus)
+    ds = build_pipeline(read_pages(small_corpus))
     rows = ds.take_all()
     return rows
 
@@ -68,11 +64,9 @@ class TestParity:
 
 class TestReport:
     def test_summary_matches_driver_side(self, ray_session, small_corpus, pipeline_rows):
-        ds = extraction_pipeline(small_corpus)
+        ds = build_pipeline(read_pages(small_corpus))
         summary = quality_summary(ds)
         ratios = [r["hit_ratio"] for r in pipeline_rows if r["hit_ratio"] != -1.0]
-        from ocr_pipeline_ray.functions.text import analyze
-
         mean, bins = analyze(ratios)
         assert summary["mean"] == mean
         assert [summary[f"b{i+1}"] for i in range(5)] == bins
@@ -80,9 +74,9 @@ class TestReport:
         assert summary["invalid"] == len(pipeline_rows) - len(ratios)
 
     def test_sorted_report_and_wtr(self, ray_session, small_corpus, tmp_path):
-        ds = extraction_pipeline(small_corpus)
+        ds = build_pipeline(read_pages(small_corpus))
         summary = quality_summary(ds)
-        rows = sorted_report(extraction_pipeline(small_corpus)).take_all()
+        rows = sorted_report(build_pipeline(read_pages(small_corpus))).take_all()
         ratios = [r["hit_ratio"] for r in rows]
         assert ratios == sorted(ratios)
         assert all(r != -1.0 for r in ratios)
@@ -105,9 +99,9 @@ class TestReport:
 
         from ocr_pipeline_ray.stages.report import REPORT_SCHEMA, stream_wtr
 
-        ds = extraction_pipeline(small_corpus)
+        ds = build_pipeline(read_pages(small_corpus))
         summary = quality_summary(ds)
-        rows = sorted_report(extraction_pipeline(small_corpus)).take_all()
+        rows = sorted_report(build_pipeline(read_pages(small_corpus))).take_all()
         old = write_wtr(str(tmp_path / "old.wtr"), summary, rows)
         new = stream_wtr(str(tmp_path / "new.wtr"), summary,
                          pa.Table.from_pylist(rows, schema=REPORT_SCHEMA),
@@ -118,17 +112,14 @@ class TestReport:
                                      tmp_path):
         """Partitioned report parts stream back in global
         ascending-ratio order with the same summary."""
-        from ocr_pipeline_ray.stages.report import (
-            iter_report_parts,
-            write_report_parts,
-        )
+        from ocr_pipeline_ray.stages.report import write_report_parts
 
-        ds = extraction_pipeline(small_corpus)
+        ds = build_pipeline(read_pages(small_corpus))
         summary = quality_summary(ds)
-        expected = sorted_report(extraction_pipeline(small_corpus)).take_all()
+        expected = sorted_report(build_pipeline(read_pages(small_corpus))).take_all()
         out = write_report_parts(
             str(tmp_path / "parts"), summary,
-            sorted_report(extraction_pipeline(small_corpus)),
+            sorted_report(build_pipeline(read_pages(small_corpus))),
         )
         got_summary, rows_iter = iter_report_parts(out)
         got = list(rows_iter)
@@ -143,18 +134,15 @@ class TestReport:
                                          tmp_path):
         """A second write into the same parts dir REPLACES the report
         (regression: old part files interleaved into the stream)."""
-        from ocr_pipeline_ray.stages.report import (
-            iter_report_parts,
-            write_report_parts,
-        )
+        from ocr_pipeline_ray.stages.report import write_report_parts
 
-        ds = extraction_pipeline(small_corpus)
+        ds = build_pipeline(read_pages(small_corpus))
         summary = quality_summary(ds)
         out = str(tmp_path / "parts")
         for _ in range(2):
             write_report_parts(
                 out, summary,
-                sorted_report(extraction_pipeline(small_corpus)),
+                sorted_report(build_pipeline(read_pages(small_corpus))),
             )
         got_summary, rows_iter = iter_report_parts(out)
         rows = list(rows_iter)
@@ -165,7 +153,7 @@ class TestReport:
 
 class TestStats:
     def test_merge_repl_stats(self, ray_session, small_corpus, pipeline_rows):
-        ds = extraction_pipeline(small_corpus)
+        ds = build_pipeline(read_pages(small_corpus))
         merged = merge_repl_stats(ds)
         expected = {}
         for row in pipeline_rows:
@@ -486,7 +474,7 @@ class TestDeterminism:
         block-layout sensitivity anywhere in the chain)."""
         second = {
             (r["url"], r["warc_ts"]): r
-            for r in extraction_pipeline(small_corpus).take_all()
+            for r in build_pipeline(read_pages(small_corpus)).take_all()
         }
         assert len(second) == len(pipeline_rows)
         for r in pipeline_rows:

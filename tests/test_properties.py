@@ -16,8 +16,8 @@ from ocr_pipeline_ray.functions.text import (
     round3,
     sanitize_chars,
     sanitize_wraps,
-    textlines2data,
 )
+from replicas import textlines2data
 
 token = st.text(
     alphabet=string.ascii_letters + "äöüß0123456789ſ.-\"'<)", min_size=1,

@@ -1,12 +1,14 @@
-"""Dead-code and bench-list gates.
+"""Dead-code, unused-import and bench-list gates.
 
 ``scripts/reachability.py`` walks the checkout's ASTs from the product
 roots (every CLI flag, ``__ray_entry__.entry/queries/oracle_sql``,
-``bench.py``, ``scripts/``, ``clibench/``) and from ``tests/``. Code
-neither reaches is dead and goes. Code only tests reach may not grow:
-an operator needs a product caller, and ``TEST_ONLY`` below is the
-backlog of defs that have none, to shrink as they are deleted. A query
-name ``bench.py --families`` lists must be a registered query.
+``bench.py``, ``scripts/``, ``clibench/``) and from ``tests/``. Every
+package def needs a product caller: code neither reaches is dead, and
+code only tests reach is dead too — a reference replica or a fixture
+writer lives under ``tests/``. Every module-level import of the
+package is used (or marked ``# noqa: F401`` as a side effect or a
+re-export). A query name ``bench.py --families`` lists must be a
+registered query.
 """
 
 import os
@@ -17,36 +19,8 @@ import pytest
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, REPO)
 
+from scripts import reachability  # noqa: E402
 from scripts.reachability import audit  # noqa: E402
-
-# top-level defs under ocr_pipeline_ray/ that only tests reach
-TEST_ONLY = {
-    "functions/text.py": {"textlines2data", "analyze", "line_center"},
-    "pipelines/extraction.py": {"extraction_pipeline"},
-    "sources/ingest.py": {"_encode_wire", "pages_to_jsonl"},
-    "sources/warc.py": {"response_record", "write_warc_file",
-                        "pages_to_warc", "text_from_wet"},
-    "stages/bpe.py": {"bpe_reference", "bpe_apply"},
-    "stages/bucketed.py": {"probe_join_tables", "bucketed_join",
-                           "bucketed_aggregate"},
-    "stages/dedup.py": {"simhash64", "jaccard"},
-    "stages/join.py": {"expand_join", "_as_i64", "_range_pairs",
-                       "range_join", "hot_keys", "skew_join", "_BLOOM_MIX",
-                       "_int_bit_indices", "bloom_join"},
-    "stages/multimodal.py": {"MEDIA_SCHEMA", "resize_plan_fn",
-                             "frame_sample_fn"},
-    "stages/normalize.py": {"merge_repl_stats"},
-    "stages/pii.py": {"pii_redact"},
-    "stages/report.py": {"write_wtr", "iter_report_parts"},
-    "stages/stats.py": {"grouped_moments", "grouped_corr", "_cross_moments",
-                        "cms_estimate", "_skyline_mask", "skyline_2d"},
-    "stages/temporal.py": {"_round6", "sessionize", "grouped_running_sum",
-                           "peak_concurrency", "frame_window",
-                           "interval_union", "funnel_counts",
-                           "event_transitions", "rate_bursts",
-                           "watermark_windows", "rolling_percentile",
-                           "linear_attribution"},
-}
 
 
 @pytest.fixture(scope="module")
@@ -64,15 +38,19 @@ def test_every_package_def_is_reached(report):
     assert not dead_lines, f"lines no root reaches: {dead_lines}"
 
 
-def test_test_only_defs_do_not_grow(report):
-    new = {}
-    for r in report["modules"]:
-        module = os.path.relpath(r["module"], "ocr_pipeline_ray")
-        names = {d.split(":")[0] for d in r["test_only_defs"]}
-        extra = sorted(names - TEST_ONLY.get(module, set()))
-        if extra:
-            new[module] = extra
-    assert not new, f"defs only tests reach (give them a product caller): {new}"
+def test_no_def_is_reached_only_from_tests(report):
+    test_only = {r["module"]: r["test_only_defs"] for r in report["modules"]
+                 if r["test_only_defs"]}
+    assert not test_only, (
+        f"defs only tests reach (give them a product caller, or move "
+        f"them into tests/): {test_only}")
+    assert report["totals"]["test_only"] == 0
+
+
+def test_no_unused_module_imports(report):
+    unused = {r["module"]: r["unused_imports"] for r in report["modules"]
+              if r["unused_imports"]}
+    assert not unused, f"module-level imports the module never uses: {unused}"
 
 
 def test_lines_add_up(report):
@@ -92,3 +70,155 @@ def test_family_bench_names_are_registered_queries():
               for name in names}
     missing = sorted(listed - set(QUERIES))
     assert not missing, f"--families names with no QUERIES entry: {missing}"
+
+
+# -- the audit's rules, on small checkouts of their own ---------------------
+
+
+def _audit(tmp_path, monkeypatch, files):
+    """``audit()`` over a checkout made of ``files`` (path -> source);
+    returns its rows by module path."""
+    for rel, source in files.items():
+        path = tmp_path / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(source)
+    monkeypatch.setattr(reachability, "REPO", str(tmp_path))
+    return {r["module"]: r for r in reachability.audit()["modules"]}
+
+
+PKG_INIT = {"ocr_pipeline_ray/__init__.py": ""}
+M_DEFS = (
+    "import os\n"
+    "import sys  # noqa: F401\n"
+    "\n\n"
+    "def cli_fn():\n    return helper()\n"
+    "\n\n"
+    "def helper():\n    return os.sep\n"
+    "\n\n"
+    "def tested_fn():\n    return 1\n"
+    "\n\n"
+    "def unused_fn():\n    return 2\n"
+)
+
+
+def test_audit_splits_product_test_only_and_dead(tmp_path, monkeypatch):
+    rows = _audit(tmp_path, monkeypatch, {
+        **PKG_INIT,
+        "ocr_pipeline_ray/__main__.py": "from .m import cli_fn\n\ncli_fn()\n",
+        "ocr_pipeline_ray/m.py": M_DEFS,
+        "tests/test_m.py": ("from ocr_pipeline_ray.m import tested_fn\n"
+                            "\n\ndef test_it():\n"
+                            "    assert tested_fn() == 1\n"),
+    })
+    m = rows["ocr_pipeline_ray/m.py"]
+    assert m["test_only_defs"] == ["tested_fn:11"]
+    assert m["dead_defs"] == ["unused_fn:15"]
+    assert m["unused_imports"] == []
+    assert m["product"] + m["test_only"] + m["dead"] == m["total"] == 18
+    assert (m["test_only"], m["dead"]) == (4, 4)
+
+
+def test_registration_statement_reaches_its_function(tmp_path, monkeypatch):
+    rows = _audit(tmp_path, monkeypatch, {
+        **PKG_INIT,
+        "ocr_pipeline_ray/__main__.py": "from .q import QUERIES\n",
+        "ocr_pipeline_ray/q.py": ("QUERIES = {}\n\n\ndef q_x():\n"
+                                  "    return 1\n\n\nQUERIES['x'] = q_x\n"),
+    })
+    q = rows["ocr_pipeline_ray/q.py"]
+    assert (q["dead_defs"], q["test_only_defs"]) == ([], [])
+    assert q["product"] == q["total"]
+
+
+def test_function_level_import_is_followed(tmp_path, monkeypatch):
+    rows = _audit(tmp_path, monkeypatch, {
+        **PKG_INIT,
+        "ocr_pipeline_ray/__main__.py": ("def main():\n"
+                                         "    from .m import cli_fn\n"
+                                         "    cli_fn()\n\n\nmain()\n"),
+        "ocr_pipeline_ray/m.py": M_DEFS,
+    })
+    assert rows["ocr_pipeline_ray/m.py"]["dead_defs"] == [
+        "tested_fn:11", "unused_fn:15"]
+
+
+def test_attribute_chain_through_a_module(tmp_path, monkeypatch):
+    rows = _audit(tmp_path, monkeypatch, {
+        **PKG_INIT,
+        "ocr_pipeline_ray/__main__.py": "from . import m\n\nm.cli_fn()\n",
+        "ocr_pipeline_ray/m.py": M_DEFS,
+    })
+    assert rows["ocr_pipeline_ray/m.py"]["dead_defs"] == [
+        "tested_fn:11", "unused_fn:15"]
+
+
+def test_star_import_honours_all(tmp_path, monkeypatch):
+    rows = _audit(tmp_path, monkeypatch, {
+        **PKG_INIT,
+        "ocr_pipeline_ray/__main__.py": ("from .api import a, b\n\n"
+                                         "a()\nb()\n"),
+        "ocr_pipeline_ray/api.py": "from .impl import *  # noqa: F401,F403\n",
+        "ocr_pipeline_ray/impl.py": ("__all__ = ['a']\n\n\ndef a():\n"
+                                     "    pass\n\n\ndef b():\n    pass\n"),
+    })
+    assert rows["ocr_pipeline_ray/impl.py"]["dead_defs"] == ["b:6"]
+
+
+def test_a_module_only_tests_load_is_test_only(tmp_path, monkeypatch):
+    rows = _audit(tmp_path, monkeypatch, {
+        **PKG_INIT,
+        "ocr_pipeline_ray/__main__.py": "",
+        "ocr_pipeline_ray/m.py": M_DEFS,
+        "tests/test_m.py": "import ocr_pipeline_ray.m\n",
+    })
+    m = rows["ocr_pipeline_ray/m.py"]
+    # its imports run on load; none of its defs is called
+    assert m["test_only"] == 2
+    assert m["dead_defs"] == ["cli_fn:3", "helper:7", "tested_fn:11",
+                              "unused_fn:15"]
+
+
+def test_a_name_in_all_is_used(tmp_path, monkeypatch):
+    rows = _audit(tmp_path, monkeypatch, {
+        **PKG_INIT,
+        "ocr_pipeline_ray/__main__.py": "from . import api, bare\n",
+        "ocr_pipeline_ray/api.py": ("from os import sep\n\n"
+                                    "__all__ = ['sep']\n"),
+        "ocr_pipeline_ray/bare.py": "from os import sep\n",
+    })
+    assert rows["ocr_pipeline_ray/api.py"]["unused_imports"] == []
+    assert rows["ocr_pipeline_ray/bare.py"]["unused_imports"] == ["sep:1"]
+
+
+@pytest.mark.parametrize("source, unused", [
+    ("import os\nimport sys\n\nprint(sys.argv)\n", ["os:1"]),
+    ("import numpy as np\n\nzeros = np.zeros\n", []),
+    ("from os import (\n    sep,  # noqa: F401\n)\n", []),
+    ("from __future__ import annotations\n", []),
+    ("import os.path\nimport json as j\n\nos.getcwd()\n", ["j:2"]),
+    ("try:\n    import ujson as json\nexcept ImportError:\n"
+     "    import json\n\n\ndef f():\n    import re\n", ["json:2", "json:4"]),
+])
+def test_unused_module_imports(tmp_path, source, unused):
+    path = tmp_path / "mod.py"
+    path.write_text(source)
+    mod = reachability.Module("mod", str(path), False)
+    assert reachability.unused_imports(mod) == unused
+
+
+@pytest.mark.parametrize("source, names", [
+    ("def f():\n    pass\n", ["f"]),
+    ("x: int = 1\n", ["x"]),
+    ("a, b = 1, 2\n", ["a", "b"]),
+    ("@register_step('S')\nclass S:\n    pass\n", None),
+    ("@app.register\ndef g():\n    pass\n", None),
+    ("QUERIES['x'] = 1\n", None),
+    ("__all__ = []\n", None),
+])
+def test_which_statements_bind_names(source, names):
+    """A statement that binds names is reached through them; one that
+    binds none (a registration, ``__all__``) runs on load."""
+    import ast
+
+    node = ast.parse(source).body[0]
+    assert reachability._target_names(node) == names

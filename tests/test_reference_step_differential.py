@@ -33,8 +33,8 @@ from ocr_pipeline_ray.functions.text import (  # noqa: E402
     replace_chars_regex,
     sanitize_chars,
     sanitize_wraps,
-    textlines2data,
 )
+from replicas import textlines2data  # noqa: E402
 
 # line alphabet exercises every sanitize_chars branch: digits, quotes,
 # bad punctuation, long-s, dots, double spaces, hyphens at EOL
@@ -152,7 +152,7 @@ class TestEstimateDifferential:
         values are reference-rounded (3 decimals), where half-up
         round3 and Python's bankers round agree; exact .0005 ties
         cannot arise from a 3-decimal input."""
-        from ocr_pipeline_ray.functions.text import analyze
+        from replicas import analyze
 
         cases = [
             [],

@@ -29,7 +29,7 @@ class TestRateBursts:
         })
 
     def test_burst_detected_above_2_sigma(self, ray_session):
-        from ocr_pipeline_ray.stages.temporal import rate_bursts
+        from retired_temporal import rate_bursts
 
         # 11 quiet hours at 2/hour, one storm hour at 30: mean≈4.3,
         # σ≈7.7 → 30 is > mean + 2σ; 2 is not.
@@ -40,7 +40,7 @@ class TestRateBursts:
         assert out.loc[0, "max_n"] == 30
 
     def test_uniform_rate_has_no_bursts(self, ray_session):
-        from ocr_pipeline_ray.stages.temporal import rate_bursts
+        from retired_temporal import rate_bursts
 
         tbl = self._events({"view": [5] * 8})
         out = rate_bursts(_ds(tbl)).to_pandas()
@@ -48,7 +48,7 @@ class TestRateBursts:
         assert out.loc[0, "n_bursts"] == 0
 
     def test_per_key_baselines_independent(self, ray_session):
-        from ocr_pipeline_ray.stages.temporal import rate_bursts
+        from retired_temporal import rate_bursts
 
         # 9 would be a huge burst for 'quiet' but is baseline for
         # 'busy' — baselines must not bleed across keys.
@@ -61,7 +61,7 @@ class TestRateBursts:
         assert out.loc["busy", "n_bursts"] == 0
 
     def test_block_layout_invariance(self, ray_session):
-        from ocr_pipeline_ray.stages.temporal import rate_bursts
+        from retired_temporal import rate_bursts
 
         tbl = self._events({"a": [1, 1, 1, 20], "b": [3, 3, 3, 3]})
         one = rate_bursts(_ds(tbl)).to_pandas()
@@ -416,7 +416,7 @@ class TestVocabGrowth:
 
 class TestInferenceBuckets:
     def test_caps_counts_and_waste(self, ray_session):
-        from ocr_pipeline_ray.queries import q_inference_buckets
+        from ocr_pipeline_ray.queries._composites import q_inference_buckets
         import pyarrow.parquet as pq
         import tempfile, os
 
@@ -434,7 +434,7 @@ class TestInferenceBuckets:
 
 class TestDomainHoldoutSplit:
     def test_all_docs_of_a_host_share_a_split(self, ray_session):
-        from ocr_pipeline_ray.queries import q_domain_holdout_split
+        from ocr_pipeline_ray.queries._composites import q_domain_holdout_split
 
         out = q_domain_holdout_split(
             "/root/testdata/sf0.001").to_pandas()
@@ -550,7 +550,7 @@ class TestReviewRegressions:
         assert row["decode_error"] is not None
 
     def test_rate_bursts_int_keys(self, ray_session):
-        from ocr_pipeline_ray.stages.temporal import rate_bursts
+        from retired_temporal import rate_bursts
 
         ts = pa.array(
             [np.datetime64("2024-01-01T00", "us")] * 3

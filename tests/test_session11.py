@@ -296,7 +296,7 @@ class TestPolitenessPlan:
 class TestWatermarkWindows:
     def _run(self, ids, ts_hours, types=None, lateness_h=2,
              blocks=1, band_width=4):
-        from ocr_pipeline_ray.stages.temporal import watermark_windows
+        from retired_temporal import watermark_windows
 
         h = 3_600_000_000
         base = 1_700_000_000_000_000
@@ -411,7 +411,7 @@ class TestBloomJoin:
         return con.sql(q).df()
 
     def test_all_hows_match_plain_join(self, ray_session):
-        from ocr_pipeline_ray.stages.join import bloom_join
+        from retired_join import bloom_join
 
         left, right = self._tables()
         for how in ("inner", "semi", "anti"):
@@ -426,7 +426,7 @@ class TestBloomJoin:
 
     def test_tiny_bloom_stays_exact(self, ray_session):
         # 64-bit bloom: false positives guaranteed, results exact
-        from ocr_pipeline_ray.stages.join import bloom_join
+        from retired_join import bloom_join
 
         left, right = self._tables()
         out = bloom_join(_ds(left), _ds(right), on="k", how="anti",
@@ -438,7 +438,7 @@ class TestBloomJoin:
     def test_power_of_two_guard(self, ray_session):
         import pytest
 
-        from ocr_pipeline_ray.stages.join import bloom_join
+        from retired_join import bloom_join
 
         left, right = self._tables()
         with pytest.raises(ValueError):
@@ -523,7 +523,7 @@ class TestRollingPercentile:
         })
 
     def _run(self, rows, blocks=1, **kw):
-        from ocr_pipeline_ray.stages.temporal import rolling_percentile
+        from retired_temporal import rolling_percentile
 
         out = rolling_percentile(_ds(self._events(rows), blocks),
                                  n_buckets=4, **kw).to_pandas()
@@ -571,7 +571,7 @@ class TestRollingPercentile:
 class TestLinearAttribution:
     def _run(self, rows, blocks=1, window_hours=24):
         """rows: (user, hour_offset, type, value)"""
-        from ocr_pipeline_ray.stages.temporal import linear_attribution
+        from retired_temporal import linear_attribution
 
         h = 3_600_000_000
         base = 1_700_000_000_000_000

@@ -46,7 +46,7 @@ class TestStitchPairs:
 
 class TestSkyline:
     def test_mask_semantics(self):
-        from ocr_pipeline_ray.stages.stats import _skyline_mask
+        from retired_operators import _skyline_mask
 
         x = np.array([5, 3, 5, 1, 4, 5])
         y = np.array([1, 9, 1, 10, 9, 0])
@@ -58,10 +58,7 @@ class TestSkyline:
         assert keep.tolist() == [True, False, True, True, True, False]
 
     def test_distributed_matches_bruteforce(self, ray_session):
-        from ocr_pipeline_ray.stages.stats import (
-            _skyline_mask,
-            skyline_2d,
-        )
+        from retired_operators import _skyline_mask, skyline_2d
 
         rng = np.random.RandomState(11)
         x = rng.randint(0, 50, 400).astype(np.int64)

@@ -19,6 +19,31 @@ def _flagship_by_url(ds):
     }
 
 
+def _diff_msg(got, want):
+    """Which urls differ between two ``_flagship_by_url`` dicts: the
+    count and the first three, with both sides' values, so a failure
+    log tells a wrong fixture from a wrong adapter."""
+    urls = sorted(u for u in set(got) | set(want)
+                  if got.get(u, "<missing>") != want.get(u, "<missing>"))
+    first = [(u, got.get(u, "<missing>"), want.get(u, "<missing>"))
+             for u in urls[:3]]
+    return (f"{len(urls)} of {len(want)} urls differ "
+            f"(got {len(got)} rows); first (url, got, want): {first}")
+
+
+def test_diff_msg_counts_the_differing_urls_and_shows_three():
+    want = {f"u{i}": (i, "x") for i in range(6)}
+    got = dict(want, u1=(1, "y"), u4=(4, "y"), u5=(5, "z"), extra=(9, "x"))
+    del got["u0"]
+    msg = _diff_msg(got, want)
+    assert msg.startswith("5 of 6 urls differ (got 6 rows)")
+    # the first three differing urls in sorted order, both sides shown
+    assert msg.endswith("[('extra', (9, 'x'), '<missing>'), "
+                        "('u0', '<missing>', (0, 'x')), "
+                        "('u1', (1, 'y'), (1, 'x'))]")
+    assert _diff_msg(want, dict(want)).startswith("0 of 6 urls differ")
+
+
 @pytest.fixture(scope="module")
 def pages_tbl():
     from ocr_pipeline_ray.corpus import generate_pages_table
@@ -39,10 +64,8 @@ class TestSourceAdapters:
     ):
         import ray.data
 
-        from ocr_pipeline_ray.sources import (
-            pages_from_jsonl,
-            pages_to_jsonl,
-        )
+        from fixture_writers import pages_to_jsonl
+        from ocr_pipeline_ray.sources import pages_from_jsonl
 
         out = str(tmp_path / "jsonl")
         pages_to_jsonl(
@@ -53,7 +76,8 @@ class TestSourceAdapters:
             "url", "warc_ts", "html", "text", "lang"
         ]
         via_jsonl = _flagship_by_url(ingested)
-        assert via_jsonl == native_results
+        assert via_jsonl == native_results, _diff_msg(via_jsonl,
+                                                      native_results)
 
     def test_csv_ingest_matches_parquet_path(
         self, ray_session, pages_tbl, native_results, tmp_path
@@ -80,15 +104,14 @@ class TestSourceAdapters:
 
         ingested = pages_from_csv(str(path))
         via_csv = _flagship_by_url(ingested)
-        assert via_csv == native_results
+        assert via_csv == native_results, _diff_msg(via_csv,
+                                                    native_results)
 
     def test_column_projection(self, ray_session, pages_tbl, tmp_path):
         import ray.data
 
-        from ocr_pipeline_ray.sources import (
-            pages_from_jsonl,
-            pages_to_jsonl,
-        )
+        from fixture_writers import pages_to_jsonl
+        from ocr_pipeline_ray.sources import pages_from_jsonl
 
         out = str(tmp_path / "jsonl")
         pages_to_jsonl(ray.data.from_arrow(pages_tbl), out)
@@ -103,10 +126,8 @@ class TestWarcAdapter:
     ):
         import ray.data
 
-        from ocr_pipeline_ray.sources import (
-            pages_from_warc,
-            pages_to_warc,
-        )
+        from fixture_writers import pages_to_warc
+        from ocr_pipeline_ray.sources import pages_from_warc
 
         out = str(tmp_path / "warc")
         pages_to_warc(
@@ -120,7 +141,8 @@ class TestWarcAdapter:
         assert all(r["text"] is None
                    for r in ingested.take(5))
         via_warc = _flagship_by_url(ingested)
-        assert via_warc == native_results
+        assert via_warc == native_results, _diff_msg(via_warc,
+                                                     native_results)
 
     def test_columns_round_trip_exactly(self, ray_session, pages_tbl,
                                         tmp_path):
@@ -128,10 +150,8 @@ class TestWarcAdapter:
         including µs timestamps and non-UTF-8 html bytes."""
         import ray.data
 
-        from ocr_pipeline_ray.sources import (
-            pages_from_warc,
-            pages_to_warc,
-        )
+        from fixture_writers import pages_to_warc
+        from ocr_pipeline_ray.sources import pages_from_warc
 
         out = str(tmp_path / "warc2")
         pages_to_warc(ray.data.from_arrow(pages_tbl), out,
@@ -154,9 +174,9 @@ class TestWarcAdapter:
         non-response records skipped, multi-member gzip."""
         import gzip
 
+        from fixture_writers import response_record
         from ocr_pipeline_ray.sources.warc import (
             parse_warc_bytes,
-            response_record,
             _maybe_gunzip,
             _warcinfo_record,
         )
@@ -186,10 +206,8 @@ class TestWetExport:
         import ray.data
 
         from ocr_pipeline_ray.pipelines.extraction import build_pipeline
-        from ocr_pipeline_ray.sources import (
-            extracted_to_wet,
-            text_from_wet,
-        )
+        from fixture_writers import text_from_wet
+        from ocr_pipeline_ray.sources import extracted_to_wet
 
         extracted = build_pipeline(
             ray.data.from_arrow(pages_tbl)).materialize()
@@ -217,7 +235,7 @@ class TestWetExport:
         wet_files = globmod.glob(f"{out}/wet/*.warc.wet.gz")
         assert wet_files
 
-        from ocr_pipeline_ray.sources import text_from_wet
+        from fixture_writers import text_from_wet
 
         import duckdb
 
@@ -234,10 +252,8 @@ class TestWarcReviewRegressions:
     def test_microsecond_timestamp_precision(self):
         """int(float_ts*1e6) truncated ~1.6% of µs values one low —
         the parse must be integer arithmetic end to end."""
-        from ocr_pipeline_ray.sources.warc import (
-            parse_warc_bytes,
-            response_record,
-        )
+        from fixture_writers import response_record
+        from ocr_pipeline_ray.sources.warc import parse_warc_bytes
 
         bad = 1083088848922968  # reproduced float-truncation case
         for ts in (bad, 0, 1, 999_999, 1_700_000_000_000_001):
@@ -246,10 +262,10 @@ class TestWarcReviewRegressions:
             assert got == ts, ts
 
     def test_null_warc_ts_round_trips_null(self):
+        from fixture_writers import response_record
         from ocr_pipeline_ray.sources.warc import (
             conversion_record,
             parse_warc_bytes,
-            response_record,
         )
 
         rec = response_record("http://x/", None, b"<p>t</p>", "en")
@@ -264,10 +280,8 @@ class TestWarcReviewRegressions:
         overwrite each other's shard file."""
         import ray.data
 
-        from ocr_pipeline_ray.sources import (
-            pages_from_warc,
-            pages_to_warc,
-        )
+        from fixture_writers import pages_to_warc
+        from ocr_pipeline_ray.sources import pages_from_warc
         from ocr_pipeline_ray.schema import PAGES_SCHEMA
 
         def _block(second_url):
@@ -293,10 +307,8 @@ class TestWarcReviewRegressions:
                                              tmp_path):
         import ray.data
 
-        from ocr_pipeline_ray.sources import (
-            extracted_to_wet,
-            text_from_wet,
-        )
+        from fixture_writers import text_from_wet
+        from ocr_pipeline_ray.sources import extracted_to_wet
 
         def _tbl(urls):
             return pa.table({

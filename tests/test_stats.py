@@ -527,7 +527,7 @@ class TestGroupedMoments:
         import duckdb
         import ray.data
 
-        from ocr_pipeline_ray.stages.stats import grouped_moments
+        from retired_operators import grouped_moments
 
         rng = random.Random(7)
         n = 400
@@ -562,7 +562,7 @@ class TestGroupedMoments:
     def test_degenerate_groups(self, ray_session):
         import ray.data
 
-        from ocr_pipeline_ray.stages.stats import grouped_moments
+        from retired_operators import grouped_moments
 
         tbl = pa.table({
             "k": pa.array(["a", "a", "b", "c"], pa.string()),
@@ -594,7 +594,8 @@ class TestCmsSketch:
 
         import ray.data
 
-        from ocr_pipeline_ray.stages.stats import cms_estimate, cms_sketch
+        from ocr_pipeline_ray.stages.stats import cms_sketch
+        from replicas import cms_estimate
 
         tbl = self._corpus()
         truth = collections.Counter(
@@ -788,7 +789,7 @@ class TestGroupedCorr:
         import numpy as np
         import ray.data
 
-        from ocr_pipeline_ray.stages.stats import grouped_corr
+        from retired_operators import grouped_corr
 
         rng = np.random.RandomState(7)
         xs = rng.rand(60) * 10
@@ -823,7 +824,7 @@ class TestGroupedCorr:
     def test_null_rows_ignored(self, ray_session):
         import ray.data
 
-        from ocr_pipeline_ray.stages.stats import grouped_corr
+        from retired_operators import grouped_corr
 
         tbl = pa.table({
             "key": pa.array(["k"] * 4, pa.string()),

@@ -30,7 +30,7 @@ class TestSessionize:
         30:00.000001 starts a new one; users never share sessions."""
         import ray.data
 
-        from ocr_pipeline_ray.stages.temporal import sessionize
+        from retired_temporal import sessionize
 
         rows = [
             # user 1: three events, second exactly at the gap bound
@@ -58,7 +58,7 @@ class TestSessionize:
         """Equal timestamps order by event_id (deterministic)."""
         import ray.data
 
-        from ocr_pipeline_ray.stages.temporal import sessionize
+        from retired_temporal import sessionize
 
         rows = [(5, 0, 1, "a", 1.0), (4, 0, 1, "a", 2.0)]
         got = sessionize(ray.data.from_arrow(_events(rows))).take_all()
@@ -75,7 +75,7 @@ class TestRunningSum:
         import duckdb
         import ray.data
 
-        from ocr_pipeline_ray.stages.temporal import grouped_running_sum
+        from retired_temporal import grouped_running_sum
 
         rng = random.Random(11)
         n = 300
@@ -112,7 +112,7 @@ class TestRunningSum:
         import duckdb
         import ray.data
 
-        from ocr_pipeline_ray.stages.temporal import grouped_running_sum
+        from retired_temporal import grouped_running_sum
 
         rng = random.Random(3)
         n = 20_000
@@ -160,7 +160,7 @@ class TestPeakConcurrency:
         import numpy as np
         import ray.data
 
-        from ocr_pipeline_ray.stages.temporal import peak_concurrency
+        from retired_temporal import peak_concurrency
 
         rng = random.Random(9)
         base = 1_700_000_000_000_000
@@ -186,7 +186,7 @@ class TestPeakConcurrency:
         import numpy as np
         import ray.data
 
-        from ocr_pipeline_ray.stages.temporal import peak_concurrency
+        from retired_temporal import peak_concurrency
 
         # [0, 5] and [6, 9]: inclusive ends, no overlap -> peak 1
         tbl = pa.table({
@@ -257,7 +257,7 @@ class TestIntervalUnion:
         import duckdb
         import ray.data
 
-        from ocr_pipeline_ray.stages.temporal import interval_union
+        from retired_temporal import interval_union
 
         rng = np.random.default_rng(23)
         n = 3000
@@ -287,7 +287,7 @@ class TestIntervalUnion:
             self, ray_session):
         import ray.data
 
-        from ocr_pipeline_ray.stages.temporal import interval_union
+        from retired_temporal import interval_union
 
         tbl = pa.table({
             "k": pa.array([1, 1, 1, 1, 2], pa.int64()),
@@ -305,7 +305,7 @@ class TestFunnelCounts:
     def test_ordered_prefix_semantics(self, ray_session):
         import ray.data
 
-        from ocr_pipeline_ray.stages.temporal import funnel_counts
+        from retired_temporal import funnel_counts
 
         rows = [
             # user 1 completes A->B->C in order
@@ -327,7 +327,7 @@ class TestFunnelCounts:
         import duckdb
         import ray.data
 
-        from ocr_pipeline_ray.stages.temporal import funnel_counts
+        from retired_temporal import funnel_counts
 
         rng = np.random.default_rng(5)
         n = 3000
@@ -357,7 +357,7 @@ class TestFunnelWindowed:
     def test_window_bound_blocks_late_conversion(self, ray_session):
         import ray.data
 
-        from ocr_pipeline_ray.stages.temporal import funnel_counts
+        from retired_temporal import funnel_counts
 
         rows = [
             # user 1: B exactly at the bound (counts), C too late
@@ -381,7 +381,7 @@ class TestFrameWindow:
         import pyarrow as pa
         import ray.data
 
-        from ocr_pipeline_ray.stages.temporal import frame_window
+        from retired_temporal import frame_window
 
         tbl = pa.table({
             "k": pa.array([1, 1, 1, 1, 1, 2, 2], pa.int64()),
@@ -402,7 +402,7 @@ class TestFrameWindow:
         import pyarrow as pa
         import ray.data
 
-        from ocr_pipeline_ray.stages.temporal import frame_window
+        from retired_temporal import frame_window
 
         tbl = pa.table({
             "k": pa.array([3, 1, 2, 1, 3, 2, 1], pa.int64()),

@@ -11,7 +11,6 @@ from ocr_pipeline_ray.functions.quality import (
     score_ratio,
 )
 from ocr_pipeline_ray.functions.text import (
-    analyze,
     parse_dict,
     replace_chars,
     replace_chars_regex,
@@ -19,8 +18,8 @@ from ocr_pipeline_ray.functions.text import (
     sanitize_chars,
     sanitize_wraps,
     strip_raw_wrapper,
-    textlines2data,
 )
+from replicas import analyze, textlines2data
 
 
 class TestRound3:
@@ -158,7 +157,7 @@ class TestTextlines2Data:
 
 class TestQualityFusionParity:
     def test_fused_estimate_equals_textlines2data_path(self):
-        """estimate_quality's fused token path == the public
+        """estimate_quality's fused token path == the reference-shaped
         textlines2data composition, over adversarial line shapes
         (hyphen wraps, empties, bad chars, ſ, short tokens, marks)."""
         import random
@@ -168,8 +167,6 @@ class TestQualityFusionParity:
             estimate_quality,
             score_ratio,
         )
-        from ocr_pipeline_ray.functions.text import textlines2data
-
         rng = random.Random(17)
         pieces = [
             "der alte turm", "steht-", "", "  ", "am 123 fluss!",
@@ -278,7 +275,7 @@ class TestIdsAndHelpers:
         assert page_id_from_url("http://h/x.html", "page_") == "page_x"
 
     def test_line_center(self):
-        from ocr_pipeline_ray.functions.text import line_center
+        from replicas import line_center
 
         assert line_center(80, 100, 120, 24) == 140.0
         assert line_center(80, 100, 120, 24, vertical=True) == 112.0

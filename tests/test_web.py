@@ -240,6 +240,21 @@ class TestMetaExtract:
         assert m["title"] == "A"
         assert m["description"] == "one"
 
+    def test_batch_keeps_ids_and_reads_null_html_as_empty(self):
+        from ocr_pipeline_ray.stages.web import meta_extract_fn
+
+        out = meta_extract_fn(pa.table({
+            "doc_id": pa.array([7, 8], pa.int64()),
+            "html": pa.array([b"<title>A &amp; B</title>", None],
+                             pa.binary()),
+            "url": pa.array(["u7", "u8"], pa.string()),
+        }))
+        assert out.column_names == [
+            "doc_id", "title", "description", "canonical", "og_title"]
+        assert out.column("doc_id").to_pylist() == [7, 8]
+        assert out.column("title").to_pylist() == ["A & B", None]
+        assert out.column("description").to_pylist() == [None, None]
+
 
 class TestHtmlTables:
     def test_cells_strip_and_order(self):
@@ -299,3 +314,32 @@ class TestUrlPathRollup:
             ("a.x/p", 1, 3),
             ("a.x/p/q", 2, 2),
         ]
+
+
+class TestUrlFeatures:
+    def test_worked_examples(self):
+        from ocr_pipeline_ray.stages.web import url_features_fn
+
+        out = url_features_fn(_tbl([
+            "https://ex.com/a/b1?x=1&y=22",
+            "http://h.org",
+            "http://h.org/",
+            "http://h.org/p?q",
+        ]))
+        got = list(zip(*(out.column(c).to_pylist() for c in (
+            "url_len", "host_len", "path_depth", "n_digits", "n_params"))))
+        assert got == [
+            (28, 6, 2, 4, 2),
+            (12, 5, 0, 0, 0),
+            (13, 5, 1, 0, 0),
+            (16, 5, 1, 0, 1),
+        ]
+        assert out.column("url").to_pylist()[1] == "http://h.org"
+
+    def test_null_url_gives_null_features(self):
+        from ocr_pipeline_ray.stages.web import url_features_fn
+
+        out = url_features_fn(_tbl([None, "http://a.b/c"]))
+        assert out.column("url_len").to_pylist() == [None, 12]
+        assert out.column("path_depth").to_pylist() == [None, 1]
+        assert out.schema.field("n_params").type == pa.int64()

@@ -222,9 +222,9 @@ class TestAltoEmission:
 
     def test_round_trip_through_own_reader(self, ray_session, small_corpus):
         from ocr_pipeline_ray.functions.xmlout import alto_xml_fn
-        from ocr_pipeline_ray.pipelines.extraction import extraction_pipeline
+        from ocr_pipeline_ray.pipelines.extraction import build_pipeline, read_pages
 
-        ds = extraction_pipeline(small_corpus[:1]).map_batches(
+        ds = build_pipeline(read_pages(small_corpus[:1])).map_batches(
             alto_xml_fn, batch_format="pyarrow"
         )
         rows = ds.take_all()
