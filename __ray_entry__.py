@@ -2,9 +2,9 @@
 
 ``entry()`` runs the flagship extraction pipeline over
 ``/root/testdata/sf0.001``; ``queries()`` exposes one Ray pipeline per
-registered query (207: the SURVEY.md §2 operators plus the dedup /
+registered query (170: the SURVEY.md §2 operators plus the dedup /
 similarity / text-analysis / web / storage extensions);
-``oracle_sql()`` gives the DuckDB twin for each of the 201
+``oracle_sql()`` gives the DuckDB twin for each of the 164
 SQL-expressible ones.
 
 The registry is being cut down to a keep-list, written out in the

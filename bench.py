@@ -44,12 +44,7 @@ BENCH_QUERIES = [
     "paragraph_dedup", "substring_dedup",
     "winnow_fingerprint", "ann_topk", "embedding_near_dup",
     "semantic_dedup",
-    "pii_redact", "host_stats", "host_skew_stats", "host_cap", "heavy_hitters",
-    # pagerank (Dataset plan) is oracle-gated but benched via its
-    # Pregel twin: the Dataset plan pays one sort-barrier exchange
-    # per iteration (~10s fixed each at toy scale — amortized at
-    # real scale, pathological in a wall-clock bench)
-    "inverted_index", "pagerank_pregel", "triangle_count",
+    "pii_redact", "host_stats", "heavy_hitters", "inverted_index",
     "sequence_packing",
     "corpus_filter", "corpus_quantiles", "profile_table",
     "tfidf_top_terms",
@@ -58,11 +53,11 @@ BENCH_QUERIES = [
     "shuffle_shards", "doc_embed", "mix_sample", "packed_windows",
     "lm_buckets", "split_leakage_safe",
     "quality_rank", "source_overlap",
-    "sample_exact_k", "approx_quantiles", "docs_except",
+    "sample_exact_k", "docs_except",
     "docs_union",
     "bucket_point_lookup",
     "distinct_users_by_type",
-    "doc_chunks", "cms_sketch", "approx_users_by_type",
+    "doc_chunks", "cms_sketch",
     "hll_users_by_type",
     "lang_doc_rank", "source_extract", "quality_classifier",
     "docs_checksum",
@@ -75,26 +70,23 @@ BENCH_QUERIES = [
     "dup_cluster_sizes", "collocations",
     "label_centroids", "containment_pairs",
     "value_outliers", "lang_confusion",
-    "host_entropy", "lang_doc_rank_dist", "ks_drift", "chi2_drift",
+    "lang_doc_rank_dist", "ks_drift", "chi2_drift",
     "doc_novelty", "extraction_pdf_roundtrip",
-    "link_graph",
     # session-5 additions
-    "dsir_weights", "anchor_texts",
+    "dsir_weights",
     "image_dhash",
-    "scd2_build", "robots_allowed",
+    "scd2_build",
     "distinctive_terms",
-    "lang_top_tokens", "host_components", "host_gini",
+    "lang_top_tokens", "host_gini",
     "dedup_best_survivor",
-    "wordlist_gate", "minhash_jaccard_estimate", "mirror_hosts",
-    "cocitation_pairs", "polyglot_hosts",
+    "wordlist_gate", "minhash_jaccard_estimate",
     # session-7 additions
     "embedding_quantize", "host_boilerplate",
     "pq_codes", "ann_topk_pq",
     "video_scene_cuts", "zonemap_scan", "range_shards",
     "url_latest_k", "phrase_match", "simhash_near_pairs",
-    "schema_evolution", "deobfuscate", "lang_approx_quantiles",
+    "schema_evolution", "deobfuscate",
     "curation_pipeline", "meta_extract", "html_tables",
-    "url_path_rollup",
     # session-8 additions
     "minhash_banded_pairs", "dictionary_tag", "prefix_dup",
     "char_entropy", "oov_rate",
@@ -102,33 +94,21 @@ BENCH_QUERIES = [
     # session-9 additions
     "zorder_scan", "stitch_pairs",
     "mutual_nn_pairs", "rendezvous_shards",
-    "url_features", "filter_cascade",
-    "coreset_select", "frontier_pipeline", "robots_parse",
+    "filter_cascade",
+    "coreset_select", "frontier_pipeline",
     # session-10 additions
-    "lang_host_mi", "script_mix", "calibration_bins",
-    "syndication_sources",
+    "script_mix", "calibration_bins",
     "agg_refresh", "compaction_plan",
     "audio_silence", "semantic_blocklist", "hard_negatives",
     "vocab_growth", "inference_buckets", "domain_holdout_split",
-    "sitemap_parse", "fix_mojibake", "seed_pipeline",
-    "homoglyph_hosts",
-    # session-11 additions (sssp is iterative — excluded like
-    # crawl_depth; see the note below)
-    "canonical_url", "canonical_dup_groups",
-    "politeness_plan",
+    "fix_mojibake", "seed_pipeline",
+    # session-11 additions
+    "canonical_dup_groups",
     "intradoc_dedup", "random_projection", "image_resize",
     "store_repair_plan",
     "embedding_covariance", "stratified_priority_sample",
     "embedding_outliers",
     "column_diff",
-    # communities (label propagation), ppr_scores (seeded pagerank)
-    # and stitch_chains (pointer-doubling reassembly) are
-    # oracle-gated but excluded like pagerank/
-    # crawl_depth: their barrier exchanges per round/iteration are
-    # fixed-cost-dominated at toy scale, amortized at real scale
-    # crawl_depth (BFS) is oracle-gated but excluded like pagerank:
-    # iterative exchanges pay ~2 barrier fixed costs per hop at toy
-    # scale - amortized at real scale, pathological in a wall bench
 ]
 
 
@@ -145,7 +125,6 @@ FAMILY_BENCH = {
     "dedup_cluster": ["dup_clusters", "dedup_canonical",
                       "dedup_best_survivor"],
     "similarity": ["ann_topk", "embedding_near_dup", "kmeans_assign"],
-    "graph": ["pagerank_pregel", "triangle_count", "link_graph"],
     "text_stats": ["token_count", "tfidf_top_terms", "lm_buckets"],
     "training_tail": ["sequence_packing", "split_leakage_safe",
                       "mix_sample"],

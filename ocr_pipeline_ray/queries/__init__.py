@@ -16,7 +16,7 @@ Parity rules baked in everywhere:
 * no wall-clock, no randomness.
 
 Split into per-family modules; importing this package assembles the
-QUERIES / ORACLE_SQL registries (207 queries, 201 with a SQL twin) in
+QUERIES / ORACLE_SQL registries (170 queries, 164 with a SQL twin) in
 a canonical iteration order (composites + extraction roundtrips first
 — see ``_CANONICAL_ORDER``) so a correctness gate that samples the
 head of the list draws the end-to-end pipelines first.
@@ -41,8 +41,8 @@ from ._registry import ORACLE_SQL, QUERIES
 # importing a family module registers its queries; the order matters
 # only for load-time ORACLE_SQL cross-references between modules
 from . import (  # noqa: F401
-    _extraction, _multimodal, _dedup, _similarity, _text, _web_graph,
-    _stats, _storage, _misc, _composites,
+    _extraction, _multimodal, _dedup, _similarity, _text, _stats,
+    _storage, _misc, _composites,
 )
 
 # canonical iteration order (composites and extraction roundtrips
@@ -58,21 +58,14 @@ _CANONICAL_ORDER = [
     "extraction_pdf_roundtrip",
     "extraction_wraps",
     "extraction_boilerplate",
-    "polyglot_hosts",
-    "cocitation_pairs",
     "wordlist_gate",
     "minhash_jaccard_estimate",
-    "mirror_hosts",
     "dedup_best_survivor",
     "lang_top_tokens",
-    "host_components",
     "host_gini",
     "scd2_build",
-    "robots_allowed",
-    "robots_rep",
     "distinctive_terms",
     "dsir_weights",
-    "anchor_texts",
     "image_dhash",
     "replace_chars",
     "replace_chars_stats",
@@ -94,12 +87,8 @@ _CANONICAL_ORDER = [
     "pii_redact",
     "pii_summary",
     "host_stats",
-    "host_blocklist",
     "paragraph_dedup",
     "substring_dedup",
-    "pagerank",
-    "hits",
-    "redirect_resolve",
     "kmeans_assign",
     "lm_score",
     "lm_buckets",
@@ -109,19 +98,15 @@ _CANONICAL_ORDER = [
     "embed_infer",
     "mix_sample",
     "packed_windows",
-    "pagerank_pregel",
     "heavy_hitters",
     "inverted_index",
-    "url_canonicalize",
     "nfc_normalize",
     "sequence_packing",
     "profile_table",
-    "host_cap",
     "bpe_merges",
     "weighted_sample",
     "corpus_filter",
     "stratified_sample",
-    "approx_distinct_tokens",
     "corpus_quantiles",
     "tfidf_top_terms",
     "corpus_p10_cut",
@@ -130,7 +115,6 @@ _CANONICAL_ORDER = [
     "quality_rank",
     "source_overlap",
     "sample_exact_k",
-    "approx_quantiles",
     "docs_except",
     "docs_intersect",
     "near_dup_incremental",
@@ -161,7 +145,6 @@ _CANONICAL_ORDER = [
     "bucket_point_lookup",
     "doc_chunks",
     "cms_sketch",
-    "approx_users_by_type",
     "hll_users_by_type",
     "semantic_dedup",
     "prefix_jaccard_pairs",
@@ -170,8 +153,6 @@ _CANONICAL_ORDER = [
     "source_extract",
     "quality_classifier",
     "docs_checksum",
-    "triangle_count",
-    "host_skew_stats",
     "snapshot_diff",
     "snapshot_diff_summary",
     "locf_fill",
@@ -184,13 +165,11 @@ _CANONICAL_ORDER = [
     "label_centroids",
     "containment_pairs",
     "lang_confusion",
-    "host_entropy",
     "value_outliers",
     "lang_doc_rank_dist",
     "ks_drift",
     "chi2_drift",
     "doc_novelty",
-    "link_graph",
     "embedding_quantize",
     "host_boilerplate",
     "pq_codes",
@@ -203,12 +182,8 @@ _CANONICAL_ORDER = [
     "simhash_near_pairs",
     "schema_evolution",
     "deobfuscate",
-    "lang_approx_quantiles",
-    "crawl_depth",
-    "kcore",
     "meta_extract",
     "html_tables",
-    "url_path_rollup",
     "minhash_banded_pairs",
     "dictionary_tag",
     "prefix_dup",
@@ -221,15 +196,8 @@ _CANONICAL_ORDER = [
     "stitch_pairs",
     "mutual_nn_pairs",
     "rendezvous_shards",
-    "url_features",
-    "communities",
     "filter_cascade",
     "coreset_select",
-    "ppr_scores",
-    "robots_parse",
-    "lang_host_mi",
-    "stitch_chains",
-    "syndication_sources",
     "calibration_bins",
     "script_mix",
     "agg_refresh",
@@ -240,16 +208,11 @@ _CANONICAL_ORDER = [
     "vocab_growth",
     "inference_buckets",
     "domain_holdout_split",
-    "sitemap_parse",
     "fix_mojibake",
-    "homoglyph_hosts",
-    "sssp",
-    "canonical_url",
     "canonical_dup_groups",
     "intradoc_dedup",
     "random_projection",
     "image_resize",
-    "politeness_plan",
     "store_repair_plan",
     "embedding_covariance",
     "stratified_priority_sample",

@@ -1,4 +1,5 @@
-"""End-to-end composite pipelines, splits and curation gates (split from queries.py; keys unchanged)."""
+"""End-to-end composite pipelines, splits, curation gates and the
+``--audit`` host rollups (split from queries.py; keys unchanged)."""
 from __future__ import annotations
 
 import hashlib
@@ -843,11 +844,10 @@ ORACLE_SQL["domain_holdout_split"] = (
 QUERIES["domain_holdout_split"] = q_domain_holdout_split
 def q_seed_pipeline(sf_dir: str):
     """END-TO-END crawl SEED ingestion, every stage load-bearing
-    under ONE oracle: per-host sitemap.xml documents (the
-    `sitemap_parse` corpus) → real XML parse
-    (web.parse_sitemap) → full REP robots gate over the parsed locs
-    (web.robots_rep_filter, the `robots_rep` rule set: longest
-    match, Allow beats Disallow on ties) → politeness-preserving
+    under ONE oracle: per-host sitemap.xml documents → real XML
+    parse (web.parse_sitemap) → full REP robots gate over the parsed
+    locs (web.robots_rep_filter: longest match, Allow beats Disallow
+    on ties) → politeness-preserving
     fetcher placement (hashing.rendezvous_pick on the HOST). The
     publisher ASK side (sitemaps) meeting the DENY side (robots) —
     the front half of a crawler's frontier; `frontier_pipeline`
@@ -860,8 +860,7 @@ def q_seed_pipeline(sf_dir: str):
     )
 
     seeds = ray.data.range(97).map_batches(
-        lambda b: _sitemap_fixture(b, with_optional=False),
-        batch_format="pyarrow"
+        _sitemap_fixture, batch_format="pyarrow"
     ).map_batches(lambda b: parse_sitemap(b), batch_format="pyarrow")
 
     def _as_url(batch: pa.Table) -> pa.Table:
@@ -870,7 +869,7 @@ def q_seed_pipeline(sf_dir: str):
 
     seeds = seeds.map_batches(_as_url, batch_format="pyarrow")
 
-    # the robots_rep rule set: disallow /p/1, allow /p/12,
+    # the rule set: disallow /p/1, allow /p/12,
     # even hosts disallow /p/4, host0 disallow /p/123
     hosts, dirs, prefixes = [], [], []
     for h in range(97):
@@ -932,3 +931,43 @@ ORACLE_SQL["seed_pipeline"] = (
     "WHERE rk = 1 ORDER BY loc"
 )
 QUERIES["seed_pipeline"] = q_seed_pipeline
+def q_host_stats(sf_dir: str):
+    """Per-host rollup over the skewed synthetic crawl.
+
+    Map-side partial combine per block, then ONE small groupby —
+    the hot host (``host0``, a third of the corpus) enters the
+    shuffle as one row per block, not one per document.
+    """
+    from ..stages.web import host_stats
+
+    ds = _docs(sf_dir, columns=["doc_id", "n_chars"]).map_batches(
+        _url_augment, batch_format="pyarrow"
+    )
+    return host_stats(ds, size_col="n_chars")
+ORACLE_SQL["host_stats"] = (
+    "SELECT 'host' || CAST(" + _HOST_ID_SQL + " AS VARCHAR) || "
+    "'.example.com' AS host, CAST(count(*) AS BIGINT) AS n_docs, "
+    "CAST(sum(n_chars) AS BIGINT) AS total_n_chars "
+    "FROM documents GROUP BY 1"
+)
+QUERIES["host_stats"] = q_host_stats
+def q_host_gini(sf_dir: str):
+    """Crawl concentration: Gini coefficient of docs over hosts
+    (stages/web.host_gini) — hosts-scale driver fold of the map-side-
+    combined host_stats counts; all-integer numerator, one terminal
+    division on the 1e-6 grid."""
+    from ..stages.web import host_gini
+
+    ds = _docs(sf_dir, columns=["doc_id"]).map_batches(
+        _url_augment, batch_format="pyarrow")
+    return host_gini(ds)
+ORACLE_SQL["host_gini"] = (
+    "WITH h AS (SELECT " + _HOST_ID_SQL + " AS hid, count(*) AS n "
+    "FROM documents GROUP BY 1), "
+    "r AS (SELECT n, row_number() OVER (ORDER BY n, hid) AS i, "
+    "count(*) OVER () AS cnt, sum(n) OVER () AS tot FROM h) "
+    "SELECT CAST(max(cnt) AS BIGINT) AS n_hosts, "
+    "floor(sum((2 * i - cnt - 1) * n) / (max(cnt) * max(tot)) * 1e6 "
+    "+ 0.5) / 1e6 AS gini FROM r"
+)
+QUERIES["host_gini"] = q_host_gini

@@ -895,104 +895,6 @@ ORACLE_SQL["stitch_pairs"] = (
     "FROM ht a JOIN ht b ON a.tail = b.head AND a.doc_id <> b.doc_id"
 )
 QUERIES["stitch_pairs"] = q_stitch_pairs
-def q_stitch_chains(sf_dir: str):
-    """Split-document CHAIN reassembly — composition of session-9
-    stitching with the functional-graph collapser: stitch_pairs
-    finds seam edges, two pair-scale reductions make the edge set
-    FUNCTIONAL (min successor per doc, then unique predecessor per
-    successor), and graph.resolve_chains pointer-doubles every page
-    to its chain's terminal in log depth. Output: (doc_id, chain_id)
-    for every resolved chain member, terminals included; cycle-bound
-    rows are dropped on both sides (depth-capped recursive CTE)."""
-    from ray.data.aggregate import Min
-
-    from ..stages.dedup import stitch_pairs
-    from ..stages.graph import resolve_chains
-    from ..stages.join import repartition_join
-
-    def _aug(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_pylist()
-        out = []
-        for i, t in zip(ids, batch.column("text").to_pylist()):
-            t = t or ""
-            if i % 10 == 1:
-                t = f"{t} stitch pg{i} marker"
-            elif i % 10 == 2:
-                t = f"stitch pg{i - 1} marker {t}"
-            out.append(t)
-        return pa.table({
-            "doc_id": pa.array(ids, pa.int64()),
-            "text": pa.array(out, pa.string()),
-        })
-
-    docs = _docs(sf_dir, columns=["doc_id", "text"]).map_batches(
-        _aug, batch_format="pyarrow")
-    pairs = stitch_pairs(docs, k=3)
-
-    def _m1(batch: pa.Table) -> pa.Table:
-        return pa.table({"src": batch.column("a_id"),
-                         "dst": batch.column(f"min(b_id)")})
-
-    m1 = pairs.groupby("a_id").aggregate(Min("b_id")).map_batches(
-        _m1, batch_format="pyarrow")
-    pred = m1.groupby("dst").aggregate(Min("src"))
-
-    def _keep(batch: pa.Table) -> pa.Table:
-        keep = pc.equal(batch.column("src"),
-                        batch.column("min(src)"))
-        sub = batch.filter(keep)
-        return pa.table({"src": sub.column("src"),
-                         "dst": sub.column("dst")})
-
-    # pair-scale by construction: pin it so the pointer-doubling
-    # rounds (which scan the mapping twice per round) do not re-run
-    # the whole seam-shuffle plan every scan
-    mapping = repartition_join(m1, pred, on="dst").map_batches(
-        _keep, batch_format="pyarrow").materialize()
-    resolved = resolve_chains(mapping, key_col="src", ptr_col="dst",
-                              n_buckets=8)
-
-    def _members(batch: pa.Table) -> pa.Table:
-        ok = batch.filter(batch.column("resolved"))
-        return pa.table({"doc_id": ok.column("src"),
-                         "chain_id": ok.column("final")})
-
-    members = resolved.map_batches(
-        _members, batch_format="pyarrow").materialize()
-
-    def _terminals(batch: pa.Table) -> pa.Table:
-        return pa.table({"doc_id": batch.column("chain_id"),
-                         "chain_id": batch.column("chain_id")})
-
-    terminals = members.groupby("chain_id").aggregate(
-        Count()).map_batches(_terminals, batch_format="pyarrow")
-    return members.union(terminals).sort("doc_id")
-ORACLE_SQL["stitch_chains"] = (
-    "WITH RECURSIVE aug AS (SELECT doc_id, CASE "
-    "WHEN doc_id % 10 = 1 THEN coalesce(text, '') || ' stitch pg' || "
-    "CAST(doc_id AS VARCHAR) || ' marker' "
-    "WHEN doc_id % 10 = 2 THEN 'stitch pg' || "
-    "CAST(doc_id - 1 AS VARCHAR) || ' marker ' || coalesce(text, '') "
-    "ELSE coalesce(text, '') END AS text FROM documents), "
-    "t AS (SELECT doc_id, string_split(text, ' ') AS toks FROM aug), "
-    "ht AS (SELECT doc_id, array_to_string(toks[1:3], ' ') AS head, "
-    "array_to_string(toks[-3:], ' ') AS tail FROM t "
-    "WHERE len(toks) >= 3), "
-    "p AS (SELECT a.doc_id AS a, b.doc_id AS b FROM ht a JOIN ht b "
-    "ON a.tail = b.head AND a.doc_id <> b.doc_id), "
-    "m1 AS (SELECT a, min(b) AS b FROM p GROUP BY a), "
-    "m2 AS (SELECT a, b FROM m1 "
-    "QUALIFY a = min(a) OVER (PARTITION BY b)), "
-    "r AS (SELECT a AS src, b AS cur, 1 AS depth FROM m2 "
-    "UNION ALL SELECT r.src, m.b, r.depth + 1 FROM r "
-    "JOIN m2 m ON m.a = r.cur WHERE r.depth < 40), "
-    "fin AS (SELECT src AS doc_id, cur AS chain_id FROM r "
-    "WHERE cur NOT IN (SELECT a FROM m2)), "
-    "term AS (SELECT DISTINCT chain_id AS doc_id, chain_id FROM fin) "
-    "SELECT doc_id, chain_id FROM fin "
-    "UNION ALL SELECT doc_id, chain_id FROM term ORDER BY doc_id"
-)
-QUERIES["stitch_chains"] = q_stitch_chains
 def q_canonical_dup_groups(sf_dir: str):
     """Alias groups: canonical keys claimed by more than one raw url
     — what exact URL dedup MISSES without canonicalization. Map-side

@@ -400,29 +400,6 @@ _DIFF_SNAPSHOTS_SQL = (
     "ELSE 'unchanged' END AS status "
     "FROM oldsnap o FULL JOIN newsnap n ON o.doc_id = n.doc_id) "
 )
-def _synth_link_pages(batch: pa.Table) -> pa.Table:
-    """Deterministic page synth shared by the web-graph queries:
-    ``doc_id % 4`` absolute anchors (``ref j`` → host
-    ``(doc_id*7+j) % 97``) plus a relative nav link that host-level
-    operators drop by design."""
-    ids = batch.column("doc_id").to_pylist()
-    htmls = []
-    for i in ids:
-        anchors = "".join(
-            f'<a href="http://host{(i * 7 + j) % 97}.example.com'
-            f'/p/{j}">ref {j}</a> '
-            for j in range(1, i % 4 + 1)
-        )
-        htmls.append((
-            "<html><body>"
-            "<nav><a href='/about'>About</a></nav>"
-            f"<p>doc {i} {anchors}</p>"
-            "</body></html>"
-        ).encode("utf-8"))
-    return pa.table({
-        "url": batch.column("url"),
-        "html": pa.array(htmls, pa.binary()),
-    })
 def _boilerplate_aug_fn(batch: pa.Table, sep: str) -> pa.Table:
     """Shared NAV/HALF/PROMO planting fixture for the host-template
     queries (host_boilerplate + curation_pipeline) — ONE definition so
@@ -441,19 +418,6 @@ def _boilerplate_aug_fn(batch: pa.Table, sep: str) -> pa.Table:
         "NAV ", host, sep, half,
         pc.fill_null(batch.column("text"), ""), promo, "")
     return pa.table({"doc_id": ids, "host": host, "text": text})
-def _formula_edges_fn(batch: pa.Table) -> pa.Table:
-    """Shared formula link graph (crawl_depth + kcore): two edge
-    families src=id%200 -> id*7%200 and src -> (src+3)%200."""
-    import numpy as np
-
-    ids = batch.column("doc_id").combine_chunks().to_numpy(
-        zero_copy_only=False).astype(np.int64)
-    src = ids % 200
-    return pa.table({
-        "src": pa.array(np.concatenate([src, src]), pa.int64()),
-        "dst": pa.array(np.concatenate(
-            [(ids * 7) % 200, (src + 3) % 200]), pa.int64()),
-    })
 # --- product quantization -------------------------------------------------
 PQ_M, PQ_K, PQ_ITERS = 4, 4, 2
 PQ_DIM = 64  # testdata embeddings are fixed 64-d (corpus generator)
@@ -568,65 +532,21 @@ def _confusable_sql() -> str:
         f"ELSE COALESCE(text, '') END, '{src}', '{dst}') AS text_clean "
         "FROM documents"
     )
-def _kcore_sql(k: int, rounds: int) -> str:
-    parts = [
-        "WITH raw AS (SELECT doc_id % 200 AS src, (doc_id * 7) % 200 "
-        "AS dst FROM documents UNION ALL SELECT doc_id % 200, "
-        "(doc_id % 200 + 3) % 200 FROM documents), "
-        "e0 AS (SELECT DISTINCT least(src, dst) AS u, "
-        "greatest(src, dst) AS v FROM raw WHERE src <> dst)"
-    ]
-    for i in range(rounds):
-        parts.append(
-            f"d{i} AS (SELECT node, count(*) AS deg FROM ("
-            f"SELECT u AS node FROM e{i} UNION ALL "
-            f"SELECT v FROM e{i}) GROUP BY node)")
-        parts.append(
-            f"s{i} AS (SELECT node FROM d{i} WHERE deg >= {k})")
-        parts.append(
-            f"e{i + 1} AS (SELECT e.u, e.v FROM e{i} e "
-            f"JOIN s{i} a ON a.node = e.u "
-            f"JOIN s{i} b ON b.node = e.v)")
-    return (
-        ", ".join(parts)
-        + f" SELECT node, CAST(count(*) AS BIGINT) AS deg FROM ("
-        f"SELECT u AS node FROM e{rounds} UNION ALL "
-        f"SELECT v FROM e{rounds}) GROUP BY node"
-    )
 _RVZ_W = ("CAST(('0x' || substr(md5(CAST(d.doc_id AS VARCHAR) || '|' "
           "|| n.node), 1, 16)) AS UBIGINT)")
 _KC_SIM = ("CAST(FLOOR(list_cosine_similarity(e.v, {c}.v) * 1e6 "
            "+ 0.5) AS BIGINT)")
-def _sitemap_fixture(batch: pa.Table,
-                     with_optional: bool) -> pa.Table:
-    """Shared 97-host sitemap.xml corpus for `sitemap_parse` and
-    `seed_pipeline` — ONE generator so the fixture formulas cannot
-    drift between the two oracles. ``with_optional`` adds the XML
-    declaration, a loc-less entry (must be skipped) and the
-    lastmod/priority branches."""
+def _sitemap_fixture(batch: pa.Table) -> pa.Table:
+    """97-host sitemap.xml corpus of `seed_pipeline`: host h lists
+    pages /p/1 .. /p/(1 + h % 4)."""
     hs = batch.column("id").to_pylist()
     hosts, xmls = [], []
     for h in hs:
-        parts = []
-        if with_optional:
-            parts.append('<?xml version="1.0" encoding="UTF-8"?>')
-        parts.append(
-            '<urlset xmlns='
-            '"http://www.sitemaps.org/schemas/sitemap/0.9">')
-        if with_optional:
-            # a url element with no <loc>: must be skipped
-            parts.append("<url><priority>0.1</priority></url>")
+        parts = ['<urlset xmlns='
+                 '"http://www.sitemaps.org/schemas/sitemap/0.9">']
         for j in range(1, 2 + h % 4):
-            entry = (f"<url><loc>http://host{h}.example.com"
-                     f"/p/{j}</loc>")
-            if with_optional:
-                if (h + j) % 2 == 0:
-                    entry += (f"<lastmod>2024-01-"
-                              f"{(h + j) % 28 + 1:02d}</lastmod>")
-                if (h + j) % 3 == 0:
-                    entry += f"<priority>0.{(h + j) % 10}</priority>"
-            entry += "</url>"
-            parts.append(entry)
+            parts.append(f"<url><loc>http://host{h}.example.com"
+                         f"/p/{j}</loc></url>")
         parts.append("</urlset>")
         hosts.append(f"host{h}.example.com")
         xmls.append("".join(parts))
@@ -796,9 +716,7 @@ __all__ = [
     "_profile_sql_col",
     "PROFILE_SQL",
     "_DIFF_SNAPSHOTS_SQL",
-    "_synth_link_pages",
     "_boilerplate_aug_fn",
-    "_formula_edges_fn",
     "PQ_M",
     "PQ_K",
     "PQ_ITERS",
@@ -807,7 +725,6 @@ __all__ = [
     "_pq_adc_sql",
     "_simhash_near_sql",
     "_confusable_sql",
-    "_kcore_sql",
     "_RVZ_W",
     "_KC_SIM",
     "_sitemap_fixture",

@@ -268,8 +268,8 @@ def q_kmeans_assign(sf_dir: str):
     driver merges k tiny rows, and the next centroid matrix is
     closure-broadcast. Pure integer arithmetic (floor-quantized
     vectors, trunc-div centroid update) makes the assignment
-    bit-exact vs the chained-CTE DuckDB twin — like ``pagerank``,
-    summation order cannot perturb it.
+    bit-exact vs the chained-CTE DuckDB twin: summation order cannot
+    perturb it.
     """
     from ..stages.kmeans import kmeans_int
 

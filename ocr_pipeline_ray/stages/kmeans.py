@@ -15,10 +15,9 @@ broadcast-partials shape and involves **no shuffle at all**:
   corpus-sized ever moves: the only cross-node traffic is k×(dim+1)
   int64s per block per iteration.
 
-Determinism: float means are summation-order-dependent, so like
-``stages/graph.pagerank_int`` this runs in pure int64 —
-embeddings are quantized ONCE via ``floor(float64(x) * scale)``,
-distances are exact integer squared-L2, and the centroid update is
+Determinism: float means are summation-order-dependent, so this
+runs in pure int64 — embeddings are quantized ONCE via
+``floor(float64(x) * scale)``, distances are exact integer squared-L2, and the centroid update is
 truncating integer division (matching DuckDB's ``//``). The result
 is bit-exact against a chained-CTE SQL twin regardless of block
 layout, batch order, or worker count.

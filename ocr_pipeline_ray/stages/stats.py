@@ -1,8 +1,7 @@
 """Distributed order statistics.
 
 :func:`exact_quantiles` — EXACT percentiles over a
-bounded-cardinality column, the corpus-statistics companion to the
-KMV distinct-count sketch (`queries.q_approx_distinct_tokens`).
+bounded-cardinality column.
 
 Shape: one map-side ``value_counts`` per batch (the partial
 combine), ONE small ``groupby(value).sum`` shuffle over the
@@ -454,61 +453,6 @@ def hash_sample_exact(ds, k: int, key_col: str = "doc_id",
     )
 
 
-def binned_quantiles(ds, col: str, qs: Sequence[float], lo: int,
-                     bin_width: int, n_bins: int) -> pa.Table:
-    """Fixed-bin quantile SKETCH — the scale path for columns where
-    :func:`exact_quantiles`'s bounded-cardinality contract fails.
-
-    Integer binning ``b = clamp((x - lo) // bin_width, 0, n_bins-1)``
-    (int64 floor division — reproducible bit-exactly in SQL); each
-    block contributes one ``np.bincount`` histogram partial and the
-    driver folds them (``n_bins`` ints per block — NO shuffle at
-    all, unlike the exact operator's distinct-value groupby).
-    The estimate for quantile q is the INCLUSIVE UPPER EDGE
-    ``lo + (b+1)*bin_width - 1`` of the bin holding the
-    ``percentile_disc`` index — error ≤ ``bin_width`` by
-    construction, mergeable across corpora by adding histograms.
-    NULLs are ignored (SQL aggregate semantics).
-
-    Returns one row per q: ``(q: float64, value_est: int64)``.
-    """
-    import pyarrow.compute as pc
-
-    def _partial(batch: pa.Table) -> pa.Table:
-        arr = batch.column(col)
-        if isinstance(arr, pa.ChunkedArray):
-            arr = arr.combine_chunks()
-        arr = arr.filter(pc.is_valid(arr))
-        v = arr.to_numpy(zero_copy_only=False).astype(np.int64)
-        b = np.clip((v - lo) // bin_width, 0, n_bins - 1)
-        hist = np.bincount(b, minlength=n_bins).astype(np.int64)
-        return pa.table({
-            "b": pa.array(np.arange(n_bins, dtype=np.int64)),
-            "n": pa.array(hist),
-        })
-
-    hist = np.zeros(n_bins, dtype=np.int64)
-    for t in ds.map_batches(_partial, batch_format="pyarrow").iter_batches(
-        batch_format="pyarrow", batch_size=None
-    ):
-        hist[t.column("b").to_numpy(zero_copy_only=False)] += (
-            t.column("n").to_numpy(zero_copy_only=False))
-    cum = np.cumsum(hist)
-    n = int(cum[-1]) if n_bins else 0
-    if n == 0:
-        raise ValueError(f"binned_quantiles: column {col!r} is all-null")
-    out_q, out_v = [], []
-    for q in qs:
-        r = max(0, math.ceil(q * n) - 1)   # percentile_disc index
-        b = int(np.searchsorted(cum, r + 1, side="left"))
-        out_q.append(q)
-        out_v.append(lo + (b + 1) * bin_width - 1)
-    return pa.table({
-        "q": pa.array(out_q, pa.float64()),
-        "value_est": pa.array(out_v, pa.int64()),
-    })
-
-
 def grouped_distinct_count(ds, key_col: str, value_col: str,
                            out_col: str = "n_distinct",
                            n_buckets: int = 64):
@@ -677,138 +621,12 @@ def cms_sketch(ds, text_col: str = "text", width: int = 1024,
     return agg.map_batches(_finish, batch_format="pyarrow")
 
 
-def grouped_kmv(ds, key_col: str, value_col: str, k: int = 16,
-                n_buckets: int = 64):
-    """Per-key KMV (k-minimum-values) distinct sketch — the SCALE
-    path next to :func:`grouped_distinct_count`: where the exact
-    operator must co-locate a key's whole distinct-value set, this
-    carries at most ``keys x k`` hash rows per block through the
-    shuffle, whatever the value cardinality.
-
-    Hash = first 8 md5 hex chars of ``str(value)`` (deterministic,
-    SQL-reproducible: ``substr(md5(CAST(v AS VARCHAR)), 1, 8)``), so
-    the ESTIMATE itself is oracle-pinnable bit-for-bit after the
-    repo-wide 1e-6 grid. estimate = (k-1) / (max_of_k / 2^32) when a
-    key has >= k distinct hashes, else the exact count of hashes
-    seen (the sketch is exact below k). NULL values are ignored
-    (COUNT DISTINCT semantics); NULL keys form their own group.
-
-    Shape: map-side per-block (key, value) dedup + per-key k-min
-    (one md5 per block-distinct pair, lexsort rank mask — no per-key
-    UDF), ONE key-hash co-shuffle, whole-bucket merge by the same
-    lexsort+rank kernel.
-    """
-    import hashlib
-
-    import pyarrow.compute as pc
-
-    from ..functions.hashing import bucket_ids
-
-    def _kmin_per_key(keys_arr, hv: np.ndarray):
-        """(keys, hv) -> per-key k smallest UNIQUE hvs, vectorized.
-        Returns (take_idx, seg_key_idx aligned to kept rows)."""
-        codes = pc.dictionary_encode(
-            keys_arr.combine_chunks()
-            if isinstance(keys_arr, pa.ChunkedArray) else keys_arr
-        ).indices.fill_null(-1).to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        order = np.lexsort((hv, codes))
-        c_s, h_s = codes[order], hv[order]
-        # drop duplicate (key, hv) pairs (hash collisions of equal
-        # values across blocks; DISTINCT hv semantics)
-        first = np.ones(len(order), dtype=bool)
-        first[1:] = (c_s[1:] != c_s[:-1]) | (h_s[1:] != h_s[:-1])
-        order, c_s, h_s = order[first], c_s[first], h_s[first]
-        seg_start = np.ones(len(c_s), dtype=bool)
-        seg_start[1:] = c_s[1:] != c_s[:-1]
-        seg_idx = np.cumsum(seg_start) - 1
-        starts = np.flatnonzero(seg_start)
-        rank = np.arange(len(c_s)) - starts[seg_idx]
-        keep = rank < k
-        return order[keep], h_s[keep]
-
-    def _partial(batch: pa.Table) -> pa.Table:
-        sub = pa.table({
-            "k": batch.column(key_col),
-            "v": batch.column(value_col),
-        })
-        sub = sub.filter(pc.is_valid(sub.column("v")))
-        if not sub.num_rows:
-            return pa.table({
-                "_bucket": pa.array([], pa.int64()),
-                "k": pa.array([], batch.column(key_col).type),
-                "hv": pa.array([], pa.uint64()),
-            })
-        # block-level pair dedup first (sentinel composite — the
-        # null-safe dedup kernel shared with grouped_distinct_count)
-        ck = _composite_key(sub, ["k", "v"])
-        if isinstance(ck, pa.ChunkedArray):
-            ck = ck.combine_chunks()
-        cidx = pc.dictionary_encode(ck).indices.to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        _, fst = np.unique(cidx, return_index=True)
-        sub = sub.take(pa.array(fst, pa.int64()))
-        hv = np.fromiter(
-            (int(hashlib.md5(str(v).encode("utf-8")).hexdigest()[:8],
-                 16) for v in sub.column("v").to_pylist()),
-            dtype=np.uint64, count=sub.num_rows)
-        take, hs = _kmin_per_key(sub.column("k"), hv)
-        kept = sub.take(pa.array(take, pa.int64()))
-        return pa.table({
-            "_bucket": pa.array(
-                bucket_ids(kept.column("k"), n_buckets), pa.int64()),
-            "k": kept.column("k"),
-            "hv": pa.array(hs, pa.uint64()),
-        })
-
-    def _bucket(group: pa.Table) -> pa.Table:
-        import math
-
-        hv = group.column("hv").to_numpy(
-            zero_copy_only=False).astype(np.uint64)
-        take, hs = _kmin_per_key(group.column("k"), hv)
-        kept_keys = group.column("k").take(pa.array(take, pa.int64()))
-        # segment stats over the kept (sorted-by-key) rows
-        codes = pc.dictionary_encode(
-            kept_keys.combine_chunks()
-            if isinstance(kept_keys, pa.ChunkedArray) else kept_keys
-        ).indices.fill_null(-1).to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        order = np.lexsort((hs, codes))
-        c_s, h_s = codes[order], hs[order]
-        seg_start = np.ones(len(c_s), dtype=bool)
-        seg_start[1:] = c_s[1:] != c_s[:-1]
-        starts = np.flatnonzero(seg_start)
-        ends = np.concatenate([starts[1:], [len(c_s)]])
-        n_k = ends - starts
-        mx = h_s[ends - 1]
-        ests = []
-        for nk, m in zip(n_k, mx):
-            if nk < k:
-                ests.append(float(nk))
-            else:
-                ests.append(math.floor(
-                    (k - 1.0) / (float(m) / 4294967296.0)
-                    * 1e6 + 0.5) / 1e6)
-        rep = kept_keys.take(pa.array(order[starts], pa.int64()))
-        return pa.table({
-            key_col: rep,
-            "k_used": pa.array(n_k.astype(np.int64), pa.int64()),
-            "kmv_estimate": pa.array(ests, pa.float64()),
-        })
-
-    return ds.map_batches(_partial, batch_format="pyarrow").groupby(
-        "_bucket", num_partitions=n_buckets
-    ).map_groups(_bucket, batch_format="pyarrow")
-
-
 def grouped_hll(ds, key_col: str, value_col: str,
                 n_buckets: int = 64):
     """Per-key HyperLogLog distinct sketch (Flajolet et al. 2007),
-    m = 64 registers — the FIXED-SIZE mergeable twin of
-    :func:`grouped_kmv`: where KMV carries ``keys x k`` hash rows,
-    HLL carries at most ``keys x 64`` (key, register, max_rho) rows
-    through the shuffle whatever the value cardinality, and register
+    m = 64 registers — a FIXED-SIZE mergeable sketch: it carries at
+    most ``keys x 64`` (key, register, max_rho) rows through the
+    shuffle whatever the value cardinality, and register
     merge is a plain ``max`` — the sketch unions across any number
     of blocks/hosts losslessly.
 
@@ -893,8 +711,8 @@ def grouped_hll(ds, key_col: str, value_col: str,
                 "n_registers_set": pa.array([], pa.int64()),
                 "hll_estimate": pa.array([], pa.float64()),
             })
-        # null-safe key codes (the grouped_kmv precedent: after the
-        # shuffle, hash group_by on raw nullable keys is unsafe)
+        # null-safe key codes: after the shuffle, hash group_by on raw
+        # nullable keys is unsafe
         karr = group.column("k").combine_chunks()
         codes = pc.dictionary_encode(karr).indices.fill_null(
             -1).to_numpy(zero_copy_only=False).astype(np.int64)
@@ -982,46 +800,6 @@ def table_checksum(ds, cols):
     return pa.table({
         "n_rows": pa.array([n_rows], pa.int64()),
         "checksum": pa.array([total], pa.int64()),
-    })
-
-
-def key_skew_stats(counts_ds, count_col: str = "n",
-                   qs=(0.5, 0.9, 0.99)):
-    """Skew diagnostics over a per-key count table — the operator
-    you run BEFORE choosing a shuffle strategy ("is this key safe to
-    groupby, or does it need salting / `group_cap`?").
-
-    Input: any Dataset with one row per key and an int64 count
-    column (e.g. `web.host_stats` output). Output: one (stat,
-    value) row each for n_keys, n_rows, max_count, the exact
-    percentile_disc quantiles of the per-key count distribution at
-    ``qs``, and top_share_ppm = max_count * 1e6 // n_rows (the hot
-    key's integer parts-per-million share — >10^5 ppm means one key
-    owns >10% of the table and a plain groupby will strand a
-    straggler).
-
-    All passes run over the KEY-cardinality table: count/max via
-    map-side partials, quantiles via `exact_quantiles` (the
-    distinct-count-histogram shape) — nothing touches the raw rows.
-    """
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Max, Sum, Count
-
-    agg = counts_ds.aggregate(
-        Count(), Sum(count_col), Max(count_col))
-    n_keys = int(agg["count()"])
-    n_rows = int(agg[f"sum({count_col})"])
-    mx = int(agg[f"max({count_col})"])
-    q_tbl = exact_quantiles(counts_ds, count_col, list(qs))
-    stats = [("n_keys", n_keys), ("n_rows", n_rows),
-             ("max_count", mx)]
-    for q, v in zip(q_tbl.column("q").to_pylist(),
-                    q_tbl.column("value").to_pylist()):
-        stats.append((f"p{int(q * 100)}_count", int(v)))
-    stats.append(("top_share_ppm", mx * 1_000_000 // max(n_rows, 1)))
-    return pa.table({
-        "stat": pa.array([s for s, _ in stats], pa.string()),
-        "value": pa.array([v for _, v in stats], pa.int64()),
     })
 
 
@@ -1194,12 +972,11 @@ def range_partition(ds, col: str, n_shards: int, lo: int,
     globally ordered shards (merge-readable output, range-prunable
     files — pairs with `bucketed.build_zone_map`).
 
-    Splits come from the same fixed-bin histogram SKETCH as
-    :func:`binned_quantiles` (per-block bincount partials,
-    driver-folded, NO shuffle); split i is the inclusive-upper-edge
-    estimate at rank ``ceil(i*n/n_shards)`` evaluated in PURE int64
-    (``(i*n + n_shards - 1) // n_shards``) so the assignment is
-    bit-reproducible in SQL. Pass 2 is map-only:
+    Splits come from a fixed-bin histogram SKETCH (per-block
+    bincount partials, driver-folded, NO shuffle); split i is the
+    inclusive-upper-edge estimate at rank ``ceil(i*n/n_shards)``
+    evaluated in PURE int64 (``(i*n + n_shards - 1) // n_shards``) so
+    the assignment is bit-reproducible in SQL. Pass 2 is map-only:
     ``shard = #(splits <= x)`` via one searchsorted per batch;
     NULL keys get shard -1.
 
@@ -1254,83 +1031,6 @@ def range_partition(ds, col: str, n_shards: int, lo: int,
         })
 
     return ds.map_batches(_assign, batch_format="pyarrow"), final
-
-
-def grouped_binned_quantiles(ds, key_col: str, col: str,
-                             qs: Sequence[float], lo: int,
-                             bin_width: int, n_bins: int) -> pa.Table:
-    """Per-KEY fixed-bin quantile sketch — :func:`binned_quantiles`
-    with a group dimension (per-language length percentiles, per-host
-    size profiles). Each block emits one (key, bin, n) 2-D bincount
-    partial built via dictionary-encode + one flat bincount (no
-    Python loop); the driver folds keys×bins ints per block — NO
-    shuffle, mergeable across corpora like the ungrouped sketch.
-    Same estimate rule: inclusive upper edge of the bin holding the
-    percentile_disc index.
-
-    Returns one row per (key, q): ``(key_col, q, value_est)``.
-    Intended for modest key cardinality (languages, sources — the
-    driver holds keys × n_bins ints); use per-key exact quantiles
-    or a second-level groupby for open-ended keys.
-    """
-    import pyarrow.compute as pc
-
-    def _partial(batch: pa.Table) -> pa.Table:
-        keys = batch.column(key_col)
-        if isinstance(keys, pa.ChunkedArray):
-            keys = keys.combine_chunks()
-        vals = batch.column(col)
-        if isinstance(vals, pa.ChunkedArray):
-            vals = vals.combine_chunks()
-        ok = pc.and_(pc.is_valid(keys), pc.is_valid(vals))
-        keys = keys.filter(ok)
-        vals = vals.filter(ok)
-        if len(keys) == 0:
-            return pa.table({
-                key_col: pa.array([], pa.string()),
-                "b": pa.array([], pa.int64()),
-                "n": pa.array([], pa.int64()),
-            })
-        enc = keys.dictionary_encode()
-        ki = np.asarray(enc.indices, dtype=np.int64)
-        v = vals.to_numpy(zero_copy_only=False).astype(np.int64)
-        b = np.clip((v - lo) // bin_width, 0, n_bins - 1)
-        flat = np.bincount(ki * n_bins + b,
-                           minlength=len(enc.dictionary) * n_bins)
-        nz = np.flatnonzero(flat)
-        return pa.table({
-            key_col: enc.dictionary.take(
-                pa.array(nz // n_bins, pa.int64())),
-            "b": pa.array((nz % n_bins).astype(np.int64), pa.int64()),
-            "n": pa.array(flat[nz].astype(np.int64), pa.int64()),
-        })
-
-    hists: dict = {}
-    for t in ds.map_batches(_partial, batch_format="pyarrow").iter_batches(
-        batch_format="pyarrow", batch_size=None
-    ):
-        for k, b, n in zip(t.column(key_col).to_pylist(),
-                           t.column("b").to_pylist(),
-                           t.column("n").to_pylist()):
-            h = hists.get(k)
-            if h is None:
-                h = hists[k] = np.zeros(n_bins, dtype=np.int64)
-            h[b] += n
-    out_k, out_q, out_v = [], [], []
-    for k in sorted(hists):
-        cum = np.cumsum(hists[k])
-        n = int(cum[-1])
-        for q in qs:
-            r = max(0, math.ceil(q * n) - 1)
-            b = int(np.searchsorted(cum, r + 1, side="left"))
-            out_k.append(k)
-            out_q.append(q)
-            out_v.append(lo + (b + 1) * bin_width - 1)
-    return pa.table({
-        key_col: pa.array(out_k, pa.string()),
-        "q": pa.array(out_q, pa.float64()),
-        "value_est": pa.array(out_v, pa.int64()),
-    })
 
 
 def agg_refresh(base_agg, delta, keys, value_col: str,

@@ -1,5 +1,5 @@
 """Per-host web-corpus operators: host extraction, skew-safe host
-aggregates, broadcast blocklist filtering.
+aggregates, robots rules, page metadata and URL canonicalization.
 
 The north-star workload partitions a Common-Crawl-style corpus by
 url and mitigates per-host skew explicitly (a handful of giant hosts
@@ -13,16 +13,12 @@ dominate any real crawl). These operators make that first-class:
   (hosts × blocks) partial rows instead of every document — the hot
   host's traffic into the shuffle collapses from its document count
   to its block count.
-* :func:`blocklist_filter` — drop documents whose host is on a
-  blocklist, as a broadcast ANTI join (`stages/join.broadcast_join`):
-  the blocklist ships to the object store ONCE (``ray.put`` inside
-  the join), every task reads it zero-copy, no shuffle of the corpus.
 """
 
 from __future__ import annotations
 
 import re
-from typing import List, Optional, Union
+from typing import Optional
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -84,275 +80,6 @@ def host_stats(ds, url_col: str = "url", size_col: Optional[str] = None):
         return batch.rename_columns(names)
 
     return out.map_batches(_rename, batch_format="pyarrow")
-
-
-def blocklist_filter(ds, blocked_hosts: Union[List[str], pa.Table],
-                     url_col: str = "url", keep_host: bool = False):
-    """Drop rows whose url host is in ``blocked_hosts``.
-
-    Broadcast anti join: the blocklist (a list of hosts or a table
-    with a ``host`` column) is shipped once via the object store and
-    probed per batch with a vectorized ``index_in`` — the corpus
-    never shuffles. The UT1/robots-style hygiene gate of a crawl
-    pipeline.
-    """
-    from .join import broadcast_join
-
-    if not isinstance(blocked_hosts, pa.Table):
-        blocked_hosts = pa.table({
-            "host": pa.array(sorted(set(blocked_hosts)), pa.string()),
-        })
-    with_host = ds.map_batches(
-        lambda b: url_host_fn(b, url_col), batch_format="pyarrow"
-    )
-    out = broadcast_join(with_host, blocked_hosts, on="host", how="anti")
-    if keep_host:
-        return out
-    return out.map_batches(
-        lambda b: b.drop_columns(["host"]), batch_format="pyarrow"
-    )
-
-
-# URL canonicalization: scheme/host lowercasing rebuild FIRST (so the
-# lowercase-anchored rewrite patterns below see canonical case), then
-# ordered RE2 rewrites (Arrow and DuckDB share both the match and the
-# \1-backreference rewrite dialect). Order is the contract.
-CANON_STEPS = [
-    # 1. fragment
-    (r"#.*$", ""),
-    # 2. utm_* tracking params followed by another param (the +
-    #    swallows consecutive ones)
-    (r"([?&])(utm_[A-Za-z0-9_]+=[^&]*&)+", r"\1"),
-    # 3. trailing utm_* param
-    (r"[?&]utm_[A-Za-z0-9_]+=[^&]*$", ""),
-    # 4./5. default ports
-    (r"^(http://[^/?#]*):80([/?].*)?$", r"\1\2"),
-    (r"^(https://[^/?#]*):443([/?].*)?$", r"\1\2"),
-    # 6. bare root slash
-    (r"^(https?://[^/?#]+)/$", r"\1"),
-]
-
-_SPLIT_PATTERN = (
-    r"^(?P<scheme>[A-Za-z][A-Za-z0-9+.-]*)://"
-    r"(?P<host>[^/?#]*)(?P<rest>.*)$"
-)
-
-
-# --- link graph --------------------------------------------------------
-# Anchor-href extraction over the raw HTML bytes. One compiled-regex
-# findall per document (C-speed scan; Arrow has no extract-ALL-matches
-# kernel). Attribute quoting mirrors the extractor's tokenizer: double-
-# quoted, single-quoted, or bare values.
-_HREF_RE = re.compile(
-    rb"""<a\s[^>]*?href\s*=\s*(?:"([^"]*)"|'([^']*)'|([^\s>"']+))""",
-    re.I | re.S,
-)
-_ABS_HOST_RE = re.compile(rb"^https?://([^/:?#]+)", re.I)
-
-
-def outlink_hosts(html_bytes: bytes) -> List[str]:
-    """All ABSOLUTE http(s) outlink hosts of one page, lowercased,
-    in document order (duplicates kept — they are real link weight).
-
-    Relative links resolve to the page's own host and carry no
-    cross-host signal, so the link graph drops them by design (the
-    same convention as the public Common-Crawl host-level webgraph).
-    """
-    hosts: List[str] = []
-    for m in _HREF_RE.finditer(html_bytes):
-        href = m.group(1) or m.group(2) or m.group(3)
-        hm = _ABS_HOST_RE.match(href)
-        if hm is not None:
-            hosts.append(hm.group(1).lower().decode("utf-8", "replace"))
-    return hosts
-
-
-def link_graph(ds, html_col: str = "html", url_col: str = "url"):
-    """Host-level link graph: ``src_host, dst_host, n_links``.
-
-    The CC-webgraph construction recast as Ray Data: each block's
-    pages are scanned once (regex findall per doc), edges are
-    COMBINED MAP-SIDE to one partial row per distinct (src, dst) pair
-    per block (Arrow ``group_by``), then ONE small multi-key groupby
-    sums the partials. The corpus (html payloads) never shuffles —
-    only (src_host, dst_host, n) partial rows move, bounded by
-    distinct host pairs per block, not by link count.
-    """
-    from ray.data.aggregate import Sum
-
-    def _partial(batch: pa.Table) -> pa.Table:
-        b = url_host_fn(batch, url_col, out_col="src_host")
-        srcs = b.column("src_host").to_pylist()
-        htmls = batch.column(html_col).to_pylist()
-        e_src: List[str] = []
-        e_dst: List[str] = []
-        for src, payload in zip(srcs, htmls):
-            if not payload:
-                continue
-            for dst in outlink_hosts(payload):
-                e_src.append(src)
-                e_dst.append(dst)
-        edges = pa.table({
-            "src_host": pa.array(e_src, pa.string()),
-            "dst_host": pa.array(e_dst, pa.string()),
-        })
-        g = edges.group_by(["src_host", "dst_host"]).aggregate(
-            [([], "count_all")])
-        return pa.table({
-            "src_host": g.column("src_host"),
-            "dst_host": g.column("dst_host"),
-            "n_links": pc.cast(g.column("count_all"), pa.int64()),
-        })
-
-    agg = (
-        ds.map_batches(_partial, batch_format="pyarrow")
-        .groupby(["src_host", "dst_host"])
-        .aggregate(Sum("n_links", alias_name="n_links"))
-    )
-    return agg
-
-
-def canonicalize_url_fn(batch: pa.Table, url_col: str = "url",
-                        out_col: str = "url_canon") -> pa.Table:
-    """Append ``out_col`` = canonical form of ``url_col``.
-
-    Lowercases scheme+host (path/query case is preserved — it is
-    significant), then drops fragments and utm_* tracking params and
-    strips default ports and the bare root slash. All vectorized RE2
-    kernels; rows without a scheme://host shape skip the rebuild but
-    still pass through the rewrite steps. The crawl-dedup key
-    normalizer: exact dedup on ``url_canon`` merges the superficial
-    variants of one page.
-    """
-    u = pc.fill_null(batch.column(url_col), "")
-    parts = pc.extract_regex(u, _SPLIT_PATTERN)
-    ok = pc.is_valid(parts)
-    rebuilt = pc.binary_join_element_wise(
-        pc.utf8_lower(pc.fill_null(pc.struct_field(parts, "scheme"), "")),
-        "://",
-        pc.utf8_lower(pc.fill_null(pc.struct_field(parts, "host"), "")),
-        pc.fill_null(pc.struct_field(parts, "rest"), ""),
-        "",
-    )
-    u = pc.if_else(ok, rebuilt, u)
-    for pattern, repl in CANON_STEPS:
-        u = pc.replace_substring_regex(u, pattern, repl)
-    return batch.append_column(out_col, u)
-
-
-_ANCHOR_RE = re.compile(
-    rb"""<a\s[^>]*?href\s*=\s*(?:"([^"]*)"|'([^']*)'|([^\s>"']+))"""
-    rb"""[^>]*>(.*?)</a\s*>""",
-    re.I | re.S,
-)
-_TAG_RE = re.compile(rb"<[^>]*>")
-_WS_RE = re.compile(rb"\s+")
-
-
-def anchor_pairs(html_bytes: bytes) -> List[tuple]:
-    """``(dst_host, anchor_text)`` for every ABSOLUTE http(s) link of
-    one page, document order, duplicates kept. Anchor text is the
-    tag's inner markup with nested tags stripped and whitespace
-    collapsed (the Common-Crawl anchor-corpus convention)."""
-    out: List[tuple] = []
-    for m in _ANCHOR_RE.finditer(html_bytes):
-        href = m.group(1) or m.group(2) or m.group(3)
-        hm = _ABS_HOST_RE.match(href)
-        if hm is None:
-            continue
-        text = _WS_RE.sub(b" ", _TAG_RE.sub(b"", m.group(4))).strip()
-        out.append((hm.group(1).lower().decode("utf-8", "replace"),
-                    text.decode("utf-8", "replace")))
-    return out
-
-
-def anchor_stats(ds, html_col: str = "html", n_buckets: int = 64):
-    """Per-destination-host ANCHOR-TEXT aggregation — the classic
-    web-corpus signal (anchor corpora describe a page better than
-    its own boilerplate; used for retrieval training sets and host
-    labeling). Output: ``(dst_host, n_mentions, n_distinct_anchors,
-    top_anchor)`` where ``top_anchor`` is the most frequent anchor
-    string (ties → lexicographically smallest).
-
-    Shape mirrors :func:`link_graph`: the html payloads never
-    shuffle. Each block reduces map-side to distinct
-    ``(dst_host, anchor, n)`` partial rows; ONE multi-key groupby
-    sums them; then a host-hash-bucket co-shuffle of those (already
-    anchor-vocabulary-scale) rows lets a whole-bucket kernel pick
-    per-host totals and the arg-max anchor with a single Arrow sort
-    + boundary masks — no per-host UDF invocation.
-    """
-    import numpy as np
-
-    from ray.data.aggregate import Sum
-    from ..functions.hashing import bucket_ids
-
-    def _partial(batch: pa.Table) -> pa.Table:
-        hosts: List[str] = []
-        anchors: List[str] = []
-        for payload in batch.column(html_col).to_pylist():
-            if not payload:
-                continue
-            for h, a in anchor_pairs(payload):
-                hosts.append(h)
-                anchors.append(a)
-        pairs = pa.table({
-            "dst_host": pa.array(hosts, pa.string()),
-            "anchor": pa.array(anchors, pa.string()),
-        })
-        g = pairs.group_by(["dst_host", "anchor"]).aggregate(
-            [([], "count_all")])
-        return pa.table({
-            "dst_host": g.column("dst_host"),
-            "anchor": g.column("anchor"),
-            "n": pc.cast(g.column("count_all"), pa.int64()),
-        })
-
-    pair_counts = (
-        ds.map_batches(_partial, batch_format="pyarrow")
-        .groupby(["dst_host", "anchor"])
-        .aggregate(Sum("n", alias_name="n"))
-    )
-
-    def _host_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column("_hbucket", pa.array(
-            bucket_ids(batch.column("dst_host"), n_buckets), pa.int64()))
-
-    def _rollup(group: pa.Table) -> pa.Table:
-        empty = pa.table({
-            "dst_host": pa.array([], pa.string()),
-            "n_mentions": pa.array([], pa.int64()),
-            "n_distinct_anchors": pa.array([], pa.int64()),
-            "top_anchor": pa.array([], pa.string()),
-        })
-        if group.num_rows == 0:
-            return empty
-        # one sort: host asc, count desc, anchor asc → first row per
-        # host IS the arg-max anchor with the deterministic tie-break
-        g = group.sort_by([("dst_host", "ascending"),
-                           ("n", "descending"),
-                           ("anchor", "ascending")])
-        hosts = g.column("dst_host").combine_chunks()
-        n = g.column("n").combine_chunks().to_numpy(zero_copy_only=False)
-        first = np.ones(len(n), dtype=bool)
-        codes = pc.dictionary_encode(hosts).indices.to_numpy(
-            zero_copy_only=False)
-        first[1:] = codes[1:] != codes[:-1]
-        starts = np.flatnonzero(first)
-        ends = np.append(starts[1:], len(n))
-        cs = np.concatenate([[0], np.cumsum(n, dtype=np.int64)])
-        return pa.table({
-            "dst_host": hosts.take(pa.array(starts, pa.int64())),
-            "n_mentions": pa.array(cs[ends] - cs[starts], pa.int64()),
-            "n_distinct_anchors": pa.array(ends - starts, pa.int64()),
-            "top_anchor": g.column("anchor").take(
-                pa.array(starts, pa.int64())),
-        })
-
-    return pair_counts.map_batches(
-        _host_bucket, batch_format="pyarrow"
-    ).groupby("_hbucket", num_partitions=n_buckets).map_groups(
-        _rollup, batch_format="pyarrow")
 
 
 # scheme://host then the path (everything from the first '/';
@@ -419,7 +146,6 @@ def host_gini(ds, url_col: str = "url"):
     """Corpus CONCENTRATION index: the Gini coefficient of documents
     over hosts — the one-number answer to "is this crawl dominated by
     a few giant hosts?" (0 = uniform, →1 = one host owns the corpus).
-    The standard companion to `host_entropy` in crawl audits.
 
     Shape: the :func:`host_stats` map-side-combined per-host counts
     (hosts-scale, one small groupby), folded on the driver in sorted
@@ -445,125 +171,6 @@ def host_gini(ds, url_col: str = "url"):
         "n_hosts": pa.array([n], pa.int64()),
         "gini": pa.array([gini], pa.float64()),
     })
-
-
-def cocitation_pairs(ds, html_col: str = "html", max_links: int = 64,
-                     n_buckets: int = 64):
-    """Host CO-CITATION counts: for every page, the distinct
-    unordered pairs of DISTINCT hosts it links together; summed over
-    the corpus — "hosts that get cited side-by-side", the classic
-    relatedness signal of webgraph analysis (co-citation coupling).
-
-    Per page the pair expansion is O(L²) over its ≤ ``max_links``
-    distinct outlink hosts (pages beyond the cap contribute their
-    first ``max_links`` hosts in document order — a measured cap:
-    count capped pages via `host_stats` on outlink fan-out before
-    raising it). Pairs combine map-side per block (Arrow group_by),
-    then ONE (host_a, host_b) groupby sums the partials — pair-scale
-    rows shuffle, payloads never do.
-    """
-    from itertools import combinations
-
-    from ray.data.aggregate import Sum
-
-    def _partial(batch: pa.Table) -> pa.Table:
-        pa_, pb_ = [], []
-        for payload in batch.column(html_col).to_pylist():
-            if not payload:
-                continue
-            seen: List[str] = []
-            seen_set = set()
-            for h in outlink_hosts(payload):
-                if h not in seen_set:
-                    seen.append(h)
-                    seen_set.add(h)
-                if len(seen) >= max_links:
-                    break
-            for a, b in combinations(sorted(seen), 2):
-                pa_.append(a)
-                pb_.append(b)
-        t = pa.table({
-            "host_a": pa.array(pa_, pa.string()),
-            "host_b": pa.array(pb_, pa.string()),
-        })
-        g = t.group_by(["host_a", "host_b"]).aggregate(
-            [([], "count_all")])
-        return pa.table({
-            "host_a": g.column("host_a"),
-            "host_b": g.column("host_b"),
-            "n_pages": pc.cast(g.column("count_all"), pa.int64()),
-        })
-
-    return ds.map_batches(_partial, batch_format="pyarrow").groupby(
-        ["host_a", "host_b"]
-    ).aggregate(Sum("n_pages", alias_name="n_pages"))
-
-
-def polyglot_hosts(docs_with_host, lang_col: str = "lang",
-                   n_buckets: int = 64):
-    """Mixed-language host detection — hosts serving ≥ 2 languages,
-    with doc counts and the dominant language. A standard curation
-    signal: hosts mixing many languages are disproportionately MT
-    boilerplate / SEO spam (the CCNet/fastText pipelines gate on it).
-
-    Input needs a ``host`` column (``url_host_fn`` upstream). Shape:
-    per-block (host, lang, n) Arrow partials → ONE host-hash
-    co-shuffle of the partials → whole-bucket kernel (combine, sort,
-    boundary masks) emits ``(host, n_docs, n_langs, top_lang)`` for
-    polyglot hosts only. Tie rule: count desc, lang asc.
-    """
-    import numpy as np
-
-    from ..functions.hashing import bucket_ids
-
-    def _partial(batch: pa.Table) -> pa.Table:
-        g = batch.select(["host", lang_col]).group_by(
-            ["host", lang_col]).aggregate([([], "count_all")])
-        out = pa.table({
-            "host": g.column("host"),
-            "lang": g.column(lang_col),
-            "n": pc.cast(g.column("count_all"), pa.int64()),
-        })
-        return out.append_column("_hbucket", pa.array(
-            bucket_ids(out.column("host"), n_buckets), pa.int64()))
-
-    def _rollup(group: pa.Table) -> pa.Table:
-        empty = pa.table({
-            "host": pa.array([], pa.string()),
-            "n_docs": pa.array([], pa.int64()),
-            "n_langs": pa.array([], pa.int64()),
-            "top_lang": pa.array([], pa.string()),
-        })
-        if group.num_rows == 0:
-            return empty
-        g = group.select(["host", "lang", "n"]).group_by(
-            ["host", "lang"]).aggregate([("n", "sum")])
-        g = g.sort_by([("host", "ascending"), ("n_sum", "descending"),
-                       ("lang", "ascending")])
-        hosts = g.column("host").combine_chunks()
-        n = g.column("n_sum").combine_chunks().to_numpy(
-            zero_copy_only=False)
-        codes = pc.dictionary_encode(hosts).indices.to_numpy(
-            zero_copy_only=False)
-        first = np.ones(len(codes), dtype=bool)
-        first[1:] = codes[1:] != codes[:-1]
-        starts = np.flatnonzero(first)
-        ends = np.append(starts[1:], len(codes))
-        n_langs = ends - starts
-        cs = np.concatenate([[0], np.cumsum(n, dtype=np.int64)])
-        sel = n_langs >= 2
-        idx = pa.array(starts[sel], pa.int64())
-        return pa.table({
-            "host": hosts.take(idx),
-            "n_docs": pa.array((cs[ends] - cs[starts])[sel], pa.int64()),
-            "n_langs": pa.array(n_langs[sel], pa.int64()),
-            "top_lang": g.column("lang").take(idx),
-        })
-
-    return docs_with_host.map_batches(
-        _partial, batch_format="pyarrow"
-    ).groupby("_hbucket", num_partitions=n_buckets).map_groups(
-        _rollup, batch_format="pyarrow")
 
 
 def robots_rep_filter(ds, rules: pa.Table, url_col: str = "url",
@@ -796,92 +403,6 @@ def table_cells_fn(batch: pa.Table, html_col: str = "html",
     })
 
 
-def url_path_rollup(ds, url_col: str = "url", max_depth: int = 3,
-                    n_buckets: int = 64):
-    """Path-HIERARCHY rollup: page counts per (host, path-prefix) at
-    every depth up to ``max_depth`` — the crawl-frontier budget view
-    ('/forum' vs '/static') that flat host_stats can't give and CUBE
-    over unrelated dimensions doesn't express.
-
-    Each url contributes one row per ancestor prefix (depth 0 = the
-    host itself); prefixes are map-side combined per block (Arrow
-    ``group_by``) so the single exchange carries block-distinct
-    (prefix, depth, n) partials, then one bucketed whole-bucket fold.
-    Returns ``(prefix, depth:int64, n_pages:int64)``.
-    """
-    import numpy as np
-
-    from ..functions.hashing import bucket_ids
-
-    empty = pa.table({
-        "prefix": pa.array([], pa.string()),
-        "depth": pa.array([], pa.int64()),
-        "n_pages": pa.array([], pa.int64()),
-        "_pbucket": pa.array([], pa.int64()),
-    })
-
-    def _prefixes(batch: pa.Table) -> pa.Table:
-        pref: List[str] = []
-        depth: List[int] = []
-        for u in batch.column(url_col).to_pylist():
-            if not u:
-                continue
-            rest = u.split("://", 1)[-1]
-            parts = rest.split("/")
-            host = parts[0]
-            pref.append(host)
-            depth.append(0)
-            segs = [p for p in parts[1:] if p]
-            for d in range(1, min(len(segs), max_depth) + 1):
-                pref.append(host + "/" + "/".join(segs[:d]))
-                depth.append(d)
-        if not pref:
-            return empty
-        t = pa.table({
-            "prefix": pa.array(pref, pa.string()),
-            "depth": pa.array(depth, pa.int64()),
-        }).group_by(["prefix", "depth"]).aggregate([([], "count_all")])
-        prefixes = t.column("prefix")
-        if isinstance(prefixes, pa.ChunkedArray):
-            prefixes = prefixes.combine_chunks()
-        return pa.table({
-            "prefix": prefixes,
-            "depth": t.column("depth"),
-            "n_pages": pc.cast(t.column("count_all"), pa.int64()),
-            "_pbucket": pa.array(
-                bucket_ids(prefixes, n_buckets), pa.int64()),
-        })
-
-    def _fold(group: pa.Table) -> pa.Table:
-        n = group.num_rows
-        if n == 0:
-            return empty.drop_columns(["_pbucket"])
-        g = group.sort_by([("prefix", "ascending")])
-        prefixes = g.column("prefix").combine_chunks()
-        cnt = g.column("n_pages").combine_chunks().to_numpy(
-            zero_copy_only=False)
-        new = np.empty(n, dtype=bool)
-        new[0] = True
-        if n > 1:
-            new[1:] = pc.not_equal(
-                prefixes.slice(1, n - 1), prefixes.slice(0, n - 1)
-            ).to_numpy(zero_copy_only=False)
-        starts = np.flatnonzero(new)
-        idx = pa.array(starts, pa.int64())
-        return pa.table({
-            "prefix": prefixes.take(idx),
-            "depth": g.column("depth").combine_chunks().take(idx),
-            "n_pages": pa.array(
-                np.add.reduceat(cnt, starts), pa.int64()),
-        })
-
-    return (
-        ds.map_batches(_prefixes, batch_format="pyarrow")
-        .groupby("_pbucket", num_partitions=n_buckets)
-        .map_groups(_fold, batch_format="pyarrow")
-    )
-
-
 def url_features_fn(batch: pa.Table, url_col: str = "url") -> pa.Table:
     """URL lexical features — the classic URL-only spam/quality
     signals (length, path depth, digit density, query-param count,
@@ -914,61 +435,6 @@ def url_features_fn(batch: pa.Table, url_col: str = "url") -> pa.Table:
                       ("n_digits", n_digits), ("n_params", n_params)):
         out = out.append_column(name, pc.cast(col, pa.int64()))
     return out
-
-
-def parse_robots(batch: pa.Table, host_col: str = "host",
-                 text_col: str = "robots_txt",
-                 agent: str = "*") -> pa.Table:
-    """Parse raw robots.txt TEXT into the ``(host, rule_idx, allow,
-    prefix)`` rule rows that :func:`robots_filter` /
-    :func:`robots_rep_filter` consume — the missing front half of
-    the REP chain (RFC 9309 group scoping): rules belong to the most
-    recent contiguous block of ``User-agent`` lines, only groups
-    naming ``agent`` (or ``*``) apply, comments (``#``), blank lines
-    and non-rule directives (Crawl-delay, Sitemap, …) are skipped,
-    and an empty Disallow value (``Disallow:`` = allow all) emits
-    nothing. Row-local per-doc parsing — robots files are tiny; the
-    corpus never shuffles.
-    """
-    hosts_out, idx_out, allow_out, prefix_out = [], [], [], []
-    for host, txt in zip(batch.column(host_col).to_pylist(),
-                         batch.column(text_col).to_pylist()):
-        if txt is None:
-            continue
-        active = False          # current group applies to `agent`
-        in_ua_block = False     # inside a contiguous UA header run
-        idx = 0
-        for raw in txt.split("\n"):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                in_ua_block = False
-                continue
-            key, _, val = line.partition(":")
-            key = key.strip().lower()
-            val = val.strip()
-            if key == "user-agent":
-                if not in_ua_block:
-                    active = False
-                    in_ua_block = True
-                if val == "*" or val.lower() == agent.lower():
-                    active = True
-                continue
-            in_ua_block = False
-            if key not in ("allow", "disallow") or not active:
-                continue
-            if not val:
-                continue
-            hosts_out.append(host)
-            idx_out.append(idx)
-            allow_out.append(key == "allow")
-            prefix_out.append(val)
-            idx += 1
-    return pa.table({
-        host_col: pa.array(hosts_out, pa.string()),
-        "rule_idx": pa.array(idx_out, pa.int64()),
-        "allow": pa.array(allow_out, pa.bool_()),
-        "prefix": pa.array(prefix_out, pa.string()),
-    })
 
 
 def parse_sitemap(batch: pa.Table, host_col: str = "host",
@@ -1119,80 +585,3 @@ def canonical_url_fn(batch: pa.Table, url_col: str = "url",
     return batch.append_column(out_col, u)
 
 
-def politeness_plan(ds, rate: int = 3, host_col: str = "host",
-                    order_col: str = "doc_id",
-                    n_buckets: int = 64):
-    """Crawl politeness scheduling: assign every fetch to a time SLOT
-    such that no host receives more than ``rate`` fetches per slot
-    (the crawl-frontier dispatch plan — hosts are rate-limited, the
-    fleet is not). Returns the per-slot load curve
-    ``(slot, n_fetches, n_hosts)``.
-
-    Scale shape: ONE host-hash co-shuffle; each whole bucket sorts by
-    ``(host, order)``, derives the per-host 0-based rank with a
-    boundary-mask cumcount (never a per-host UDF), and pre-reduces to
-    ``(host, slot, n)`` rows — globally unique because a host lives
-    in exactly one bucket — so the final slot groupby moves
-    hosts × slots rows, not fetches. The hot host of a skewed crawl
-    costs one in-bucket sort, and its slot count IS the makespan.
-    """
-    import numpy as np
-
-    import ray.data
-    from ray.data.aggregate import Count, Sum
-
-    from ..functions.hashing import bucket_ids
-
-    if rate < 1:
-        raise ValueError("politeness_plan: rate must be >= 1")
-
-    def _tag(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "_bucket": pa.array(
-                bucket_ids(batch.column(host_col), n_buckets),
-                pa.int64()),
-            host_col: batch.column(host_col),
-            order_col: batch.column(order_col),
-        })
-
-    def _bucket_plan(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return pa.table({
-                host_col: pa.array([], pa.string()),
-                "slot": pa.array([], pa.int64()),
-                "n": pa.array([], pa.int64())})
-        g = group.sort_by([(host_col, "ascending"),
-                           (order_col, "ascending")])
-        hosts = g.column(host_col).combine_chunks()
-        # per-host 0-based rank: global index minus segment start
-        change = np.r_[True, hosts[1:].to_numpy(zero_copy_only=False)
-                       != hosts[:-1].to_numpy(zero_copy_only=False)] \
-            if g.num_rows > 1 else np.array([True])
-        idx = np.arange(g.num_rows, dtype=np.int64)
-        seg_start = np.maximum.accumulate(np.where(change, idx, 0))
-        slot = (idx - seg_start) // rate
-        t = pa.table({host_col: hosts,
-                      "slot": pa.array(slot, pa.int64())})
-        agg = t.group_by([host_col, "slot"]).aggregate(
-            [([], "count_all")])
-        return pa.table({
-            host_col: agg.column(host_col),
-            "slot": agg.column("slot"),
-            "n": pc.cast(agg.column("count_all"), pa.int64()),
-        })
-
-    plan = (
-        ds.map_batches(_tag, batch_format="pyarrow")
-        .groupby("_bucket", num_partitions=n_buckets)
-        .map_groups(_bucket_plan, batch_format="pyarrow")
-    )
-    agg = plan.groupby("slot").aggregate(Sum("n"), Count())
-
-    def _finish(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "slot": pc.cast(batch.column("slot"), pa.int64()),
-            "n_fetches": pc.cast(batch.column("sum(n)"), pa.int64()),
-            "n_hosts": pc.cast(batch.column("count()"), pa.int64()),
-        })
-
-    return agg.map_batches(_finish, batch_format="pyarrow")

@@ -48,10 +48,10 @@ import pyarrow.parquet as pq
 # per-table integer key columns to shift per universe copy, tagged by
 # entity KIND so foreign keys shift by the same stride as the table
 # they reference. Strides are DENSE (base max+1, computed from the
-# base tables): every driver id space is 0-based contiguous, and many
-# fixture formulas (synthetic link graphs, `(id*7+1) % count(*)`
-# edges) rely on ids staying in [0, N) — a sparse stride (1e7) broke
-# graph closure at sf1 (phantom dst nodes; pagerank row mismatch).
+# base tables): every driver id space is 0-based contiguous, and
+# fixture formulas that derive one id from another rely on ids
+# staying in [0, N) — a sparse stride (1e7) made such formulas point
+# at ids no row has.
 KEY_COLS = {
     "documents": {"doc_id": "doc"},
     "embeddings": {"vec_id": "vec"},

@@ -1,6 +1,6 @@
 """Unit tests for curation operators: event transitions, DSIR
-scoring, anchor aggregation, the perceptual image hash, SCD2 intervals
-and the web curation operators."""
+scoring, the perceptual image hash, SCD2 intervals and the web
+curation operators."""
 
 import os
 import sys
@@ -92,50 +92,6 @@ class TestDsir:
         assert min(by_id[1]["dsir_micro_nats"],
                    by_id[2]["dsir_micro_nats"]) > max(
             by_id[3]["dsir_micro_nats"], by_id[4]["dsir_micro_nats"])
-
-
-class TestAnchorStats:
-    def test_parse_and_rollup(self, ray_session):
-        import ray
-
-        from ocr_pipeline_ray.stages.web import anchor_pairs, anchor_stats
-
-        html = (
-            b"<html><a href='/rel'>skip</a>"
-            b"<a href='http://A.com/x'>Widget <b>Pro</b></a>"
-            b'<a href="https://a.com/y">widget</a>'
-            b"<a href=http://a.com/z>widget</a></html>"
-        )
-        pairs = anchor_pairs(html)
-        assert pairs == [("a.com", "Widget Pro"), ("a.com", "widget"),
-                         ("a.com", "widget")]
-        pages = pa.table({
-            "url": pa.array(["http://src.com/p"], pa.string()),
-            "html": pa.array([html], pa.binary()),
-        })
-        out = anchor_stats(ray.data.from_arrow(pages),
-                           n_buckets=4).take_all()
-        assert len(out) == 1
-        row = out[0]
-        assert row["dst_host"] == "a.com"
-        assert row["n_mentions"] == 3
-        assert row["n_distinct_anchors"] == 2
-        assert row["top_anchor"] == "widget"
-
-    def test_top_anchor_tie_is_lexicographic(self, ray_session):
-        import ray
-
-        from ocr_pipeline_ray.stages.web import anchor_stats
-
-        html = (b"<a href='http://h.com/1'>zeta</a>"
-                b"<a href='http://h.com/2'>alpha</a>")
-        pages = pa.table({
-            "url": pa.array(["http://s.com/"], pa.string()),
-            "html": pa.array([html], pa.binary()),
-        })
-        row = anchor_stats(ray.data.from_arrow(pages),
-                           n_buckets=2).take_all()[0]
-        assert row["top_anchor"] == "alpha"
 
 
 class TestImageDhash:
@@ -343,52 +299,6 @@ class TestWordlistGate:
         # '' and NULL split to one '' token -> not blocked, kept
         assert got == {1: (2, False), 2: (0, True),
                        3: (0, True), 4: (0, True)}
-
-
-class TestCocitation:
-    def test_distinct_pairs_per_page(self, ray_session):
-        import ray
-
-        from ocr_pipeline_ray.stages.web import cocitation_pairs
-
-        # page 1 links a,b,a (dup) -> one (a,b) pair; page 2 links
-        # a,b again -> total 2 pages; page 3 links only c -> no pair
-        def page(hosts):
-            return "".join(
-                f"<a href='http://{h}/x'>t</a>" for h in hosts
-            ).encode()
-
-        pages = pa.table({
-            "html": pa.array([
-                page(["a.com", "b.com", "a.com"]),
-                page(["b.com", "a.com"]),
-                page(["c.com"]),
-            ], pa.binary()),
-        })
-        got = [(r["host_a"], r["host_b"], r["n_pages"])
-               for r in cocitation_pairs(
-                   ray.data.from_arrow(pages).repartition(2)
-               ).take_all()]
-        assert got == [("a.com", "b.com", 2)]
-
-
-class TestPolyglotHosts:
-    def test_threshold_and_top_lang(self, ray_session):
-        import ray
-
-        from ocr_pipeline_ray.stages.web import polyglot_hosts
-
-        docs = pa.table({
-            "host": pa.array(["a", "a", "a", "b", "b", "c"], pa.string()),
-            "lang": pa.array(["en", "de", "en", "fr", "fr", "en"],
-                             pa.string()),
-        })
-        got = {r["host"]: (r["n_docs"], r["n_langs"], r["top_lang"])
-               for r in polyglot_hosts(
-                   ray.data.from_arrow(docs).repartition(3),
-                   n_buckets=4).take_all()}
-        # b (one lang) and c (one doc) are not polyglot
-        assert got == {"a": (3, 2, "en")}
 
 
 def test_bench_queries_exist():

@@ -1,5 +1,5 @@
 """Watermark windows, Bloom join, rolling percentile, linear
-attribution, weighted SSSP, canonical urls and other operators."""
+attribution, canonical urls and other operators."""
 
 import numpy as np
 import pyarrow as pa
@@ -10,89 +10,6 @@ def _ds(tbl, blocks=1):
 
     ds = ray.data.from_arrow(tbl)
     return ds.repartition(blocks) if blocks > 1 else ds
-
-
-def _brute_sssp(edges, seeds, rounds):
-    """Reference Bellman-Ford: min weight over <=rounds-edge paths."""
-    dist = {s: 0 for s in seeds}
-    for _ in range(rounds):
-        nxt = dict(dist)
-        for s, d, w in edges:
-            if s in dist:
-                c = dist[s] + w
-                if c < nxt.get(d, 1 << 60):
-                    nxt[d] = c
-        if nxt == dist:
-            break
-        dist = nxt
-    return dist
-
-
-class TestSsspInt:
-    EDGES = [(0, 1, 5), (0, 2, 1), (2, 1, 1), (1, 3, 2), (2, 3, 9),
-             (3, 4, 1), (4, 0, 1), (5, 6, 2)]  # 5,6 unreachable from 0
-
-    def _edge_ds(self, blocks=1):
-        s, d, w = zip(*self.EDGES)
-        return _ds(pa.table({
-            "src": pa.array(s, pa.int64()),
-            "dst": pa.array(d, pa.int64()),
-            "w": pa.array(w, pa.int64()),
-        }), blocks)
-
-    def test_hand_graph(self, ray_session):
-        from ocr_pipeline_ray.stages.graph import sssp_int
-
-        out = sssp_int(self._edge_ds(), seeds=[0], rounds=8).to_pandas()
-        got = dict(zip(out["node"], out["dist"]))
-        # 0→2→1 (=2) beats 0→1 (=5); 0→2→1→3 (=4) beats 0→2→3 (=10)
-        assert got == {0: 0, 1: 2, 2: 1, 3: 4, 4: 5}
-
-    def test_hop_bound_semantics(self, ray_session):
-        from ocr_pipeline_ray.stages.graph import sssp_int
-
-        # rounds=1: only direct edges from the seed
-        out = sssp_int(self._edge_ds(), seeds=[0], rounds=1).to_pandas()
-        got = dict(zip(out["node"], out["dist"]))
-        assert got == {0: 0, 1: 5, 2: 1}
-
-    def test_random_graph_layout_invariance(self, ray_session):
-        from ocr_pipeline_ray.stages.graph import sssp_int
-
-        rng = np.random.RandomState(11)
-        n = 40
-        src = rng.randint(0, n, 200)
-        dst = rng.randint(0, n, 200)
-        w = rng.randint(1, 10, 200)
-        edges = list(zip(src.tolist(), dst.tolist(), w.tolist()))
-        ref = _brute_sssp(edges, [0, 7], rounds=6)
-        tbl = pa.table({"src": pa.array(src, pa.int64()),
-                        "dst": pa.array(dst, pa.int64()),
-                        "w": pa.array(w, pa.int64())})
-        for blocks in (1, 5):
-            out = sssp_int(_ds(tbl, blocks), seeds=[0, 7],
-                           rounds=6, n_buckets=4).to_pandas()
-            got = dict(zip(out["node"], out["dist"]))
-            assert got == ref, f"blocks={blocks}"
-
-    def test_improvement_requires_strict_decrease(self, ray_session):
-        from ocr_pipeline_ray.stages.graph import sssp_int
-
-        # two equal-weight parallel paths: converges, no oscillation
-        tbl = pa.table({"src": pa.array([0, 0, 1, 2], pa.int64()),
-                        "dst": pa.array([1, 2, 3, 3], pa.int64()),
-                        "w": pa.array([1, 1, 1, 1], pa.int64())})
-        out = sssp_int(_ds(tbl), seeds=[0], rounds=10).to_pandas()
-        got = dict(zip(out["node"], out["dist"]))
-        assert got == {0: 0, 1: 1, 2: 1, 3: 2}
-
-    def test_empty_seeds_raise(self, ray_session):
-        import pytest
-
-        from ocr_pipeline_ray.stages.graph import sssp_int
-
-        with pytest.raises(ValueError):
-            sssp_int(self._edge_ds(), seeds=[], rounds=2)
 
 
 class TestCanonicalUrl:
@@ -251,46 +168,6 @@ class TestImageResizer:
         px2[1, 0] = 7  # weight 1 + 31 = 32
         b = self._one(4, 4, px2).column("checksum")[0].as_py()
         assert a == 14 and b == 224 and a != b
-
-
-class TestPolitenessPlan:
-    def _plan(self, hosts, ids=None, rate=2, blocks=1):
-        from ocr_pipeline_ray.stages.web import politeness_plan
-
-        tbl = pa.table({
-            "host": pa.array(hosts, pa.string()),
-            "doc_id": pa.array(ids or list(range(len(hosts))),
-                               pa.int64()),
-        })
-        out = politeness_plan(_ds(tbl, blocks), rate=rate,
-                              n_buckets=4).to_pandas()
-        return out.sort_values("slot").reset_index(drop=True)
-
-    def test_rate_cap_per_host(self):
-        # 5 fetches on one host at rate 2 → slots 0,0,1,1,2
-        out = self._plan(["h"] * 5)
-        assert out["slot"].tolist() == [0, 1, 2]
-        assert out["n_fetches"].tolist() == [2, 2, 1]
-        assert out["n_hosts"].tolist() == [1, 1, 1]
-
-    def test_hosts_fill_slots_independently(self):
-        out = self._plan(["a", "a", "b", "b", "b"], rate=2)
-        # a: slots 0,0; b: slots 0,0,1
-        assert out["slot"].tolist() == [0, 1]
-        assert out["n_fetches"].tolist() == [4, 1]
-        assert out["n_hosts"].tolist() == [2, 1]
-
-    def test_layout_invariance(self):
-        hosts = ["h%d" % (i % 3) for i in range(30)]
-        a = self._plan(hosts, rate=4, blocks=1)
-        b = self._plan(hosts, rate=4, blocks=7)
-        assert a.equals(b)
-
-    def test_bad_rate_raises(self):
-        import pytest
-
-        with pytest.raises(ValueError):
-            self._plan(["h"], rate=0)
 
 
 class TestWatermarkWindows:

@@ -134,71 +134,6 @@ class TestRendezvous:
         assert rendezvous_pick([None], n5) == ["n0"]
 
 
-def _lpa_reference(n_nodes, edges, rounds):
-    """Brute-force synchronous LPA replay (ties -> smallest label)."""
-    from collections import Counter
-
-    nbrs = {v: [] for v in range(n_nodes)}
-    for s, d in edges:
-        nbrs[s].append(d)
-        nbrs[d].append(s)
-    lbl = list(range(n_nodes))
-    for _ in range(rounds):
-        nxt = list(lbl)
-        for v in range(n_nodes):
-            if not nbrs[v]:
-                continue
-            c = Counter(lbl[u] for u in nbrs[v])
-            best = max(c.items(), key=lambda kv: (kv[1], -kv[0]))
-            nxt[v] = best[0]
-        lbl = nxt
-    return lbl
-
-
-class TestLabelPropagation:
-    def _run(self, n_nodes, edges, rounds, parts=3):
-        import ray.data
-
-        from ocr_pipeline_ray.stages.graph import label_propagation
-
-        nodes = ray.data.from_arrow(pa.table({
-            "node": pa.array(range(n_nodes), pa.int64())}))
-        etbl = pa.table({
-            "src": pa.array([s for s, _ in edges], pa.int64()),
-            "dst": pa.array([d for _, d in edges], pa.int64()),
-        })
-        out = label_propagation(
-            nodes.repartition(parts),
-            ray.data.from_arrow(etbl).repartition(parts),
-            rounds=rounds).to_pandas()
-        return dict(zip(out["node"], out["label"]))
-
-    def test_bridge_splits_communities(self, ray_session):
-        edges = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
-                 (2, 3)]
-        got = self._run(6, edges, rounds=2)
-        ref = _lpa_reference(6, edges, 2)
-        assert got == {v: ref[v] for v in range(6)}
-        # two triangles joined by a bridge: labels of the two sides
-        # must not mix (connected components WOULD merge them)
-        assert {got[0], got[1], got[2]} & {got[3], got[4], got[5]} == set()
-
-    def test_random_graph_matches_reference(self, ray_session):
-        rng = np.random.RandomState(3)
-        n = 40
-        edges = [(int(rng.randint(n)), int(rng.randint(n)))
-                 for _ in range(80)]
-        edges = [(s, d) for s, d in edges if s != d]
-        for rounds in (1, 3):
-            got = self._run(n, edges, rounds, parts=5)
-            ref = _lpa_reference(n, edges, rounds)
-            assert got == {v: ref[v] for v in range(n)}
-
-    def test_isolated_nodes_keep_label(self, ray_session):
-        got = self._run(4, [(0, 1)], rounds=2)
-        assert got[2] == 2 and got[3] == 3
-
-
 class TestFilterCascade:
     def test_first_fail_attribution(self, ray_session):
         from ocr_pipeline_ray.stages.profile import filter_cascade
@@ -254,80 +189,3 @@ class TestKCenter:
         assert out.column("vec_id").to_pylist() == [5, 9]
 
 
-class TestPersonalizedPagerank:
-    def test_unreachable_scores_zero(self, ray_session):
-        import ray.data
-
-        from ocr_pipeline_ray.stages.graph import pagerank_int
-
-        # chain 0->1->2, isolated node 3; seed = {0}
-        nodes = ray.data.from_arrow(pa.table({
-            "node": pa.array([0, 1, 2, 3], pa.int64())}))
-        edges = ray.data.from_arrow(pa.table({
-            "src": pa.array([0, 1], pa.int64()),
-            "dst": pa.array([1, 2], pa.int64())}))
-        out = pagerank_int(nodes, edges, iters=2,
-                           seed_ids=np.array([0])).to_pandas()
-        d = dict(zip(out["node"], out["rank"]))
-        # teleport only to the seed: node 3 gets nothing
-        assert d[3] == 0
-        assert d[0] == 150_000_000
-        # hand-computed pulse: iter1 r = (150M, 850M, 0, 0); iter2
-        # node1 <- 85%*150M, node2 <- 85%*850M
-        assert d[1] == 127_500_000
-        assert d[2] == 722_500_000
-
-    def test_none_seed_matches_uniform(self, ray_session):
-        import ray.data
-
-        from ocr_pipeline_ray.stages.graph import pagerank_int
-
-        nodes = ray.data.from_arrow(pa.table({
-            "node": pa.array([0, 1, 2], pa.int64())}))
-        edges = ray.data.from_arrow(pa.table({
-            "src": pa.array([0, 1, 2], pa.int64()),
-            "dst": pa.array([1, 2, 0], pa.int64())}))
-        base = pagerank_int(nodes, edges, iters=2).to_pandas()
-        d = dict(zip(base["node"], base["rank"]))
-        # 3-cycle: uniform ranks stay uniform
-        assert len(set(d.values())) == 1
-
-
-class TestParseRobots:
-    def test_group_scoping_and_noise(self):
-        from ocr_pipeline_ray.stages.web import parse_robots
-
-        txt = "\n".join([
-            "User-agent: badbot",
-            "Disallow: /",
-            "",
-            "User-agent: googlebot",
-            "User-agent: *",          # contiguous UA block: both
-            "Disallow: /a  # inline comment",
-            "Crawl-delay: 7",
-            "allow: /a/b",            # case-insensitive keys
-            "",
-            "User-agent: other",
-            "Disallow: /c",           # scoped out
-            "Disallow:",              # empty value even if active
-        ])
-        out = parse_robots(pa.table({
-            "host": pa.array(["h1", "h2"]),
-            "robots_txt": pa.array([txt, None]),
-        }))
-        rows = list(zip(out.column("host").to_pylist(),
-                        out.column("rule_idx").to_pylist(),
-                        out.column("allow").to_pylist(),
-                        out.column("prefix").to_pylist()))
-        assert rows == [("h1", 0, False, "/a"), ("h1", 1, True, "/a/b")]
-
-    def test_rules_after_second_ua_line_reset(self):
-        from ocr_pipeline_ray.stages.web import parse_robots
-
-        # a UA line AFTER rules starts a NEW group (not contiguous)
-        txt = "User-agent: *\nDisallow: /x\nUser-agent: badbot\nDisallow: /y"
-        out = parse_robots(pa.table({
-            "host": pa.array(["h"]),
-            "robots_txt": pa.array([txt]),
-        }))
-        assert out.column("prefix").to_pylist() == ["/x"]

@@ -1,5 +1,5 @@
-"""EXCEPT/INTERSECT set ops, exact-k hash sampling and the fixed-bin
-quantile sketch vs their DuckDB twins."""
+"""EXCEPT/INTERSECT set ops and exact-k hash sampling vs their DuckDB
+twins."""
 
 import random
 
@@ -8,7 +8,7 @@ import pyarrow as pa
 import pytest
 
 from ocr_pipeline_ray.stages.setops import except_distinct, intersect_distinct
-from ocr_pipeline_ray.stages.stats import binned_quantiles, hash_sample_exact
+from ocr_pipeline_ray.stages.stats import hash_sample_exact
 
 
 def _duck2(lt: pa.Table, rt: pa.Table, sql: str):
@@ -99,41 +99,6 @@ class TestHashSampleExact:
         ).to_pandas()
         # null key dropped, everything else kept
         assert sorted(got["doc_id"]) == [1, 2]
-
-
-class TestBinnedQuantiles:
-    @pytest.mark.parametrize("n", [1, 10, 500])
-    def test_error_bound_and_determinism(self, ray_session, n):
-        import ray.data
-
-        rng = random.Random(n)
-        vals = [rng.randrange(0, 5000) for _ in range(n)]
-        tbl = pa.table({"x": pa.array(vals, pa.int64())})
-        ds = ray.data.from_arrow(tbl).repartition(4)
-        qs = [0.1, 0.5, 0.9, 1.0]
-        got = binned_quantiles(ds, "x", qs, lo=0, bin_width=100,
-                               n_bins=50)
-        ests = dict(zip(got.column("q").to_pylist(),
-                        got.column("value_est").to_pylist()))
-        sv = sorted(vals)
-        import math
-        for q in qs:
-            true = sv[max(0, math.ceil(q * n) - 1)]
-            assert true <= ests[q] < true + 100  # upper edge, ≤ width
-        # deterministic across block layouts
-        got2 = binned_quantiles(
-            ray.data.from_arrow(tbl).repartition(9), "x", qs,
-            lo=0, bin_width=100, n_bins=50)
-        assert got2.equals(got)
-
-    def test_all_null_raises(self, ray_session):
-        import ray.data
-
-        ds = ray.data.from_arrow(
-            pa.table({"x": pa.array([None, None], pa.int64())}))
-        with pytest.raises(ValueError):
-            binned_quantiles(ds, "x", [0.5], lo=0, bin_width=10,
-                             n_bins=10)
 
 
 class TestUnionDistinct:

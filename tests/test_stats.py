@@ -630,76 +630,6 @@ class TestCmsSketch:
             cms_sketch(ray.data.from_arrow(self._corpus()), depth=5)
 
 
-class TestGroupedKmv:
-    @pytest.mark.parametrize("layout", [1, 4])
-    def test_matches_reference_sketch(self, ray_session, layout):
-        import hashlib
-        import math
-        import random
-
-        import ray.data
-
-        from ocr_pipeline_ray.stages.stats import grouped_kmv
-
-        rng = random.Random(11)
-        n = 500
-        ks = [f"g{rng.randrange(4)}" for _ in range(n)]
-        vs = [None if rng.random() < 0.05 else rng.randrange(120)
-              for _ in range(n)]
-        tbl = pa.table({"k": pa.array(ks, pa.string()),
-                        "v": pa.array(vs, pa.int64())})
-
-        def ref():
-            byk = {}
-            for kk, vv in zip(ks, vs):
-                if vv is None:
-                    continue
-                byk.setdefault(kk, set()).add(vv)
-            out = {}
-            for kk, vals in byk.items():
-                hs = sorted({int(hashlib.md5(
-                    str(v).encode()).hexdigest()[:8], 16)
-                    for v in vals})[:16]
-                if len(hs) < 16:
-                    est = float(len(hs))
-                else:
-                    est = math.floor(
-                        15.0 / (hs[-1] / 4294967296.0) * 1e6 + 0.5
-                    ) / 1e6
-                out[kk] = (len(hs), est)
-            return out
-
-        got = {r["k"]: (r["k_used"], r["kmv_estimate"])
-               for r in grouped_kmv(
-                   ray.data.from_arrow(tbl).repartition(layout),
-                   "k", "v", k=16, n_buckets=5).take_all()}
-        assert got == ref()
-        # sanity: sketch is in the ballpark of the truth
-        byk = {}
-        for kk, vv in zip(ks, vs):
-            if vv is not None:
-                byk.setdefault(kk, set()).add(vv)
-        for kk, (ku, est) in got.items():
-            truth = len(byk[kk])
-            assert est == truth or abs(est - truth) / truth < 0.6
-
-    def test_below_k_is_exact(self, ray_session):
-        import ray.data
-
-        from ocr_pipeline_ray.stages.stats import grouped_kmv
-
-        tbl = pa.table({
-            "k": pa.array(["a"] * 6 + ["b"], pa.string()),
-            "v": pa.array([1, 2, 3, 1, 2, 3, 9], pa.int64()),
-        })
-        rows = {r["k"]: r for r in grouped_kmv(
-            ray.data.from_arrow(tbl).repartition(3), "k", "v",
-            k=16).take_all()}
-        assert rows["a"]["k_used"] == 3
-        assert rows["a"]["kmv_estimate"] == 3.0
-        assert rows["b"]["kmv_estimate"] == 1.0
-
-
 class TestLinearScore:
     def test_dot_matches_embed_and_handles_nulls(self, ray_session):
         import numpy as np
@@ -761,27 +691,6 @@ class TestTableChecksum:
         c = table_checksum(ray.data.from_arrow(mut),
                            ["id", "s"]).to_pylist()[0]
         assert c["checksum"] != a["checksum"]
-
-
-class TestKeySkewStats:
-    def test_stats_values(self, ray_session):
-        import ray.data
-
-        from ocr_pipeline_ray.stages.stats import key_skew_stats
-
-        counts = pa.table({
-            "k": pa.array([f"k{i}" for i in range(10)], pa.string()),
-            "n": pa.array([100] + [10] * 9, pa.int64()),  # hot key
-        })
-        got = dict(zip(*[
-            key_skew_stats(ray.data.from_arrow(counts),
-                           count_col="n").column(c).to_pylist()
-            for c in ("stat", "value")]))
-        assert got["n_keys"] == 10
-        assert got["n_rows"] == 190
-        assert got["max_count"] == 100
-        assert got["p50_count"] == 10
-        assert got["top_share_ppm"] == 100 * 1_000_000 // 190
 
 
 class TestGroupedCorr:
@@ -953,39 +862,6 @@ class TestRangePartition:
             n_shards=2, lo=0, bin_width=10, n_bins=10)
         df = asn.to_pandas().sort_values("doc_id")
         assert df["shard"].tolist()[1] == -1
-
-
-class TestGroupedBinnedQuantiles:
-    def test_estimate_within_bin_width_and_merge_free(self, ray_session):
-        import ray
-        from ocr_pipeline_ray.stages.stats import grouped_binned_quantiles
-
-        tbl = pa.table({
-            "lang": pa.array(["de"] * 100 + ["en"] * 50, pa.string()),
-            "n_chars": pa.array(
-                list(range(100)) + list(range(0, 500, 10)), pa.int64()),
-        })
-        out = grouped_binned_quantiles(
-            ray.data.from_arrow(tbl).repartition(4), "lang", "n_chars",
-            qs=[0.5], lo=0, bin_width=10, n_bins=60).to_pandas()
-        de = out[out["lang"] == "de"].iloc[0]
-        en = out[out["lang"] == "en"].iloc[0]
-        # true medians 49 / 240; estimate = upper edge of its bin
-        assert abs(de["value_est"] - 49) <= 10
-        assert abs(en["value_est"] - 240) <= 10
-
-    def test_null_keys_and_values_ignored(self, ray_session):
-        import ray
-        from ocr_pipeline_ray.stages.stats import grouped_binned_quantiles
-
-        tbl = pa.table({
-            "lang": pa.array(["de", None, "de"], pa.string()),
-            "n_chars": pa.array([10, 20, None], pa.int64()),
-        })
-        out = grouped_binned_quantiles(
-            ray.data.from_arrow(tbl), "lang", "n_chars",
-            qs=[0.5], lo=0, bin_width=10, n_bins=10).to_pandas()
-        assert out["lang"].tolist() == ["de"]
 
 
 class TestHeavyHittersEmptySchema:

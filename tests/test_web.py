@@ -1,12 +1,8 @@
-"""Host extraction, skew-safe host stats, blocklist filter."""
+"""Host extraction, skew-safe host stats, page metadata and URL features."""
 
 import pyarrow as pa
 
-from ocr_pipeline_ray.stages.web import (
-    blocklist_filter,
-    host_stats,
-    url_host_fn,
-)
+from ocr_pipeline_ray.stages.web import host_stats, url_host_fn
 
 
 def _tbl(urls, **extra):
@@ -59,120 +55,6 @@ class TestHostStats:
         ds = ray.data.from_arrow(_tbl(["http://a.x/1", "http://a.x/2"]))
         rows = host_stats(ds).take_all()
         assert rows == [{"host": "a.x", "n_docs": 2}]
-
-
-class TestBlocklist:
-    def test_filter_drops_blocked(self, ray_session):
-        import ray.data
-
-        urls = [f"http://h{i % 4}.x/p/{i}" for i in range(16)]
-        ds = ray.data.from_arrow(
-            _tbl(urls, doc_id=pa.array(range(16), pa.int64()))
-        ).repartition(3)
-        out = blocklist_filter(ds, ["h1.x", "h3.x"]).take_all()
-        ids = sorted(r["doc_id"] for r in out)
-        assert ids == [i for i in range(16) if i % 4 in (0, 2)]
-        assert all("host" not in r for r in out)
-
-    def test_keep_host_and_empty_blocklist(self, ray_session):
-        import ray.data
-
-        ds = ray.data.from_arrow(_tbl(["http://a.x/1"]))
-        out = blocklist_filter(ds, [], keep_host=True).take_all()
-        assert out == [{"url": "http://a.x/1", "host": "a.x"}]
-
-
-class TestCanonicalizeUrl:
-    def _canon(self, urls):
-        from ocr_pipeline_ray.stages.web import canonicalize_url_fn
-
-        return canonicalize_url_fn(_tbl(urls)).column(
-            "url_canon").to_pylist()
-
-    def test_steps(self):
-        assert self._canon([
-            "HTTP://Ex.COM:80/a?utm_source=x&b=2#frag",
-            "https://a.b:443/",
-            "https://a.b/p?utm_a=1&utm_b=2",
-            "http://h/p?a=1&utm_x=9&utm_y=8",
-            "http://h.co:8080/x",          # non-default port kept
-            "https://h.co/Path/Case?Q=V",  # path/query case preserved
-            "not a url",
-            None,
-        ]) == [
-            "http://ex.com/a?b=2",
-            "https://a.b",
-            "https://a.b/p",
-            "http://h/p?a=1",
-            "http://h.co:8080/x",
-            "https://h.co/Path/Case?Q=V",
-            "not a url",
-            "",
-        ]
-
-    def test_idempotent(self):
-        once = self._canon([
-            "HTTP://Ex.COM:80/a?utm_source=x&b=2#frag",
-            "https://a.b:443/",
-        ])
-        assert self._canon(once) == once
-
-    def test_dedup_key_merges_variants(self):
-        # the whole point: superficial variants collapse to one key
-        variants = [
-            "http://site.com/page",
-            "HTTP://SITE.com/page#top",
-            "http://site.com:80/page",
-            "http://site.com/page?utm_campaign=x",
-        ]
-        assert len(set(self._canon(variants))) == 1
-
-
-class TestOutlinks:
-    def test_href_quoting_and_absolute_filter(self):
-        from ocr_pipeline_ray.stages.web import outlink_hosts
-
-        html = (
-            b"<html><body>"
-            b'<a href="http://A.Example.com/p">x</a>'
-            b"<a href='https://b.net:8080/q?r#s'>y</a>"
-            b"<a href=http://c.org/bare>z</a>"
-            b'<a href="/relative">rel</a>'
-            b'<a href="ftp://files.net/f">ftp</a>'
-            b'<a href="http://a.example.com/again">dup host</a>'
-            b"<a name='no-href'>skip</a>"
-            b"</body></html>"
-        )
-        assert outlink_hosts(html) == [
-            "a.example.com", "b.net", "c.org", "a.example.com",
-        ]
-
-    def test_link_graph_counts(self, ray_session):
-        import ray.data
-
-        from ocr_pipeline_ray.stages.web import link_graph
-
-        rows = [
-            ("http://s1.x/a",
-             b'<a href="http://d1.x/">1</a><a href="http://d2.x/">2</a>'),
-            ("http://s1.x/b",
-             b'<a href="http://d1.x/p">3</a><a href="/rel">no</a>'),
-            ("http://s2.x/c", b'<a href="http://d1.x/">4</a>'),
-            ("http://s2.x/d", b"no links here"),
-        ]
-        ds = ray.data.from_arrow(pa.table({
-            "url": pa.array([r[0] for r in rows], pa.string()),
-            "html": pa.array([r[1] for r in rows], pa.binary()),
-        })).repartition(3)
-        got = {
-            (r["src_host"], r["dst_host"]): r["n_links"]
-            for r in link_graph(ds).take_all()
-        }
-        assert got == {
-            ("s1.x", "d1.x"): 2,
-            ("s1.x", "d2.x"): 1,
-            ("s2.x", "d1.x"): 1,
-        }
 
 
 class TestRobotsRepFilter:
@@ -289,31 +171,6 @@ class TestHtmlTables:
         })
         out = table_cells_fn(tbl)
         assert out.num_rows == 0
-
-
-class TestUrlPathRollup:
-    def test_prefix_counts_and_depth_cap(self, ray_session):
-        import ray
-        from ocr_pipeline_ray.stages.web import url_path_rollup
-
-        urls = [
-            "https://a.x/p/q/r/s",   # depth capped at 2
-            "https://a.x/p/q",
-            "https://a.x/p",
-            "http://b.y/",           # host only
-            None,
-        ]
-        out = url_path_rollup(
-            ray.data.from_arrow(_tbl(urls)).repartition(3),
-            max_depth=2, n_buckets=4,
-        ).to_pandas().sort_values(["depth", "prefix"]).reset_index(
-            drop=True)
-        got = list(map(tuple, out.itertuples(index=False)))
-        assert got == [
-            ("a.x", 0, 3), ("b.y", 0, 1),
-            ("a.x/p", 1, 3),
-            ("a.x/p/q", 2, 2),
-        ]
 
 
 class TestUrlFeatures:
