@@ -37,10 +37,7 @@ BENCH_ROOT = "/tmp/ocr_ray_bench"
 BENCH_QUERIES = [
     "replace_chars", "sanitize_chars", "nfc_normalize", "token_count",
     "quality_report",
-    "dedup_exact", "dedup_first_rows", "minhash_signatures",
-    "minhash_dup_pairs", "dup_clusters", "dedup_canonical",
-    "jaccard_dup_pairs", "prefix_jaccard_pairs", "simhash",
-    "dedup_incremental_bloom",
+    "dedup_exact", "dedup_first_rows",
     "paragraph_dedup", "substring_dedup",
     "winnow_fingerprint", "ann_topk", "embedding_near_dup",
     "semantic_dedup",
@@ -51,7 +48,7 @@ BENCH_QUERIES = [
     "top_tokens",
     "kmeans_assign", "lm_score",
     "shuffle_shards", "doc_embed", "mix_sample", "packed_windows",
-    "lm_buckets", "split_leakage_safe",
+    "lm_buckets",
     "quality_rank", "source_overlap",
     "sample_exact_k", "docs_except",
     "docs_union",
@@ -61,14 +58,13 @@ BENCH_QUERIES = [
     "hll_users_by_type",
     "lang_doc_rank", "source_extract", "quality_classifier",
     "docs_checksum",
-    "near_dup_incremental",
     "extraction_flagship",
     "extraction_boilerplate", "media_decode", "training_pipeline",
     # session-3 additions
     "snapshot_diff_summary", "locf_fill", "bucketed_upsert",
     "priority_sample", "bm25_search", "hybrid_search",
-    "dup_cluster_sizes", "collocations",
-    "label_centroids", "containment_pairs",
+    "collocations",
+    "label_centroids",
     "value_outliers", "lang_confusion",
     "lang_doc_rank_dist", "ks_drift", "chi2_drift",
     "doc_novelty", "extraction_pdf_roundtrip",
@@ -78,19 +74,18 @@ BENCH_QUERIES = [
     "scd2_build",
     "distinctive_terms",
     "lang_top_tokens", "host_gini",
-    "dedup_best_survivor",
-    "wordlist_gate", "minhash_jaccard_estimate",
+    "wordlist_gate",
     # session-7 additions
     "embedding_quantize", "host_boilerplate",
     "pq_codes", "ann_topk_pq",
     "video_scene_cuts", "zonemap_scan", "range_shards",
-    "url_latest_k", "phrase_match", "simhash_near_pairs",
+    "url_latest_k", "phrase_match",
     "schema_evolution", "deobfuscate",
     "curation_pipeline", "meta_extract", "html_tables",
     # session-8 additions
-    "minhash_banded_pairs", "dictionary_tag", "prefix_dup",
+    "dictionary_tag",
     "char_entropy", "oov_rate",
-    "sparse_cosine_pairs", "rarity_dispersion", "paragraph_lang_mix",
+    "rarity_dispersion", "paragraph_lang_mix",
     # session-9 additions
     "zorder_scan", "stitch_pairs",
     "mutual_nn_pairs", "rendezvous_shards",
@@ -120,14 +115,9 @@ BENCH_QUERIES = [
 FAMILY_BENCH = {
     "extraction": ["extraction_flagship", "quality_report"],
     "dedup_exact": ["dedup_exact", "dedup_first_rows"],
-    "dedup_near": ["minhash_dup_pairs", "prefix_jaccard_pairs",
-                   "simhash_near_pairs"],
-    "dedup_cluster": ["dup_clusters", "dedup_canonical",
-                      "dedup_best_survivor"],
     "similarity": ["ann_topk", "embedding_near_dup", "kmeans_assign"],
     "text_stats": ["token_count", "tfidf_top_terms", "lm_buckets"],
-    "training_tail": ["sequence_packing", "split_leakage_safe",
-                      "mix_sample"],
+    "training_tail": ["sequence_packing", "mix_sample"],
 }
 
 

@@ -412,12 +412,14 @@ def _write_training_data(out_root: str, min_ratio: float, log) -> None:
     gate -> exact content dedup (one bucketed keep-first shuffle on
     the content hash, url order breaking ties) -> deterministic
     content-hash 90/5/5 split -> Hive `split=` parquet under
-    ``out/training`` (the same chain the oracle-checked
-    `training_pipeline` query pins at sf scale). The tail is
-    deterministic, so rerunning REPLACES the training dir (a partial
-    dir from a killed run never survives into the next); the
-    extraction stage upstream stays resumable per partition. Reads
-    are pruned to the three columns the tail needs."""
+    ``out/training``. The oracle-checked `training_pipeline` query
+    pins the same first-wins content dedup and md5 split at sf
+    scale; its gate is a C4-style text filter, not the ``hit_ratio``
+    threshold used here. The tail is deterministic, so rerunning
+    REPLACES the training dir (a partial dir from a killed run never
+    survives into the next); the extraction stage upstream stays
+    resumable per partition. Reads are pruned to the three columns
+    the tail needs."""
     import hashlib
 
     import pyarrow as pa

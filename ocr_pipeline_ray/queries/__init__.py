@@ -16,7 +16,7 @@ Parity rules baked in everywhere:
 * no wall-clock, no randomness.
 
 Split into per-family modules; importing this package assembles the
-QUERIES / ORACLE_SQL registries (170 queries, 164 with a SQL twin) in
+QUERIES / ORACLE_SQL registries (149 queries, 144 with a SQL twin) in
 a canonical iteration order (composites + extraction roundtrips first
 — see ``_CANONICAL_ORDER``) so a correctness gate that samples the
 head of the list draws the end-to-end pipelines first.
@@ -59,8 +59,6 @@ _CANONICAL_ORDER = [
     "extraction_wraps",
     "extraction_boilerplate",
     "wordlist_gate",
-    "minhash_jaccard_estimate",
-    "dedup_best_survivor",
     "lang_top_tokens",
     "host_gini",
     "scd2_build",
@@ -92,7 +90,6 @@ _CANONICAL_ORDER = [
     "kmeans_assign",
     "lm_score",
     "lm_buckets",
-    "split_leakage_safe",
     "shuffle_shards",
     "doc_embed",
     "embed_infer",
@@ -117,20 +114,9 @@ _CANONICAL_ORDER = [
     "sample_exact_k",
     "docs_except",
     "docs_intersect",
-    "near_dup_incremental",
-    "minhash_signatures",
-    "minhash_dup_pairs",
-    "dup_clusters",
     "dedup_incremental",
-    "dedup_incremental_bloom",
     "decontaminate",
-    "dedup_canonical",
-    "minhash_hot_buckets",
-    "lsh_recall",
     "embedding_lsh_recall",
-    "near_dup_bucket_stats",
-    "simhash",
-    "jaccard_dup_pairs",
     "ann_topk",
     "ann_topk_lsh",
     "ann_topk_ivf",
@@ -147,7 +133,6 @@ _CANONICAL_ORDER = [
     "cms_sketch",
     "hll_users_by_type",
     "semantic_dedup",
-    "prefix_jaccard_pairs",
     "lang_doc_rank",
     "docs_union",
     "source_extract",
@@ -160,10 +145,8 @@ _CANONICAL_ORDER = [
     "priority_sample",
     "bm25_search",
     "hybrid_search",
-    "dup_cluster_sizes",
     "collocations",
     "label_centroids",
-    "containment_pairs",
     "lang_confusion",
     "value_outliers",
     "lang_doc_rank_dist",
@@ -179,17 +162,13 @@ _CANONICAL_ORDER = [
     "range_shards",
     "url_latest_k",
     "phrase_match",
-    "simhash_near_pairs",
     "schema_evolution",
     "deobfuscate",
     "meta_extract",
     "html_tables",
-    "minhash_banded_pairs",
     "dictionary_tag",
-    "prefix_dup",
     "char_entropy",
     "oov_rate",
-    "sparse_cosine_pairs",
     "rarity_dispersion",
     "paragraph_lang_mix",
     "zorder_scan",

@@ -8,7 +8,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 from ray.data.aggregate import Sum
-from ..stages.dedup import fingerprint_fn, minhash_dup_pairs, jaccard_dup_pairs
+from ..stages.dedup import fingerprint_fn
 from ..stages.textstats import quality_heuristics_fn
 from ._registry import ORACLE_SQL, QUERIES
 from ._shared import *  # noqa: F401,F403
@@ -58,75 +58,6 @@ def q_lm_score(sf_dir: str):
     return lm_score(ds, uni, bi, vocab, scale=LM_SCALE)
 ORACLE_SQL["lm_score"] = _lm_score_sql(LM_MIN_COUNT, LM_SCALE)
 QUERIES["lm_score"] = q_lm_score
-def q_split_leakage_safe(sf_dir: str):
-    """Near-dup-aware train/val/test split: all documents of one
-    near-dup CLUSTER land in the same split, so paraphrased or
-    lightly-edited copies can never straddle train/test (the leakage
-    `q_dataset_split`'s content hash only blocks for EXACT dups).
-
-    Chain: MinHash candidates -> distributed connected components
-    (all shuffles candidate-scale) -> ADAPTIVE attach of the
-    node->cluster labels (stages/join.adaptive_join left join:
-    broadcast while cluster membership is small, key-hash co-shuffle
-    above the threshold — on a heavily-duplicated web corpus the
-    label table is corpus-scale) -> one row-local pass hashes
-    md5(cluster id, or own doc_id when unclustered) into 90/5/5.
-    """
-    import hashlib
-
-    from ..stages.cluster import connected_components
-    from ..stages.join import adaptive_join
-
-    docs = _docs(sf_dir)
-    clusters = connected_components(
-        minhash_dup_pairs(docs), a_col="d1", b_col="d2")
-
-    def _ren(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "doc_id": pc.cast(batch.column("node"), pa.int64()),
-            "cluster_id": pc.cast(batch.column("cluster"), pa.int64()),
-        })
-
-    labels = clusters.map_batches(_ren, batch_format="pyarrow")
-    ids = _docs(sf_dir, columns=["doc_id"])
-    joined, _strategy = adaptive_join(ids, labels, on="doc_id",
-                                      how="left")
-
-    def _split(batch: pa.Table) -> pa.Table:
-        ids_ = batch.column("doc_id").to_pylist()
-        cl = batch.column("cluster_id").to_pylist()
-        # md5 stays per-key Python for SQL parity (DuckDB md5 of the
-        # decimal string); the split key is COALESCE(cluster, doc_id)
-        buckets = [
-            int(hashlib.md5(
-                str(i if c is None else c).encode("utf-8")
-            ).hexdigest()[:8], 16) % 100
-            for i, c in zip(ids_, cl)
-        ]
-        splits = [
-            "train" if b < 90 else ("val" if b < 95 else "test")
-            for b in buckets
-        ]
-        return pa.table({
-            "doc_id": batch.column("doc_id"),
-            "bucket": pa.array(buckets, pa.int64()),
-            "split": pa.array(splits, pa.string()),
-        })
-
-    return joined.map_batches(_split, batch_format="pyarrow")
-ORACLE_SQL["split_leakage_safe"] = (
-    "WITH RECURSIVE " + SIG_CTE + ", cand AS (" + CAND_SELECT + "), "
-    + CC_CTE +
-    ", keyed AS (SELECT d.doc_id, "
-    "COALESCE(c.cluster_id, d.doc_id) AS k FROM documents d "
-    "LEFT JOIN clusters c ON c.node = d.doc_id), "
-    "b AS (SELECT doc_id, CAST(CAST(('0x' || "
-    "substr(md5(CAST(k AS VARCHAR)), 1, 8)) AS UBIGINT) % 100 "
-    "AS BIGINT) AS bucket FROM keyed) "
-    "SELECT doc_id, bucket, CASE WHEN bucket < 90 THEN 'train' "
-    "WHEN bucket < 95 THEN 'val' ELSE 'test' END AS split FROM b"
-)
-QUERIES["split_leakage_safe"] = q_split_leakage_safe
 def q_lm_buckets(sf_dir: str):
     """CCNet's head/middle/tail corpus partition, end to end: bigram
     LM scoring -> exact tercile cuts over the scored docs -> row-local
@@ -263,22 +194,16 @@ def q_training_pipeline(sf_dir: str):
 
     extraction (full HTML chain, byte-identical text) → C4-style
     quality filter → exact dedup (first-wins by content hash) →
-    MinHash-candidate + Jaccard-verified near-dup REMOVAL (drop the
-    higher doc_id of each verified pair, computed over the filtered
-    survivors) → deterministic content-hash train/val/test split.
-    Every stage is load-bearing in the single DuckDB hash. The
-    survivor set has two consumers (the near-dup scan and the final
-    filter), so it is checkpointed to doc_id-bucketed parquet and
-    re-read — storage-backed and resumable, instead of pinning the
-    whole surviving corpus in the object store with a
-    ``materialize()``.
+    deterministic content-hash train/val/test split. Every stage is
+    load-bearing in the single DuckDB hash. The dedup and the split
+    are the rules the CLI's ``--training-data`` tail runs; its gate
+    is the ``hit_ratio`` threshold instead of this quality filter.
     """
     import html as html_mod
 
     from ..config import StepSpec
     from ..pipelines.extraction import build_pipeline
-    from ..stages.bucketed import checkpoint_bucketed
-    from ..stages.dedup import dedup_first, jaccard_dup_pairs
+    from ..stages.dedup import dedup_first
 
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                columns=["doc_id", "text", "lang"])
@@ -335,47 +260,22 @@ def q_training_pipeline(sf_dir: str):
     filtered = extracted.map_batches(_project_and_filter,
                                      batch_format="pyarrow")
 
-    deduped = checkpoint_bucketed(
-        dedup_first(
-            filtered.map_batches(fingerprint_fn, batch_format="pyarrow"),
-            key_col="fp", order_col="doc_id",
-        ).drop_columns(["fp"]),
-        f"training_{os.path.basename(os.path.normpath(sf_dir))}",
-        key_col="doc_id")
-
-    # verified near-dup pairs over the SURVIVORS; the drop set is the
-    # pair-set projection (tiny by construction). max_bucket is set
-    # far above any band-bucket size this corpus can produce so the
-    # hot-bucket cap cannot silently diverge from the (uncapped)
-    # oracle SQL — at real scale, size it from minhash_bucket_stats.
-    drop_ids = frozenset(
-        r["d2"]
-        for r in jaccard_dup_pairs(deduped, max_bucket=1_000_000)
-        .take_all()
-    )
+    deduped = dedup_first(
+        filtered.map_batches(fingerprint_fn, batch_format="pyarrow"),
+        key_col="fp", order_col="doc_id")
 
     def _finish(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_pylist()
-        texts = batch.column("text").to_pylist()
-        keep, splits, n_tokens = [], [], []
-        for i, t in zip(ids, texts):
-            if i in drop_ids:
-                keep.append(False)
-                splits.append("")
-                n_tokens.append(0)
-                continue
-            keep.append(True)
-            b = int(hashlib.md5((t or "").encode("utf-8")).hexdigest()[:8],
-                    16) % 100
-            splits.append("train" if b < 90 else
-                          ("val" if b < 95 else "test"))
-            n_tokens.append(len((t or "").split(" ")))
-        f = pa.table({
-            "doc_id": pa.array(ids, pa.int64()),
+        buckets = [int(fp[:8], 16) % 100
+                   for fp in batch.column("fp").to_pylist()]
+        splits = ["train" if b < 90 else ("val" if b < 95 else "test")
+                  for b in buckets]
+        n_tokens = [len((t or "").split(" "))
+                    for t in batch.column("text").to_pylist()]
+        return pa.table({
+            "doc_id": batch.column("doc_id"),
             "split": pa.array(splits, pa.string()),
             "n_tokens": pa.array(n_tokens, pa.int64()),
-        }).filter(pa.array(keep))
-        return f
+        })
 
     return deduped.map_batches(_finish, batch_format="pyarrow")
 ORACLE_SQL["training_pipeline"] = (
@@ -388,21 +288,14 @@ ORACLE_SQL["training_pipeline"] = (
         "AND CAST(length(text) - (len(tk) - 1) AS DOUBLE) / len(tk) "
         "<= 12.0), "
         "d AS (SELECT doc_id, text FROM f QUALIFY row_number() OVER ("
-        "PARTITION BY md5(text) ORDER BY doc_id) = 1), "
-        + shingle_cte("d") + ", " + SIG_FRAGMENT + ", "
-        "cand AS (" + CAND_SELECT + "), "
-        "dsh AS (SELECT doc_id, list_distinct(shingles) AS s FROM sh), "
-        "dropset AS (SELECT DISTINCT c.d2 FROM cand c "
-        "JOIN dsh a ON a.doc_id = c.d1 JOIN dsh b ON b.doc_id = c.d2 "
-        "WHERE CAST(len(list_intersect(a.s, b.s)) AS DOUBLE) / "
-        "(len(a.s) + len(b.s) - len(list_intersect(a.s, b.s))) >= 0.8) "
+        "PARTITION BY md5(text) ORDER BY doc_id) = 1) "
         "SELECT doc_id, "
         "CASE WHEN CAST(('0x' || substr(md5(text), 1, 8)) AS UBIGINT) "
         "% 100 < 90 THEN 'train' "
         "WHEN CAST(('0x' || substr(md5(text), 1, 8)) AS UBIGINT) "
         "% 100 < 95 THEN 'val' ELSE 'test' END AS split, "
         "CAST(len(string_split(text, ' ')) AS BIGINT) AS n_tokens "
-        "FROM d WHERE doc_id NOT IN (SELECT d2 FROM dropset)"
+        "FROM d"
 )
 QUERIES["training_pipeline"] = q_training_pipeline
 def q_dataset_split(sf_dir: str):
@@ -814,9 +707,9 @@ QUERIES["inference_buckets"] = q_inference_buckets
 def q_domain_holdout_split(sf_dir: str):
     """Domain-grouped train/test split: EVERY doc of a host lands in
     the same split (md5 of the host, 90/10) — the domain-
-    generalization eval protocol (`dataset_split` hashes content,
-    `split_leakage_safe` hashes near-dup clusters; this one holds
-    out whole DOMAINS so eval measures transfer to unseen hosts).
+    generalization eval protocol (`dataset_split` hashes content;
+    this one holds out whole DOMAINS so eval measures transfer to
+    unseen hosts).
     Row-local, no shuffle, dup-safe and deterministic."""
 
     from ..stages.web import url_host_fn

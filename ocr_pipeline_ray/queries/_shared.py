@@ -116,7 +116,6 @@ TAG_TERMS = (
     "batch batch", "slow join", "merge data",
     "window window", "sort merge", "data row",
 )
-HOT_BUCKET_CAP = 3  # deliberately tiny so truncation telemetry is non-zero
 def _query_vec(sf_dir: str, vec_id: int = 0):
     rows = (
         ray.data.read_parquet(f"{sf_dir}/embeddings.parquet")
@@ -265,66 +264,14 @@ def _diff_snapshots(sf_dir: str):
 BM25_QUERY = ["window", "merge", "stream"]
 HYBRID_LEG_K = 20  # candidates per retrieval leg before fusion
 PAGE_NS = "http://schema.primaresearch.org/PAGE/gts/pagecontent/2019-07-15"
-# shared CTE fragments for the minhash family (3-token shingles,
-# 4 md5-salted band hashes — mirrors stages/dedup.py exactly)
-def shingle_cte(src: str = "documents") -> str:
-    """The 3-token shingle CTE over an arbitrary (doc_id, text) source
-    relation — mirrors stages/dedup.py shingling exactly."""
-    return (
-        f"t AS (SELECT doc_id, string_split(text, ' ') AS toks FROM {src}), "
-        "sh AS (SELECT doc_id, CASE WHEN len(toks) >= 3 THEN "
-        "list_transform(generate_series(1, len(toks) - 2), "
-        "i -> toks[i] || ' ' || toks[i+1] || ' ' || toks[i+2]) "
-        "ELSE [] END AS shingles FROM t)"
-    )
-SHINGLE_CTE = shingle_cte("documents")
-SIG_FRAGMENT = (
-    "sig AS (SELECT doc_id, "
-    "list_min(list_transform(shingles, s -> substr(md5(s), 1, 8))) AS h0, "
-    "list_min(list_transform(shingles, s -> substr(md5(s), 9, 8))) AS h1, "
-    "list_min(list_transform(shingles, s -> substr(md5(s), 17, 8))) AS h2, "
-    "list_min(list_transform(shingles, s -> substr(md5(s), 25, 8))) AS h3 "
-    "FROM sh)"
-)
-SIG_CTE = SHINGLE_CTE + ", " + SIG_FRAGMENT
-# Pre-filtered EXACT pair universe for shingle-Jaccard oracles: any
-# pair with J >= t > 0 shares at least one shingle, so the candidate
-# universe "pairs sharing >= 1 distinct shingle" (an equi-join the SQL
-# engine can hash, ~100x smaller than all-pairs at sf1) loses NOTHING
-# vs the O(N^2) cross join — identity is preserved, tractability
-# gained. Callers add the (also implied-by-threshold) length band
-# len(b)*5 >= len(a)*4 AND len(a)*5 >= len(b)*4 before the intersect
-# so the expensive list_intersect only runs on surviving pairs.
-PAIR_UNIVERSE_FRAGMENT = (
-    "dsh AS (SELECT doc_id, list_distinct(shingles) AS s FROM sh), "
-    "ex AS (SELECT doc_id, unnest(s) AS g FROM dsh), "
-    "cu AS (SELECT DISTINCT a.doc_id AS d1, b.doc_id AS d2 "
-    "FROM ex a JOIN ex b ON a.g = b.g AND a.doc_id < b.doc_id)"
-)
-CAND_SELECT = (
-    "SELECT d1, d2 FROM ("
-    "SELECT a.doc_id AS d1, b.doc_id AS d2 FROM sig a JOIN sig b "
-    "ON a.h0 = b.h0 AND a.doc_id < b.doc_id "
-    "UNION SELECT a.doc_id, b.doc_id FROM sig a JOIN sig b "
-    "ON a.h1 = b.h1 AND a.doc_id < b.doc_id "
-    "UNION SELECT a.doc_id, b.doc_id FROM sig a JOIN sig b "
-    "ON a.h2 = b.h2 AND a.doc_id < b.doc_id "
-    "UNION SELECT a.doc_id, b.doc_id FROM sig a JOIN sig b "
-    "ON a.h3 = b.h3 AND a.doc_id < b.doc_id)"
-)
-# connected-components closure over the candidate pair set: label
-# every node with every reachable node (edges are symmetrized so
-# reachability = component membership), then min per node — the SQL
-# twin of stages/cluster.connected_components' min-label fixpoint.
-CC_CTE = (
-    "edges AS (SELECT d1 AS u, d2 AS v FROM cand "
-    "UNION ALL SELECT d2, d1 FROM cand), "
-    "lbl(node, lab) AS ("
-    "SELECT u, u FROM (SELECT DISTINCT u FROM edges) "
-    "UNION "
-    "SELECT e.u, l.lab FROM edges e JOIN lbl l ON l.node = e.v), "
-    "clusters AS (SELECT node, MIN(lab) AS cluster_id FROM lbl "
-    "GROUP BY node)"
+# the 3-token shingle CTE over documents (doc_id, text) — mirrors
+# stages/dedup.py shingling exactly
+SHINGLE_CTE = (
+    "t AS (SELECT doc_id, string_split(text, ' ') AS toks FROM documents), "
+    "sh AS (SELECT doc_id, CASE WHEN len(toks) >= 3 THEN "
+    "list_transform(generate_series(1, len(toks) - 2), "
+    "i -> toks[i] || ' ' || toks[i+1] || ' ' || toks[i+2]) "
+    "ELSE [] END AS shingles FROM t)"
 )
 _PII_AUG_CTE = (
     "aug AS (SELECT doc_id, coalesce(text, '') || ' contact user' || "
@@ -505,22 +452,6 @@ def _pq_adc_sql(m: int, k: int, iters: int, scale: int, dim: int,
         f"FROM f0 {joins} WHERE vec_id <> {qid} "
         f"ORDER BY adc_dist, vec_id LIMIT {topk}"
     )
-def _simhash_near_sql(max_dist: int) -> str:
-    body = ORACLE_SQL["simhash"]
-    cut = body.rindex(" SELECT doc_id, array_to_string")
-    ctes = body[len("WITH "):cut].replace("FROM documents)", "FROM aug)", 1)
-    final = body[cut + 1:]
-    return (
-        "WITH aug AS (SELECT doc_id, text FROM documents UNION ALL "
-        "SELECT doc_id + 100000, COALESCE(text, '') || ' xx1' "
-        "FROM documents WHERE doc_id % 5 = 0), "
-        f"{ctes}, sh AS ({final}), "
-        "pairs AS (SELECT a.doc_id AS d1, b.doc_id AS d2, "
-        "CAST(bit_count(xor(CAST('0x' || a.simhash AS UBIGINT), "
-        "CAST('0x' || b.simhash AS UBIGINT))) AS BIGINT) AS dist "
-        "FROM sh a JOIN sh b ON a.doc_id < b.doc_id) "
-        f"SELECT d1, d2, dist FROM pairs WHERE dist <= {max_dist}"
-    )
 def _confusable_sql() -> str:
     from ..stages.normalize import CONFUSABLES
 
@@ -684,7 +615,6 @@ __all__ = [
     "_int_mod",
     "_HOST_ID_SQL",
     "TAG_TERMS",
-    "HOT_BUCKET_CAP",
     "_query_vec",
     "NEAR_DUP_THRESHOLD",
     "PACK_SEQ_LEN",
@@ -703,13 +633,7 @@ __all__ = [
     "BM25_QUERY",
     "HYBRID_LEG_K",
     "PAGE_NS",
-    "shingle_cte",
     "SHINGLE_CTE",
-    "SIG_FRAGMENT",
-    "SIG_CTE",
-    "PAIR_UNIVERSE_FRAGMENT",
-    "CAND_SELECT",
-    "CC_CTE",
     "_PII_AUG_CTE",
     "_pii_chain_cte",
     "_PII_CHAIN_CTE",
@@ -723,7 +647,6 @@ __all__ = [
     "PQ_DIM",
     "_pq_sql",
     "_pq_adc_sql",
-    "_simhash_near_sql",
     "_confusable_sql",
     "_RVZ_W",
     "_KC_SIM",

@@ -8,7 +8,6 @@ from typing import Dict
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
-from ..stages.dedup import minhash_dup_pairs, jaccard_dup_pairs
 from ..stages.similarity import (
     brute_force_topk,
     bucketed_near_dup_pairs,
@@ -18,55 +17,6 @@ from ..stages.similarity import (
 from ._registry import ORACLE_SQL, QUERIES
 from ._shared import *  # noqa: F401,F403
 
-def q_lsh_recall(sf_dir: str):
-    """Recall telemetry for the MinHash LSH path, ORACLE-CHECKED.
-
-    One row: candidate pairs found by LSH banding, candidates that
-    verify at true Jaccard ≥ 0.8, ALL pairs at true Jaccard ≥ 0.8
-    (exact twin, distributed block-pair join), and recall =
-    verified / true. Makes the LSH path's recall<1 a measured number
-    the DuckDB oracle reproduces end to end.
-    """
-    from ..stages.dedup import _round6 as round6
-    from ..stages.dedup import jaccard_all_pairs
-
-    docs = _docs(sf_dir)
-    n_cand = minhash_dup_pairs(docs).count()
-    n_ver = jaccard_dup_pairs(_docs(sf_dir)).count()
-    n_true = jaccard_all_pairs(_docs(sf_dir)).count()
-    recall = 1.0 if n_true == 0 else round6(n_ver / n_true)
-    return pa.table({
-        "n_candidates": pa.array([n_cand], pa.int64()),
-        "n_verified": pa.array([n_ver], pa.int64()),
-        "n_true": pa.array([n_true], pa.int64()),
-        "recall": pa.array([recall], pa.float64()),
-    })
-ORACLE_SQL["lsh_recall"] = (
-# tp uses the shared-shingle pair universe (PAIR_UNIVERSE_FRAGMENT)
-# plus the implied 0.8 length band instead of the O(N^2) cross join —
-# still EXACT (J >= 0.8 implies a shared shingle), tractable at sf1.
-"WITH " + SIG_CTE + ", "
-        "cand AS (" + CAND_SELECT + "), "
-        + PAIR_UNIVERSE_FRAGMENT + ", "
-        "ver AS (SELECT c.d1 FROM cand c "
-        "JOIN dsh a ON a.doc_id = c.d1 JOIN dsh b ON b.doc_id = c.d2 "
-        "WHERE CAST(len(list_intersect(a.s, b.s)) AS DOUBLE) / "
-        "(len(a.s) + len(b.s) - len(list_intersect(a.s, b.s))) >= 0.8), "
-        "tp AS (SELECT cu.d1 FROM cu "
-        "JOIN dsh a ON a.doc_id = cu.d1 JOIN dsh b ON b.doc_id = cu.d2 "
-        "WHERE len(b.s) * 5 >= len(a.s) * 4 "
-        "AND len(a.s) * 5 >= len(b.s) * 4 "
-        "AND CAST(len(list_intersect(a.s, b.s)) AS DOUBLE) / "
-        "(len(a.s) + len(b.s) - len(list_intersect(a.s, b.s))) >= 0.8) "
-        "SELECT CAST((SELECT count(*) FROM cand) AS BIGINT) AS n_candidates, "
-        "CAST((SELECT count(*) FROM ver) AS BIGINT) AS n_verified, "
-        "CAST((SELECT count(*) FROM tp) AS BIGINT) AS n_true, "
-        "CASE WHEN (SELECT count(*) FROM tp) = 0 THEN 1.0 ELSE "
-        "floor(CAST((SELECT count(*) FROM ver) AS DOUBLE) / "
-        "(SELECT count(*) FROM tp) * 1000000.0 + 0.5) / 1000000.0 "
-        "END AS recall"
-)
-QUERIES["lsh_recall"] = q_lsh_recall
 def q_embedding_lsh_recall(sf_dir: str):
     """Recall of the hyperplane-LSH embedding near-dup path vs its
     exact block-pair twin (rows-only: the plane matmul is not
@@ -440,36 +390,6 @@ def q_ann_topk_pq(sf_dir: str):
 ORACLE_SQL["ann_topk_pq"] = _pq_adc_sql(
     PQ_M, PQ_K, PQ_ITERS, KMEANS_SCALE, PQ_DIM, qid=0, topk=10)
 QUERIES["ann_topk_pq"] = q_ann_topk_pq
-def q_sparse_cosine_pairs(sf_dir: str):
-    """Weighted sparse cosine self-join over 3-shingle count vectors
-    (postings-based all-pairs; repetition-sensitive, unlike the
-    set-Jaccard twin). df > 1000 terms excluded by operator
-    semantics, mirrored in the SQL twin."""
-    from ..stages.dedup import sparse_cosine_pairs
-
-    return sparse_cosine_pairs(
-        _docs(sf_dir, columns=["doc_id", "text"]),
-        k=3, threshold=0.8, df_cap=1000)
-ORACLE_SQL["sparse_cosine_pairs"] = (
-    "WITH " + SHINGLE_CTE + ", "
-    "u AS (SELECT doc_id, unnest(shingles) AS term FROM sh), "
-    "tf AS (SELECT doc_id, term, CAST(count(*) AS BIGINT) AS tf "
-    "FROM u GROUP BY doc_id, term), "
-    "nrm AS (SELECT doc_id, CAST(sum(tf * tf) AS BIGINT) AS nsq "
-    "FROM tf GROUP BY doc_id), "
-    "keepterms AS (SELECT term FROM tf GROUP BY term "
-    "HAVING count(*) <= 1000), "
-    "p AS (SELECT a.doc_id AS d1, b.doc_id AS d2, "
-    "CAST(sum(a.tf * b.tf) AS BIGINT) AS dot "
-    "FROM tf a JOIN tf b ON a.term = b.term AND a.doc_id < b.doc_id "
-    "JOIN keepterms kt ON kt.term = a.term GROUP BY 1, 2) "
-    "SELECT d1, d2, floor(dot / (sqrt(na.nsq) * sqrt(nb.nsq)) "
-    "* 1000000.0 + 0.5) / 1000000.0 AS cosine "
-    "FROM p JOIN nrm na ON na.doc_id = p.d1 "
-    "JOIN nrm nb ON nb.doc_id = p.d2 "
-    "WHERE dot / (sqrt(na.nsq) * sqrt(nb.nsq)) >= 0.8"
-)
-QUERIES["sparse_cosine_pairs"] = q_sparse_cosine_pairs
 def q_mutual_nn_pairs(sf_dir: str):
     """Reciprocal cosine-NN pairs between the even- and odd-id halves
     of the embeddings table (stages/similarity.mutual_nn_pairs — the

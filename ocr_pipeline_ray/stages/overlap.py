@@ -29,7 +29,7 @@ Physical plan (never materializes a shingle list on the driver):
 Shuffle volume = the deduped shingle set, once; the reduction output
 is bounded by the number of DISTINCT source combinations, not by
 corpus size. At 10^12 docs the exchange is the inherent cost of
-global distinctness — same contract as ``minhash_dup_pairs``.
+global distinctness.
 
 Reference analogue: none (the reference has no multi-source
 governance); this extends the dedup family of SURVEY.md §2.7.

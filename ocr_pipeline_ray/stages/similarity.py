@@ -283,9 +283,7 @@ def bucketed_near_dup_pairs(
         if group.num_rows > max_bucket:
             # deterministic truncation: keep the max_bucket smallest
             # ids (shuffle order is run-dependent; a slice of the raw
-            # group would drop DIFFERENT ids each run). What a cap
-            # drops is measured by near_dup_bucket_stats — never
-            # silent.
+            # group would drop DIFFERENT ids each run)
             group = group.sort_by([(id_col, "ascending")]).slice(
                 0, max_bucket
             )
@@ -310,62 +308,6 @@ def bucketed_near_dup_pairs(
     )
 
 
-def near_dup_bucket_stats(
-    ds,
-    n_planes: int = 8,
-    seed: int = 42,
-    id_col: str = "vec_id",
-    emb_col: str = "embedding",
-    max_bucket: int = 10000,
-):
-    """Hot-bucket telemetry for :func:`bucketed_near_dup_pairs` (one
-    row) — the companion to ``minhash_bucket_stats``: how many
-    signature buckets exist, how many exceed ``max_bucket``, the
-    largest one, and how many vectors the cap would drop. Emit this
-    next to the pairs so the cap is a measured trade-off.
-    """
-    from ray.data.aggregate import Count, Max, Sum
-
-    def _sig_only(batch: pa.Table) -> pa.Table:
-        mat = _to_matrix(batch.column(emb_col))
-        if not mat.size:
-            return pa.table({"sig": pa.array([], pa.int64())})
-        local_planes = np.random.default_rng(seed).standard_normal(
-            (n_planes, mat.shape[1]))
-        bits = (mat @ local_planes.T > 0).astype(np.int64)
-        sig = bits @ (1 << np.arange(n_planes, dtype=np.int64))
-        return pa.table({"sig": pa.array(sig, pa.int64())})
-
-    sizes = ds.map_batches(
-        _sig_only, batch_format="pyarrow"
-    ).groupby("sig").aggregate(Count())
-
-    def _per_bucket(batch: pa.Table) -> pa.Table:
-        n = batch.column("count()")
-        dropped = pc.max_element_wise(
-            pc.subtract(n, pa.scalar(max_bucket, n.type)),
-            pa.scalar(0, n.type),
-        )
-        return pa.table({
-            "n_buckets": pa.array([batch.num_rows], pa.int64()),
-            "n_hot": pa.array(
-                [pc.sum(pc.cast(pc.greater(n, max_bucket),
-                                pa.int64())).as_py() or 0], pa.int64()),
-            "max_size": pa.array([pc.max(n).as_py() or 0], pa.int64()),
-            "dropped": pa.array([pc.sum(dropped).as_py() or 0], pa.int64()),
-        })
-
-    agg = sizes.map_batches(_per_bucket, batch_format="pyarrow").aggregate(
-        Sum("n_buckets"), Sum("n_hot"), Max("max_size"), Sum("dropped")
-    )
-    return pa.table({
-        "n_buckets": pa.array([agg["sum(n_buckets)"] or 0], pa.int64()),
-        "n_hot_buckets": pa.array([agg["sum(n_hot)"] or 0], pa.int64()),
-        "max_bucket_size": pa.array([agg["max(max_size)"] or 0], pa.int64()),
-        "dropped_ids": pa.array([agg["sum(dropped)"] or 0], pa.int64()),
-    })
-
-
 def embedding_lsh_recall(
     ds,
     threshold: float = 0.95,
@@ -383,8 +325,7 @@ def embedding_lsh_recall(
     measured number instead of a shrug. Both pair sets are computed
     distributed; only the (int64, int64) pair sets land on the driver
     (bounded by the near-dup count, not the corpus). The plane matmul
-    is not SQL-expressible, so this is telemetry (rows-only check),
-    mirrored for the minhash chain by the fully-oracled lsh_recall.
+    is not SQL-expressible, so this is telemetry (rows-only check).
     """
     exact = {
         (r["v1"], r["v2"])

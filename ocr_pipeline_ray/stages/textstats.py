@@ -433,8 +433,8 @@ def hash_embed(ds, dim: int = 64, id_col: str = "doc_id",
 
     Output: ``(id_col, embedding list<int64>)`` — one fixed-``dim``
     signed-count vector per document (NULL text -> zero vector).
-    One md5 per DISTINCT token per batch (cross-doc memoization, the
-    ``simhash64_batch`` trick), then one ``np.add.at`` scatter.
+    One md5 per DISTINCT token per batch (cross-doc memoization),
+    then one ``np.add.at`` scatter.
     """
     import numpy as np
     import pyarrow as pa

@@ -101,8 +101,7 @@ def robots_filter(ds, rules: pa.Table, url_col: str = "url",
     ``host + '\\x00' + path[:L]`` against that length's rule set —
     O(distinct_lengths) kernels per batch regardless of rule count.
     For rule sets beyond worker heap, swap the is_in value sets for
-    the bloom pre-prune of `dedup_incremental_bloom`; the probe shape
-    is unchanged.
+    a Bloom pre-prune; the probe shape is unchanged.
 
     ``how``: ``"keep"`` returns allowed rows, ``"drop"`` returns
     blocked rows (audit mode).

@@ -6,6 +6,9 @@ schema (column names + dtypes, sorted by name) and an
 order-insensitive value comparison — mirroring CORRECTNESS_r{N}.json.
 
 Usage: python scripts/check_oracle.py [sf_dir] [query ...]
+
+Without query names every query runs, in chunk processes of
+``$ORACLE_CHUNK`` queries each (default 40).
 """
 
 from __future__ import annotations
@@ -88,9 +91,9 @@ def _run_chunk(sf_dir: str, names) -> dict:
     return verdicts
 
 
-def chunked_main(sf_dir: str) -> int:
-    """Full-surface mode: run all registered queries in CHUNKS of fresh
-    subprocesses (ORACLE_CHUNK, default 40 per process).
+def chunked_main(sf_dir: str, chunk: int) -> int:
+    """Full-surface mode: run all registered queries in CHUNKS of
+    ``chunk`` queries, each chunk in a fresh subprocess.
 
     One long-lived local Ray driver accumulates ~1000s of finished
     Datasets over a full gate; past ~90 query plans ray 2.49's
@@ -106,7 +109,6 @@ def chunked_main(sf_dir: str) -> int:
     from ocr_pipeline_ray.queries import QUERIES
 
     names = list(QUERIES)
-    chunk = int(os.environ.get("ORACLE_CHUNK", "40"))
     verdicts = {}
     for i in range(0, len(names), chunk):
         verdicts.update(_run_chunk(sf_dir, names[i:i + chunk]))
@@ -133,7 +135,7 @@ def main() -> int:
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
     only = set(sys.argv[2:])
     if not only:
-        return chunked_main(sf_dir)
+        return chunked_main(sf_dir, int(os.environ.get("ORACLE_CHUNK", "40")))
 
     import ray
 

@@ -4,8 +4,7 @@ Each function here restates, one row or one token at a time, what a
 package operator computes over whole batches: the reference's
 ``textlines2data`` / ``analyze`` / line-center math, the ``.wtr``
 writer that ``stages.report.stream_wtr`` must match byte for byte,
-scalar SimHash and Jaccard, the sequential BPE trainer, the
-Count-Min point reader and the corpus merge of ``repl_stats``. The
+the sequential BPE trainer, the Count-Min point reader and the corpus merge of ``repl_stats``. The
 package ships only the batch paths; the tests compare the two.
 """
 
@@ -124,31 +123,6 @@ def iter_report_parts(out_dir: str):
                 yield from batch.to_pylist()
 
     return summary, _rows()
-
-
-def simhash64(text: str) -> int:
-    """64-bit SimHash over single-space tokens (md5-derived bits)."""
-    toks = text.split(" ")
-    if not toks:
-        return 0
-    acc = [0] * 64
-    for tok in toks:
-        h = int.from_bytes(hashlib.md5(tok.encode("utf-8")).digest()[:8], "big")
-        for bit in range(64):
-            acc[bit] += 1 if (h >> bit) & 1 else -1
-    out = 0
-    for bit in range(64):
-        if acc[bit] > 0:
-            out |= 1 << bit
-    return out
-
-
-def jaccard(a: List[str], b: List[str]) -> float:
-    sa, sb = set(a), set(b)
-    if not sa and not sb:
-        return 1.0
-    inter = len(sa & sb)
-    return inter / (len(sa) + len(sb) - inter)
 
 
 def bpe_reference(word_counts: Dict[str, int], n_merges: int,

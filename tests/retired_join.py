@@ -1,17 +1,20 @@
 """Join operators with no product caller, kept here with their tests.
 
+``broadcast_join`` (the small side shipped once through the object
+store and probed per batch) and its per-worker table cache,
 ``expand_join`` (the SQL-multiplicity join: duplicate keys expand to
 the full per-key cross product, ``how`` extends to ``right``/``full``
 outer), ``range_join`` (band join), ``hot_keys`` / ``skew_join``
-(hot-key split) and ``bloom_join`` (Bloom-prefiltered) build on the
-lookup joins of ``ocr_pipeline_ray.stages.join``. No CLI flag, query or
-script calls them, so they live beside the tests that pin them.
+(hot-key split) and ``bloom_join`` (Bloom-prefiltered) build on
+``broadcast_join`` and ``ocr_pipeline_ray.stages.join``'s
+``repartition_join``. No CLI flag, query or script calls them, so
+they live beside the tests that pin them.
 """
 
 from __future__ import annotations
 
 import sys
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 import pyarrow as pa
@@ -19,15 +22,106 @@ import pyarrow.compute as pc
 import ray.cloudpickle
 
 from ocr_pipeline_ray.functions.hashing import bucket_ids
-from ocr_pipeline_ray.stages.join import (
-    broadcast_join,
-    repartition_join,
-    _right_tbl_from_ref,
-)
+from ocr_pipeline_ray.stages.join import repartition_join
 
 # Ray workers do not have tests/ on their path, so the functions of
 # this module that run in Ray tasks travel by value
 ray.cloudpickle.register_pickle_by_value(sys.modules[__name__])
+
+# per-worker cache for broadcast right-side tables (workers persist
+# across tasks; deserialize once per worker, not once per batch)
+_JOIN_TBL_CACHE: Dict[str, pa.Table] = {}
+
+
+def _right_tbl_from_ref(ref) -> pa.Table:
+    import ray
+
+    cache_key = ref.hex()
+    tbl = _JOIN_TBL_CACHE.get(cache_key)
+    if tbl is None:
+        if len(_JOIN_TBL_CACHE) > 8:
+            _JOIN_TBL_CACHE.clear()
+        tbl = ray.get(ref)
+        _JOIN_TBL_CACHE[cache_key] = tbl
+    return tbl
+
+
+def broadcast_join(ds, right, on: str, right_cols: Optional[List[str]] = None,
+                   how: str = "inner", suffix: str = "_r"):
+    """Join ``ds`` against a SMALL dataset/table ``right`` on ``on``.
+
+    ``right`` may be a ``ray.data.Dataset`` or a ``pyarrow.Table``;
+    it is broadcast via the object store and probed per batch fully
+    vectorized — ``pc.index_in`` against the (deduped) right key
+    array, then one Arrow ``take`` gathers the matched rows (null
+    probe positions yield null right columns on the left path).
+    ``right_cols`` selects which right-side columns to append
+    (default: all but the key); name collisions get ``suffix``.
+    Duplicate right keys keep the LAST row (dict semantics) — the
+    driver dedupes the small side once before broadcasting.
+
+    ``how="semi"`` / ``"anti"`` filter the left side by EXISTS /
+    NOT EXISTS of the key in ``right`` (no right columns appended;
+    a NULL left key matches nothing, so semi drops it and anti
+    keeps it — SQL ``EXISTS`` semantics). Reduce the right side to
+    distinct keys BEFORE the call when it is large — membership
+    only needs the key set.
+    """
+    import pyarrow.compute as pc
+    import ray
+    import ray.data
+
+    if how not in ("inner", "left", "semi", "anti"):
+        raise ValueError(
+            f"how must be inner|left|semi|anti, got {how!r}")
+    if how in ("semi", "anti"):
+        right_cols = []
+    if isinstance(right, pa.Table):
+        right_tbl = right
+        cols = right_cols if right_cols is not None else [
+            c for c in right_tbl.column_names if c != on
+        ]
+    else:
+        # prune BEFORE driver-side collection: the broadcast (and
+        # the driver's transient copy) carry only key + needed cols
+        cols = right_cols if right_cols is not None else [
+            c for c in right.schema().names if c != on
+        ]
+        right_tbl = pa.concat_tables(
+            right.select_columns([on] + cols)
+            .iter_batches(batch_format="pyarrow", batch_size=None)
+        )
+    # last occurrence per key wins (dict contract), deduped ONCE here
+    keep = {k: i for i, k in enumerate(right_tbl.column(on).to_pylist())}
+    if len(keep) != right_tbl.num_rows:
+        right_tbl = right_tbl.take(
+            pa.array(sorted(keep.values()), pa.int64())
+        )
+    ref = ray.put(right_tbl.select([on] + cols).combine_chunks())
+
+    def _probe(batch: pa.Table) -> pa.Table:
+        rt = _right_tbl_from_ref(ref)
+        keys = batch.column(on)
+        pos = pc.index_in(keys, value_set=rt.column(on))
+        # SQL join semantics: a NULL key matches NOTHING (index_in
+        # would otherwise match null-to-null)
+        pos = pc.if_else(pc.is_valid(keys), pos, pa.scalar(None, pos.type))
+        if how == "semi":
+            return batch.filter(pc.is_valid(pos))
+        if how == "anti":
+            return batch.filter(pc.is_null(pos))
+        if how == "inner":
+            valid = pc.is_valid(pos)
+            if not pc.all(valid).as_py():
+                batch = batch.filter(valid)
+                pos = pos.filter(valid)
+        out = batch
+        for c in cols:
+            name = c if c not in out.column_names else c + suffix
+            out = out.append_column(name, rt.column(c).take(pos))
+        return out
+
+    return ds.map_batches(_probe, batch_format="pyarrow")
 
 
 def expand_join(left, right, on: str,
@@ -652,8 +746,7 @@ def bloom_join(left, right, on: str, how: str = "inner",
 
     1. one pass over ``right`` builds per-block partial bitmaps over
        its join keys, OR-folded through a log-depth repartition tree
-       (the `stages/dedup.build_bloom` shape — the driver never
-       holds one row per block);
+       (the driver never holds one row per block);
     2. the bitmap ships to the object store ONCE (``ray.put``, read
        zero-copy per worker) and prefilters ``left`` AT SCAN SPEED —
        fact rows that cannot match never enter the shuffle;

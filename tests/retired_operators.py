@@ -4,8 +4,10 @@ From ``stats``: grouped moments and correlation, and the 2-D skyline.
 From ``bucketed``: the bucket-to-bucket join, its probe tables and the
 per-bucket aggregate over a bucketed layout. From ``bpe``: applying
 learned merges. From ``multimodal``: the resize and frame-sample
-planners. No CLI flag, query or script calls them, so they live beside
-the tests that pin them.
+planners. From ``dedup``: the exact all-pairs shingle Jaccard. From
+``similarity``: the hot-bucket telemetry of the bucketed embedding
+near-dup pairs. No CLI flag, query or script calls them, so they live
+beside the tests that pin them.
 """
 
 from __future__ import annotations
@@ -23,6 +25,12 @@ from ocr_pipeline_ray.stages.bucketed import (
     BUCKET_COL,
     _read_bucket,
     _side_schema,
+)
+from ocr_pipeline_ray.stages.dedup import shingles
+from ocr_pipeline_ray.stages.similarity import (
+    _nonempty_block_refs,
+    _round6,
+    _to_matrix,
 )
 
 # Ray workers do not have tests/ on their path, so the functions of
@@ -496,3 +504,131 @@ def frame_sample_fn(batch: pa.Table, fps: float = 1.0,
     return batch.append_column(
         "frame_times_ms", pa.array(plans, pa.list_(pa.int32()))
     )
+
+
+def jaccard_all_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
+                      k: int = 3, threshold: float = 0.8,
+                      max_blocks: int = 16):
+    """EXACT all-pairs n-gram Jaccard ≥ threshold.
+
+    Distributed block-pair join (same shape as
+    ``similarity.embedding_near_dup_pairs``): distinct shingle sets
+    materialize as B object-store blocks, one task per block pair
+    scores its cross product, the driver holds refs only. Inherently
+    O(N²) pair comparisons — a recall-measurement / verification
+    operator, NOT a scale path; run it on samples or buckets, never
+    the full corpus.
+    """
+    import ray
+    import ray.data
+
+    def _shingle_rows(batch: pa.Table) -> pa.Table:
+        ids = batch.column(id_col).to_pylist()
+        texts = batch.column(text_col).to_pylist()
+        shs = [
+            sorted(set(shingles((t or "").split(" "), k))) for t in texts
+        ]
+        return pa.table({
+            "key": pa.array(ids, pa.int64()),
+            "sh": pa.array(shs, pa.list_(pa.string())),
+        })
+
+    sh_ds = ds.map_batches(_shingle_rows, batch_format="pyarrow").materialize()
+    refs = _nonempty_block_refs(sh_ds)
+    if len(refs) > max_blocks:
+        sh_ds = sh_ds.repartition(max_blocks).materialize()
+        refs = _nonempty_block_refs(sh_ds)
+    n = len(refs)
+    idx_pairs = [{"i": i, "j": j} for i in range(n) for j in range(i, n)]
+
+    def _block_pair(batch: pa.Table) -> pa.Table:
+        d1s, d2s, scores = [], [], []
+        for i, j in zip(batch.column("i").to_pylist(),
+                        batch.column("j").to_pylist()):
+            blk_a, blk_b = ray.get([refs[i], refs[j]])
+            ids_a = blk_a.column("key").to_pylist()
+            ids_b = blk_b.column("key").to_pylist()
+            sets_a = [frozenset(s) for s in blk_a.column("sh").to_pylist()]
+            sets_b = (
+                sets_a if i == j
+                else [frozenset(s) for s in blk_b.column("sh").to_pylist()]
+            )
+            for ai, (a_id, sa) in enumerate(zip(ids_a, sets_a)):
+                b_start = ai + 1 if i == j else 0
+                for b_id, sb in zip(ids_b[b_start:], sets_b[b_start:]):
+                    inter = len(sa & sb)
+                    union = len(sa) + len(sb) - inter
+                    if union == 0:
+                        # two sub-k-token docs: EXCLUDED, as SQL's
+                        # 0/0 -> NULL drops the pair
+                        continue
+                    score = inter / union
+                    if score >= threshold:
+                        d1s.append(min(a_id, b_id))
+                        d2s.append(max(a_id, b_id))
+                        scores.append(_round6(score))
+        return pa.table({
+            "d1": pa.array(d1s, pa.int64()),
+            "d2": pa.array(d2s, pa.int64()),
+            "jaccard": pa.array(scores, pa.float64()),
+        })
+
+    return ray.data.from_items(idx_pairs).map_batches(
+        _block_pair, batch_size=1, batch_format="pyarrow"
+    )
+
+
+def near_dup_bucket_stats(
+    ds,
+    n_planes: int = 8,
+    seed: int = 42,
+    id_col: str = "vec_id",
+    emb_col: str = "embedding",
+    max_bucket: int = 10000,
+):
+    """Hot-bucket telemetry for ``similarity.bucketed_near_dup_pairs``
+    (one row): how many signature buckets exist, how many exceed
+    ``max_bucket``, the largest one, and how many vectors the cap would
+    drop. Emit this next to the pairs so the cap is a measured
+    trade-off.
+    """
+    from ray.data.aggregate import Count, Max, Sum
+
+    def _sig_only(batch: pa.Table) -> pa.Table:
+        mat = _to_matrix(batch.column(emb_col))
+        if not mat.size:
+            return pa.table({"sig": pa.array([], pa.int64())})
+        local_planes = np.random.default_rng(seed).standard_normal(
+            (n_planes, mat.shape[1]))
+        bits = (mat @ local_planes.T > 0).astype(np.int64)
+        sig = bits @ (1 << np.arange(n_planes, dtype=np.int64))
+        return pa.table({"sig": pa.array(sig, pa.int64())})
+
+    sizes = ds.map_batches(
+        _sig_only, batch_format="pyarrow"
+    ).groupby("sig").aggregate(Count())
+
+    def _per_bucket(batch: pa.Table) -> pa.Table:
+        n = batch.column("count()")
+        dropped = pc.max_element_wise(
+            pc.subtract(n, pa.scalar(max_bucket, n.type)),
+            pa.scalar(0, n.type),
+        )
+        return pa.table({
+            "n_buckets": pa.array([batch.num_rows], pa.int64()),
+            "n_hot": pa.array(
+                [pc.sum(pc.cast(pc.greater(n, max_bucket),
+                                pa.int64())).as_py() or 0], pa.int64()),
+            "max_size": pa.array([pc.max(n).as_py() or 0], pa.int64()),
+            "dropped": pa.array([pc.sum(dropped).as_py() or 0], pa.int64()),
+        })
+
+    agg = sizes.map_batches(_per_bucket, batch_format="pyarrow").aggregate(
+        Sum("n_buckets"), Sum("n_hot"), Max("max_size"), Sum("dropped")
+    )
+    return pa.table({
+        "n_buckets": pa.array([agg["sum(n_buckets)"] or 0], pa.int64()),
+        "n_hot_buckets": pa.array([agg["sum(n_hot)"] or 0], pa.int64()),
+        "max_bucket_size": pa.array([agg["max(max_size)"] or 0], pa.int64()),
+        "dropped_ids": pa.array([agg["sum(dropped)"] or 0], pa.int64()),
+    })

@@ -26,7 +26,6 @@ def chunks(monkeypatch):
     import ocr_pipeline_ray.queries as queries
 
     monkeypatch.setattr(queries, "QUERIES", {n: None for n in NAMES})
-    monkeypatch.setenv("ORACLE_CHUNK", "2")
 
     def install(*printed):
         calls = []
@@ -45,7 +44,7 @@ def chunks(monkeypatch):
 def test_every_query_with_a_verdict_passes(chunks, capsys):
     calls = chunks({"q_a": "OK", "q_b": "OK"}, {"q_c": "OK", "q_d": "rows"},
                    {"q_e": "OK"})
-    assert check_oracle.chunked_main("sf") == 0
+    assert check_oracle.chunked_main("sf", 2) == 0
     assert calls == [["q_a", "q_b"], ["q_c", "q_d"], ["q_e"]]
     assert "all queries match their oracles (5 with a verdict)" in \
         capsys.readouterr().out
@@ -55,14 +54,14 @@ def test_silent_queries_rerun_once_together(chunks):
     # the second chunk died after q_c, the first before printing q_a
     calls = chunks({"q_b": "OK"}, {"q_c": "OK"}, {"q_e": "OK"},
                    {"q_a": "OK", "q_d": "rows"})
-    assert check_oracle.chunked_main("sf") == 0
+    assert check_oracle.chunked_main("sf", 2) == 0
     assert calls[3:] == [["q_a", "q_d"]]
 
 
 def test_fail_and_error_never_rerun(chunks, capsys):
     calls = chunks({"q_a": "FAIL"}, {"q_c": "ERROR", "q_d": "OK"},
                    {"q_e": "OK"}, {"q_b": "OK"})
-    assert check_oracle.chunked_main("sf") == 1
+    assert check_oracle.chunked_main("sf", 2) == 1
     assert calls[3:] == [["q_b"]]
     out = capsys.readouterr().out
     assert "FAILED: ['q_a', 'q_c']" in out
@@ -72,7 +71,7 @@ def test_fail_and_error_never_rerun(chunks, capsys):
 def test_query_still_silent_fails_by_name(chunks, capsys):
     calls = chunks({"q_a": "OK", "q_b": "OK"}, {"q_c": "OK"}, {"q_e": "OK"},
                    {})
-    assert check_oracle.chunked_main("sf") == 1
+    assert check_oracle.chunked_main("sf", 2) == 1
     assert len(calls) == 4
     out = capsys.readouterr().out
     assert "NO VERDICT: ['q_d']" in out
@@ -82,7 +81,7 @@ def test_query_still_silent_fails_by_name(chunks, capsys):
 def test_no_rerun_when_every_query_has_a_verdict(chunks):
     calls = chunks({"q_a": "FAIL", "q_b": "OK"}, {"q_c": "OK", "q_d": "OK"},
                    {"q_e": "ERROR"})
-    assert check_oracle.chunked_main("sf") == 1
+    assert check_oracle.chunked_main("sf", 2) == 1
     assert len(calls) == 3
 
 

@@ -6,39 +6,13 @@ import numpy as np
 import pyarrow as pa
 import pytest
 
-from ocr_pipeline_ray.stages.dedup import minhash_signature, shingles
-from replicas import jaccard, simhash64
+from ocr_pipeline_ray.stages.dedup import shingles
 
 
 class TestPrimitives:
     def test_shingles(self):
         assert shingles(["a", "b", "c", "d"], 3) == ["a b c", "b c d"]
         assert shingles(["a", "b"], 3) == []
-
-    def test_minhash_identical_docs_identical_sigs(self):
-        a = minhash_signature("der hund läuft über die alte brücke heute")
-        b = minhash_signature("der hund läuft über die alte brücke heute")
-        assert a == b and all(v is not None for v in a)
-
-    def test_minhash_near_dup_shares_bands(self):
-        base = "der hund läuft über die alte brücke " * 6
-        edited = base + "kleine änderung"
-        a = minhash_signature(base.strip())
-        b = minhash_signature(edited.strip())
-        assert sum(x == y for x, y in zip(a, b)) >= 2
-
-    def test_minhash_short_doc_null(self):
-        assert minhash_signature("nur zwei") == [None] * 4
-
-    def test_simhash_near_dup_small_hamming(self):
-        base = "viele gleiche worte " * 20
-        a = simhash64(base.strip())
-        b = simhash64((base + "extra wort").strip())
-        c = simhash64("komplett anderes thema über ganz andere dinge hier")
-        ham_ab = bin(a ^ b).count("1")
-        ham_ac = bin(a ^ c).count("1")
-        assert ham_ab < ham_ac
-        assert ham_ab <= 8
 
     def test_winnow_fingerprint(self, ray_session):
         """Winnowing: short docs get no windows; identical docs get
@@ -76,24 +50,6 @@ class TestPrimitives:
         )
         # a one-token local edit perturbs at most `window` minima
         assert abs(by_id[2]["n_fps"] - by_id[0]["n_fps"]) <= 8
-
-    def test_simhash_batch_matches_scalar(self):
-        """Vectorized kernel is bit-exact vs the scalar reference,
-        including empty text and shared tokens across docs."""
-        from ocr_pipeline_ray.stages.dedup import simhash64_batch
-
-        rng = np.random.RandomState(3)
-        vocab = [f"wort{i}" for i in range(40)] + ["ſtraße", "café"]
-        texts = [
-            " ".join(vocab[j] for j in rng.randint(0, len(vocab), size=n))
-            for n in rng.randint(1, 60, size=25)
-        ] + ["", "ein", "zwei zwei zwei"]
-        assert simhash64_batch(texts) == [simhash64(t) for t in texts]
-        assert simhash64_batch([]) == []
-
-    def test_jaccard(self):
-        assert jaccard(["a b c"], ["a b c"]) == 1.0
-        assert jaccard(["a b c"], ["x y z"]) == 0.0
 
 
 @pytest.fixture(scope="module")
@@ -169,22 +125,6 @@ class TestDedupDistributed:
                            order_col=["warc_ts", "doc_id"]).take_all()
         got = {r["url"]: r["doc_id"] for r in rows}
         assert got == {"a": 10, "b": 7}
-
-    def test_minhash_pairs_find_near_dups(self, dup_docs_ds):
-        from ocr_pipeline_ray.stages.dedup import minhash_dup_pairs
-
-        pairs = {(r["d1"], r["d2"]) for r in minhash_dup_pairs(dup_docs_ds).take_all()}
-        assert (0, 1) in pairs  # exact dup
-        assert (0, 2) in pairs  # near dup
-        assert (3, 4) not in pairs  # unrelated
-
-    def test_jaccard_verification(self, dup_docs_ds):
-        from ocr_pipeline_ray.stages.dedup import jaccard_dup_pairs
-
-        rows = jaccard_dup_pairs(dup_docs_ds, threshold=0.5).take_all()
-        verified = {(r["d1"], r["d2"]): r["jaccard"] for r in rows}
-        assert verified[(0, 1)] == 1.0
-        assert (0, 2) in verified
 
     def test_dedup_first_by_key(self, ray_session):
         import ray.data
@@ -307,79 +247,7 @@ class TestSimilarity:
         assert approx <= exact  # no false positives
 
 
-class TestJaccardJoinStrategies:
-    def test_broadcast_and_shuffle_agree(self, ray_session):
-        """The broadcast hash-join and the bucketed shuffle join are
-        two physical plans of the SAME operator — identical results
-        on a seeded corpus with planted near-dups."""
-        import random
-
-        import ray.data
-
-        from ocr_pipeline_ray.stages.dedup import jaccard_dup_pairs
-
-        rng = random.Random(99)
-        vocab = [f"w{i}" for i in range(60)]
-        base = [rng.choice(vocab) for _ in range(40)]
-        texts = []
-        for i in range(30):
-            words = list(base)
-            for _ in range(i % 7):  # increasing edit distance
-                words[rng.randrange(len(words))] = rng.choice(vocab)
-            texts.append(" ".join(words))
-        texts += [" ".join(rng.choice(vocab) for _ in range(40))
-                  for _ in range(10)]
-        tbl = pa.table({
-            "doc_id": pa.array(range(len(texts)), pa.int64()),
-            "text": pa.array(texts, pa.string()),
-        })
-        ds = ray.data.from_arrow(tbl)
-        results = {}
-        for join in ("broadcast", "shuffle"):
-            rows = jaccard_dup_pairs(ds, threshold=0.5, join=join).take_all()
-            results[join] = sorted(
-                (r["d1"], r["d2"], r["jaccard"]) for r in rows
-            )
-        assert results["broadcast"] == results["shuffle"]
-        assert len(results["broadcast"]) > 5  # planted dups found
-
-    def test_bad_join_arg(self, ray_session):
-        import pytest
-        import ray.data
-
-        from ocr_pipeline_ray.stages.dedup import jaccard_dup_pairs
-
-        ds = ray.data.from_arrow(pa.table({
-            "doc_id": pa.array([0], pa.int64()),
-            "text": pa.array(["x"], pa.string()),
-        }))
-        with pytest.raises(ValueError, match="broadcast|shuffle"):
-            jaccard_dup_pairs(ds, join="nope")
-
-
 class TestBucketTelemetry:
-    def test_minhash_bucket_stats(self, dup_docs_ds):
-        """Cap telemetry matches a by-hand recomputation from the
-        band-exploded signature table (no silent truncation)."""
-        from collections import Counter
-
-        from ocr_pipeline_ray.stages.dedup import (
-            minhash_bucket_stats,
-            minhash_signatures,
-        )
-
-        sigs = minhash_signatures(dup_docs_ds).take_all()
-        sizes = Counter()
-        for row in sigs:
-            for i in range(4):
-                if row[f"h{i}"] is not None:
-                    sizes[f"{i}:{row[f'h{i}']}"] += 1
-        for cap in (1, 2, 1000):
-            got = minhash_bucket_stats(dup_docs_ds, max_bucket=cap).to_pylist()[0]
-            assert got["n_buckets"] == len(sizes)
-            assert got["n_hot_buckets"] == sum(1 for n in sizes.values() if n > cap)
-            assert got["max_bucket_size"] == max(sizes.values())
-            assert got["dropped_ids"] == sum(max(0, n - cap) for n in sizes.values())
 
     def test_bucketed_near_dup_cap_deterministic(self, ray_session):
         """max_bucket truncation keeps the SMALLEST ids (sorted before
@@ -390,8 +258,8 @@ class TestBucketTelemetry:
 
         from ocr_pipeline_ray.stages.similarity import (
             bucketed_near_dup_pairs,
-            near_dup_bucket_stats,
         )
+        from retired_operators import near_dup_bucket_stats
 
         # 6 identical unit vectors → one signature bucket of size 6
         vecs = [[1.0, 0.0, 0.0, 0.0]] * 6
@@ -482,7 +350,7 @@ class TestBucketTelemetry:
     def test_jaccard_all_pairs_exact(self, dup_docs_ds):
         """Block-pair all-pairs Jaccard finds the known dups with the
         same scores as the scalar jaccard()."""
-        from ocr_pipeline_ray.stages.dedup import jaccard_all_pairs
+        from retired_operators import jaccard_all_pairs
 
         rows = jaccard_all_pairs(dup_docs_ds, threshold=0.5).take_all()
         got = {(r["d1"], r["d2"]): r["jaccard"] for r in rows}
@@ -497,7 +365,7 @@ class TestBucketTelemetry:
         empty schema and KeyError'd the pair tasks)."""
         import ray.data
 
-        from ocr_pipeline_ray.stages.dedup import jaccard_all_pairs
+        from retired_operators import jaccard_all_pairs
         from ocr_pipeline_ray.stages.similarity import (
             embedding_near_dup_pairs,
         )
@@ -531,7 +399,7 @@ class TestBucketTelemetry:
         never propose them (their bands are NULL)."""
         import ray.data
 
-        from ocr_pipeline_ray.stages.dedup import jaccard_all_pairs
+        from retired_operators import jaccard_all_pairs
 
         docs = pa.table({
             "doc_id": pa.array([0, 1, 2], pa.int64()),
@@ -545,22 +413,6 @@ class TestBucketTelemetry:
         assert _from_matrix(np.empty((0, 0))).to_pylist() == []
         assert _from_matrix(np.empty((0, 4))).to_pylist() == []
         assert _from_matrix(np.ones((2, 0))).to_pylist() == [[], []]
-
-    def test_jaccard_no_candidates_schema(self, ray_session):
-        """Empty candidate set still yields the (d1,d2,jaccard) schema."""
-        import ray.data
-
-        from ocr_pipeline_ray.stages.dedup import jaccard_dup_pairs
-
-        tbl = pa.table({
-            "doc_id": pa.array([0, 1], pa.int64()),
-            "text": pa.array(["kurz", "klein"], pa.string()),  # no shingles
-        })
-        ds = ray.data.from_arrow(tbl)
-        out = jaccard_dup_pairs(ds)
-        schema = out.schema()
-        assert schema.names == ["d1", "d2", "jaccard"]
-        assert out.take_all() == []
 
 
 class TestMultimodal:
@@ -748,68 +600,6 @@ class TestMultimodal:
         assert by_id["v1"]["frame_times_ms"] == [0, 1000, 2000, 3000, 4000, 5000]
         assert len(by_id["v2"]["frame_times_ms"]) == 32  # cap binds, re-spaced
         assert by_id["img"]["frame_times_ms"] == []
-
-
-class TestBloomIncremental:
-    def _fps(self, texts, with_id=True):
-        import ray.data
-
-        from ocr_pipeline_ray.stages.dedup import fingerprint_fn
-
-        tbl = pa.table({
-            "doc_id": pa.array(range(len(texts)), pa.int64()),
-            "text": pa.array(texts, pa.string()),
-        })
-        fp = fingerprint_fn(tbl)
-        cols = ["doc_id", "fp"] if with_id else ["fp"]
-        return ray.data.from_arrow(fp.select(cols)).repartition(3)
-
-    def test_bit_indices_match_int_parse(self):
-        import hashlib
-
-        import numpy as np
-
-        from ocr_pipeline_ray.stages.dedup import _fp_bit_indices
-
-        fps = [hashlib.md5(str(i).encode()).hexdigest()
-               for i in range(50)]
-        got = _fp_bit_indices(pa.array(fps, pa.string()), 1 << 20)
-        expect = np.array([
-            [int(fp[8 * i:8 * i + 8], 16) % (1 << 20) for i in range(4)]
-            for fp in fps
-        ])
-        assert (got == expect).all()
-
-    def test_exact_even_with_false_positives(self, ray_session):
-        """A deliberately tiny bitmap (64 bits) forces Bloom false
-        positives on the old side — the exact anti join must still
-        produce exactly the true-new rows."""
-        from ocr_pipeline_ray.stages.dedup import incremental_dedup_bloom
-
-        new_texts = [f"new doc {i}" for i in range(20)] + ["shared a",
-                                                           "shared b"]
-        old_texts = [f"old doc {i}" for i in range(40)] + ["shared a",
-                                                           "shared b"]
-        out = incremental_dedup_bloom(
-            self._fps(new_texts), self._fps(old_texts, with_id=False),
-            n_bits=64, n_buckets=4,
-        ).take_all()
-        assert sorted(r["doc_id"] for r in out) == list(range(20))
-
-    def test_empty_sides(self, ray_session):
-        from ocr_pipeline_ray.stages.dedup import incremental_dedup_bloom
-
-        # empty new side -> nothing survives
-        out = incremental_dedup_bloom(
-            self._fps([]), self._fps(["x"], with_id=False), n_bits=64
-        ).take_all()
-        assert out == []
-        # empty old side -> everything survives
-        out = incremental_dedup_bloom(
-            self._fps(["x", "y"]), self._fps([], with_id=False),
-            n_bits=64,
-        ).take_all()
-        assert sorted(r["doc_id"] for r in out) == [0, 1]
 
 
 class TestParagraphDedup:
@@ -1012,106 +802,6 @@ class TestSubstringDedup:
             window_gram_rows_fn(tbl, w=1)
 
 
-class TestMinhashCrossPairs:
-    def _docs(self):
-        import pyarrow as pa
-
-        texts = {
-            0: "the quick brown fox jumps over the lazy dog today",
-            1: "the quick brown fox jumps over the lazy dog today",
-            2: "completely different words live in this sentence here",
-            3: "completely different words live in this sentence here",
-            4: "another unrelated document about graph algorithms",
-            5: "the quick brown fox jumps over the lazy dog tonight",
-        }
-        return pa.table({
-            "doc_id": pa.array(sorted(texts), pa.int64()),
-            "text": pa.array([texts[i] for i in sorted(texts)],
-                             pa.string()),
-        })
-
-    def test_cross_only_and_matches_full_pairs(self, ray_session):
-        import ray.data
-
-        from ocr_pipeline_ray.stages.dedup import (
-            minhash_cross_pairs,
-            minhash_dup_pairs,
-        )
-
-        tbl = self._docs()
-        ds = ray.data.from_arrow(tbl).repartition(3)
-        new = ds.filter(lambda r: r["doc_id"] % 2 == 1)
-        old = ds.filter(lambda r: r["doc_id"] % 2 == 0)
-        got = {(r["d_new"], r["d_old"])
-               for r in minhash_cross_pairs(new, old).take_all()}
-        # ground truth: full self-pair set restricted to odd×even
-        full = {(r["d1"], r["d2"])
-                for r in minhash_dup_pairs(ds).take_all()}
-        want = {(b, a) if b % 2 == 1 else (a, b)
-                for a, b in full if (a % 2) != (b % 2)}
-        assert got == want
-        assert all(n % 2 == 1 and o % 2 == 0 for n, o in got)
-        assert (1, 0) in got  # identical texts across sides
-
-    def test_precomputed_corpus_signatures(self, ray_session):
-        import ray.data
-
-        from ocr_pipeline_ray.stages.dedup import (
-            minhash_cross_pairs,
-            minhash_signatures,
-        )
-
-        tbl = self._docs()
-        ds = ray.data.from_arrow(tbl)
-        new = ds.filter(lambda r: r["doc_id"] % 2 == 1)
-        old = ds.filter(lambda r: r["doc_id"] % 2 == 0)
-        old_sigs = minhash_signatures(old).materialize()
-        a = sorted(map(tuple, minhash_cross_pairs(new, old)
-                       .to_pandas().values.tolist()))
-        b = sorted(map(tuple, minhash_cross_pairs(new, old_sigs)
-                       .to_pandas().values.tolist()))
-        assert a == b and len(a) > 0
-
-
-class TestContainmentMetric:
-    def test_quote_scores_one_where_jaccard_small(self, ray_session):
-        import ray.data
-
-        from ocr_pipeline_ray.stages.dedup import jaccard_dup_pairs
-
-        quote = "alpha beta gamma delta epsilon zeta"
-        long_doc = quote + " " + " ".join(f"w{i}" for i in range(60))
-        tbl = pa.table({
-            "doc_id": pa.array([1, 2], pa.int64()),
-            "text": pa.array([quote, long_doc], pa.string()),
-        })
-        ds = ray.data.from_arrow(tbl)
-        cont = jaccard_dup_pairs(ds, threshold=0.9,
-                                 metric="containment").to_pandas()
-        # the quote is fully contained -> containment 1.0
-        assert len(cont) == 1 and cont["containment"][0] == 1.0
-        jac = jaccard_dup_pairs(ds, threshold=0.9).to_pandas()
-        assert len(jac) == 0      # Jaccard ~4/64: far below 0.9
-
-    def test_shuffle_strategy_equivalent(self, ray_session):
-        import ray.data
-
-        from ocr_pipeline_ray.stages.dedup import jaccard_dup_pairs
-
-        quote = "alpha beta gamma delta epsilon zeta"
-        long_doc = quote + " " + " ".join(f"w{i}" for i in range(60))
-        tbl = pa.table({
-            "doc_id": pa.array([1, 2], pa.int64()),
-            "text": pa.array([quote, long_doc], pa.string()),
-        })
-        ds = ray.data.from_arrow(tbl)
-        a = jaccard_dup_pairs(ds, threshold=0.9, metric="containment",
-                              join="broadcast").to_pandas()
-        b = jaccard_dup_pairs(ds, threshold=0.9, metric="containment",
-                              join="shuffle").to_pandas()
-        assert a.values.tolist() == b.values.tolist()
-
-
 class TestSemanticDedup:
     def _vecs(self):
         import numpy as np
@@ -1186,78 +876,6 @@ class TestSemanticDedup:
         with pytest.raises(Exception):
             semantic_dedup(ray.data.from_arrow(tbl), k=2, iters=1,
                            max_cluster=5).take_all()
-
-
-class TestPrefixJaccardJoin:
-    def _corpus(self):
-        # near-dup pairs + heavy shared boilerplate + unique docs
-        base = ("alpha beta gamma delta epsilon zeta eta theta iota "
-                "kappa lam mu nu xi omicron pi rho sigma tau upsilon")
-        boiler = "terms of service apply all rights reserved contact us"
-        docs = []
-        for i in range(20):
-            if i % 4 == 0:
-                docs.append(f"{base} {boiler}")
-            elif i % 4 == 1:
-                docs.append(f"{base} extra{i} {boiler}")
-            elif i % 4 == 2:
-                docs.append(f"doc {i} unique words here "
-                            f"number{i} token{i} {boiler}")
-            else:
-                docs.append(f"totally different content {i} "
-                            f"with its own vocabulary{i}")
-        return docs
-
-    def test_matches_exact_all_pairs(self, ray_session):
-        import pyarrow as pa
-        import ray.data
-
-        from ocr_pipeline_ray.stages.dedup import (
-            jaccard_all_pairs, prefix_jaccard_pairs)
-
-        docs = self._corpus()
-        tbl = pa.table({
-            "doc_id": pa.array(list(range(len(docs))), pa.int64()),
-            "text": pa.array(docs, pa.string()),
-        })
-        ds = ray.data.from_arrow(tbl)
-        got = sorted(
-            (r["d1"], r["d2"], r["jaccard"])
-            for r in prefix_jaccard_pairs(
-                ds, threshold=0.8, n_buckets=8).take_all())
-        expect = sorted(
-            (r["d1"], r["d2"], r["jaccard"])
-            for r in jaccard_all_pairs(
-                ray.data.from_arrow(tbl),
-                threshold=0.8).take_all())
-        assert got == expect
-        assert len(got) >= 10  # the %4∈{0,1} docs are mutual near-dups
-
-    def test_layout_invariance(self, ray_session):
-        import ray
-        import pyarrow as pa
-        import ray.data
-
-        from ocr_pipeline_ray.stages.dedup import prefix_jaccard_pairs
-
-        docs = self._corpus()
-        tbl = pa.table({
-            "doc_id": pa.array(list(range(len(docs))), pa.int64()),
-            "text": pa.array(docs, pa.string()),
-        })
-        one = sorted(
-            (r["d1"], r["d2"], r["jaccard"])
-            for r in prefix_jaccard_pairs(
-                ray.data.from_arrow(tbl), threshold=0.8,
-                n_buckets=8).take_all())
-        many = sorted(
-            (r["d1"], r["d2"], r["jaccard"])
-            for r in prefix_jaccard_pairs(
-                ray.data.from_arrow_refs([
-                    ray.put(tbl.slice(i, 3))
-                    for i in range(0, tbl.num_rows, 3)]),
-                threshold=0.8, n_buckets=8).take_all())
-        assert one == many
 
 
 class TestScalarQuantize:
@@ -1436,56 +1054,3 @@ class TestGroupCapDescending:
             ("a", 2), ("a", 3), ("b", 9)]
 
 
-class TestSimhashNearPairs:
-    def test_exact_vs_bruteforce(self, ray_session):
-        import numpy as np
-        import ray
-        from ocr_pipeline_ray.stages.dedup import (
-            simhash64_batch,
-            simhash_near_pairs,
-            _popcount64,
-        )
-
-        texts = [
-            "alpha beta gamma delta epsilon",
-            "alpha beta gamma delta zeta",      # near dup of 0
-            "completely different words here",
-            "alpha beta gamma delta epsilon",   # exact dup of 0
-            "one two three four five six",
-        ]
-        tbl = pa.table({
-            "doc_id": pa.array(range(5), pa.int64()),
-            "text": pa.array(texts, pa.string()),
-        })
-        for max_dist in (0, 3, 8):
-            out = simhash_near_pairs(
-                ray.data.from_arrow(tbl).repartition(3),
-                max_dist=max_dist, n_buckets=4,
-            ).to_pandas()
-            got = sorted(map(tuple, out.itertuples(index=False)))
-            h = np.array(simhash64_batch(texts), dtype=np.uint64)
-            want = []
-            for i in range(5):
-                for j in range(i + 1, 5):
-                    d = int(_popcount64(np.array([h[i] ^ h[j]]))[0])
-                    if d <= max_dist:
-                        want.append((i, j, d))
-            assert got == sorted(want), max_dist
-        # the exact-dup pair must appear at dist 0
-        out0 = simhash_near_pairs(
-            ray.data.from_arrow(tbl), max_dist=0).to_pandas()
-        assert (0, 3, 0) in set(map(tuple, out0.itertuples(index=False)))
-
-    def test_max_band_raises(self, ray_session):
-        import pytest as _pytest
-        import ray
-        from ocr_pipeline_ray.stages.dedup import simhash_near_pairs
-
-        tbl = pa.table({
-            "doc_id": pa.array(range(6), pa.int64()),
-            "text": pa.array(["same text here"] * 6, pa.string()),
-        })
-        with _pytest.raises(Exception):
-            simhash_near_pairs(
-                ray.data.from_arrow(tbl), max_band=3,
-            ).to_pandas()

@@ -31,7 +31,7 @@ class TestJoins:
     def test_broadcast_inner_and_left(self, ray_session, layout):
         import ray.data
 
-        from ocr_pipeline_ray.stages.join import broadcast_join
+        from retired_join import broadcast_join
 
         left = ray.data.from_arrow(_left_tbl()).repartition(layout)
         rows = broadcast_join(left, _right_tbl(), on="k").take_all()
@@ -65,10 +65,8 @@ class TestJoins:
     def test_strategies_agree_on_string_keys(self, ray_session):
         import ray.data
 
-        from ocr_pipeline_ray.stages.join import (
-            broadcast_join,
-            repartition_join,
-        )
+        from ocr_pipeline_ray.stages.join import repartition_join
+        from retired_join import broadcast_join
 
         left = pa.table({
             "url": pa.array([f"u{i % 7}" for i in range(40)], pa.string()),
@@ -96,10 +94,8 @@ class TestJoins:
         matched null-to-null; repartition crashed with IndexError)."""
         import ray.data
 
-        from ocr_pipeline_ray.stages.join import (
-            broadcast_join,
-            repartition_join,
-        )
+        from ocr_pipeline_ray.stages.join import repartition_join
+        from retired_join import broadcast_join
 
         left = pa.table({
             "k": pa.array([1, None, 2, None], pa.int64()),
@@ -134,10 +130,8 @@ class TestJoins:
         not multiply rows."""
         import ray.data
 
-        from ocr_pipeline_ray.stages.join import (
-            broadcast_join,
-            repartition_join,
-        )
+        from ocr_pipeline_ray.stages.join import repartition_join
+        from retired_join import broadcast_join
 
         left = pa.table({
             "k": pa.array([1, 2, 3, 4, 2, None], pa.int64()),
@@ -212,7 +206,7 @@ class TestJoins:
     def test_right_cols_projection(self, ray_session):
         import ray.data
 
-        from ocr_pipeline_ray.stages.join import broadcast_join
+        from retired_join import broadcast_join
 
         rows = broadcast_join(
             ray.data.from_arrow(_left_tbl()), _right_tbl(), on="k",

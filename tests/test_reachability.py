@@ -1,4 +1,4 @@
-"""Dead-code, unused-import and bench-list gates.
+"""Dead-code, unused-import, bench-list and CLI-closure gates.
 
 ``scripts/reachability.py`` walks the checkout's ASTs from the product
 roots (every CLI flag, ``__ray_entry__.entry/queries/oracle_sql``,
@@ -8,7 +8,8 @@ code only tests reach is dead too — a reference replica or a fixture
 writer lives under ``tests/``. Every module-level import of the
 package is used (or marked ``# noqa: F401`` as a side effect or a
 re-export). A query name ``bench.py --families`` lists must be a
-registered query.
+registered query. The CLI's function-level imports reach no module
+beyond the CLI closure except the two ``stages/textstats.py`` needs.
 """
 
 import os
@@ -70,6 +71,21 @@ def test_family_bench_names_are_registered_queries():
               for name in names}
     missing = sorted(listed - set(QUERIES))
     assert not missing, f"--families names with no QUERIES entry: {missing}"
+
+
+def test_cli_file_closure_adds_only_textstats_imports(report):
+    """The function-level imports of the CLI's modules may load only
+    ``functions.segments`` and ``stages.bucketed`` beyond the CLI
+    closure: ``stages/textstats.py`` imports both (``stages/dedup.py``'s
+    host boilerplate removal imports ``stages.bucketed`` too)."""
+    extra = (set(report["cli_file_closure"]["names"])
+             - set(report["cli_closure"]["names"]))
+    allowed = {"ocr_pipeline_ray.functions.segments",
+               "ocr_pipeline_ray.stages.bucketed"}
+    assert extra <= allowed, (
+        f"CLI file closure modules beyond the CLI closure: "
+        f"{sorted(extra - allowed)}; only {sorted(allowed)} may be there, "
+        f"as stages/textstats.py imports until the text family goes")
 
 
 # -- the audit's rules, on small checkouts of their own ---------------------

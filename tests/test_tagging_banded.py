@@ -1,13 +1,8 @@
-"""Banded (b×r) MinHash LSH + phrase-dictionary tagging."""
+"""Phrase-dictionary tagging and per-doc text statistics."""
 
 import pyarrow as pa
 import pytest
 
-from ocr_pipeline_ray.stages.dedup import (
-    minhash_banded_pairs,
-    minhash_signature,
-    minhash_signature_salted,
-)
 from ocr_pipeline_ray.stages.textstats import DictionaryTagger, dictionary_tag
 
 
@@ -18,59 +13,6 @@ def _ds(rows):
         "doc_id": pa.array([r[0] for r in rows], pa.int64()),
         "text": pa.array([r[1] for r in rows], pa.string()),
     }))
-
-
-class TestSaltedSignature:
-    def test_first_four_match_unsalted(self):
-        t = "der hund läuft über die alte brücke heute am morgen"
-        assert minhash_signature_salted(t, 4) == minhash_signature(t)
-        assert minhash_signature_salted(t, 8)[:4] == minhash_signature(t)
-
-    def test_salted_hashes_differ_from_unsalted(self):
-        t = "der hund läuft über die alte brücke heute am morgen"
-        sig = minhash_signature_salted(t, 8)
-        # h4 comes from the salt-1 digest — a different hash function
-        assert sig[4] != sig[0] and all(v is not None for v in sig)
-
-    def test_short_doc_all_null(self):
-        assert minhash_signature_salted("nur zwei", 8) == [None] * 8
-
-    def test_deterministic(self):
-        t = "a b c d e f g h i j"
-        assert (minhash_signature_salted(t, 6)
-                == minhash_signature_salted(t, 6))
-
-
-class TestBandedPairs:
-    def test_exact_dups_always_pair_disjoint_never(self, ray_session):
-        base = "der hund läuft über die alte brücke heute am morgen früh"
-        other = "completely different vocabulary nothing shared here at all"
-        ds = _ds([(1, base), (2, base), (3, other)])
-        pairs = {
-            (r["d1"], r["d2"])
-            for r in minhash_banded_pairs(ds, b=3, r=2).take_all()
-        }
-        assert (1, 2) in pairs
-        assert all(3 not in p for p in pairs)
-
-    def test_r2_no_looser_than_r1_on_shared_functions(self, ray_session):
-        # a pair colliding on band0 (h0 AND h1) necessarily collides
-        # on the r=1 path's h0 band — banding only tightens bands it
-        # shares hash functions with
-        base = ["worte"] * 30
-        edited = base[:25] + ["anders"] * 5
-        ds = _ds([(1, " ".join(base)), (2, " ".join(edited))])
-        from ocr_pipeline_ray.stages.dedup import minhash_dup_pairs
-
-        banded = {(r["d1"], r["d2"])
-                  for r in minhash_banded_pairs(ds, b=2, r=2).take_all()}
-        loose = {(r["d1"], r["d2"])
-                 for r in minhash_dup_pairs(ds).take_all()}
-        assert banded <= loose
-
-    def test_short_docs_produce_no_bands(self, ray_session):
-        ds = _ds([(1, "nur zwei"), (2, "nur zwei")])
-        assert minhash_banded_pairs(ds, b=3, r=2).count() == 0
 
 
 class TestDictionaryTagger:
@@ -170,60 +112,6 @@ class TestOovRate:
         ds = _ds([(1, "b c"), (2, "c b")])
         rows = {r["doc_id"]: r for r in oov_rate(ds, v=1).take_all()}
         assert rows[1]["n_oov"] == 1 and rows[2]["n_oov"] == 1
-
-
-class TestPrefixDup:
-    def test_shared_head_different_tail(self, ray_session):
-        from ocr_pipeline_ray.stages.dedup import prefix_dup_groups
-
-        head = " ".join(f"t{i}" for i in range(32))
-        ds = _ds([
-            (1, head + " original tail"),
-            (2, head + " syndicated copy with extra chrome"),
-            (3, "completely different document head entirely"),
-        ])
-        rows = prefix_dup_groups(ds, p=32).take_all()
-        assert len(rows) == 1
-        assert rows[0]["keep_id"] == 1 and rows[0]["n_docs"] == 2
-
-    def test_short_docs_degrade_to_exact(self, ray_session):
-        from ocr_pipeline_ray.stages.dedup import prefix_dup_groups
-
-        ds = _ds([(1, "kurz"), (2, "kurz"), (3, "anders")])
-        rows = prefix_dup_groups(ds, p=32).take_all()
-        assert len(rows) == 1 and rows[0]["n_docs"] == 2
-
-
-class TestSparseCosinePairs:
-    def test_repetition_sensitivity_vs_jaccard(self, ray_session):
-        from ocr_pipeline_ray.stages.dedup import sparse_cosine_pairs
-
-        base = "alpha beta gamma delta epsilon zeta eta theta"
-        # doc 2 = doc 1 with one shingle region repeated many times:
-        # identical shingle SET (Jaccard high) but skewed counts
-        rep = base + (" alpha beta gamma" * 10)
-        ds = _ds([(1, base), (2, rep), (3, base)])
-        rows = {(r["d1"], r["d2"]): r["cosine"]
-                for r in sparse_cosine_pairs(
-                    ds, threshold=0.0, df_cap=100).take_all()}
-        assert rows[(1, 3)] == 1.0           # identical docs
-        assert rows[(1, 2)] < rows[(1, 3)]   # repetition drags cosine
-
-    def test_df_cap_excludes_common_terms(self, ray_session):
-        from ocr_pipeline_ray.stages.dedup import sparse_cosine_pairs
-
-        # the only shared shingle appears in all 3 docs -> df=3 > cap
-        shared = "x y z"
-        ds = _ds([(1, shared + " a b c"), (2, shared + " d e f"),
-                  (3, shared + " g h i")])
-        out = sparse_cosine_pairs(ds, threshold=0.0, df_cap=2).take_all()
-        assert out == []
-
-    def test_short_docs_no_rows(self, ray_session):
-        from ocr_pipeline_ray.stages.dedup import sparse_cosine_pairs
-
-        ds = _ds([(1, "nur zwei"), (2, "nur zwei")])
-        assert sparse_cosine_pairs(ds).count() == 0
 
 
 class TestRarityDispersion:
