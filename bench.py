@@ -37,9 +37,8 @@ BENCH_ROOT = "/tmp/ocr_ray_bench"
 BENCH_QUERIES = [
     "replace_chars", "sanitize_chars", "nfc_normalize", "token_count",
     "quality_report",
-    "dedup_exact", "dedup_first_rows",
-    "paragraph_dedup", "substring_dedup",
-    "winnow_fingerprint", "ann_topk", "embedding_near_dup",
+    "dedup_first_rows",
+    "ann_topk", "embedding_near_dup",
     "semantic_dedup",
     "pii_redact", "host_stats", "heavy_hitters", "inverted_index",
     "sequence_packing",
@@ -76,18 +75,18 @@ BENCH_QUERIES = [
     "lang_top_tokens", "host_gini",
     "wordlist_gate",
     # session-7 additions
-    "embedding_quantize", "host_boilerplate",
+    "embedding_quantize",
     "pq_codes", "ann_topk_pq",
     "video_scene_cuts", "zonemap_scan", "range_shards",
     "url_latest_k", "phrase_match",
     "schema_evolution", "deobfuscate",
-    "curation_pipeline", "meta_extract", "html_tables",
+    "meta_extract", "html_tables",
     # session-8 additions
     "dictionary_tag",
     "char_entropy", "oov_rate",
     "rarity_dispersion", "paragraph_lang_mix",
     # session-9 additions
-    "zorder_scan", "stitch_pairs",
+    "zorder_scan",
     "mutual_nn_pairs", "rendezvous_shards",
     "filter_cascade",
     "coreset_select", "frontier_pipeline",
@@ -98,8 +97,7 @@ BENCH_QUERIES = [
     "vocab_growth", "inference_buckets", "domain_holdout_split",
     "fix_mojibake", "seed_pipeline",
     # session-11 additions
-    "canonical_dup_groups",
-    "intradoc_dedup", "random_projection", "image_resize",
+    "random_projection", "image_resize",
     "store_repair_plan",
     "embedding_covariance", "stratified_priority_sample",
     "embedding_outliers",
@@ -114,7 +112,7 @@ BENCH_QUERIES = [
 # 50-query correctness sample can't see a 10x slowdown).
 FAMILY_BENCH = {
     "extraction": ["extraction_flagship", "quality_report"],
-    "dedup_exact": ["dedup_exact", "dedup_first_rows"],
+    "dedup_exact": ["dedup_first_rows"],
     "similarity": ["ann_topk", "embedding_near_dup", "kmeans_assign"],
     "text_stats": ["token_count", "tfidf_top_terms", "lm_buckets"],
     "training_tail": ["sequence_packing", "mix_sample"],

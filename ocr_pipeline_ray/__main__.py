@@ -74,27 +74,38 @@ def _collect_inputs(inputs, recursive: bool = False,
 
 
 def _ingest_to_parquet(paths, fmt: str, out_root: str, log) -> list:
-    """Wire-format corpora (JSONL/CSV) → parquet staging shards.
+    """Wire-format corpora (JSONL/CSV/WARC) → parquet staging shards.
 
     One-time conversion under ``<out>/_ingest_parquet`` so the
     resumable partitioned run keeps its parquet-shard granularity;
     an existing staging dir is REUSED (the conversion itself is the
-    resume unit — delete the dir to re-ingest).
+    resume unit — delete the dir to re-ingest). The conversion writes
+    into a temp dir of this process beside it and renames the whole
+    dir into place once the write has returned, so the staging dir is
+    never partial: a killed ingest leaves only its temp dir, which no
+    run reads.
     """
     from ocr_pipeline_ray.sources import (pages_from_csv,
                                           pages_from_jsonl,
                                           pages_from_warc)
 
     staging = os.path.join(out_root, "_ingest_parquet")
-    if os.path.isdir(staging) and any(
-        f.endswith(".parquet") for f in os.listdir(staging)
-    ):
+    if os.path.isdir(staging):
         log.info("reusing ingested parquet staging at %s", staging)
     else:
         ds = {"jsonl": pages_from_jsonl, "csv": pages_from_csv,
               "warc": pages_from_warc}[fmt](paths)
-        os.makedirs(staging, exist_ok=True)
-        ds.write_parquet(staging)
+        tmp = f"{staging}.tmp-{os.uname().nodename}-{os.getpid()}"
+        shutil.rmtree(tmp, ignore_errors=True)
+        os.makedirs(tmp)
+        ds.write_parquet(tmp)
+        try:
+            os.replace(tmp, staging)
+        except OSError:
+            if not os.path.isdir(staging):
+                raise
+            # a concurrent driver published its staging first: use it
+            shutil.rmtree(tmp, ignore_errors=True)
         log.info("ingested %d %s file(s) → %s", len(paths), fmt, staging)
     return sorted(
         os.path.join(staging, f)

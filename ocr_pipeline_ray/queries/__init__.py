@@ -16,7 +16,7 @@ Parity rules baked in everywhere:
 * no wall-clock, no randomness.
 
 Split into per-family modules; importing this package assembles the
-QUERIES / ORACLE_SQL registries (149 queries, 144 with a SQL twin) in
+QUERIES / ORACLE_SQL registries (137 queries, 132 with a SQL twin) in
 a canonical iteration order (composites + extraction roundtrips first
 — see ``_CANONICAL_ORDER``) so a correctness gate that samples the
 head of the list draws the end-to-end pipelines first.
@@ -49,7 +49,6 @@ from . import (  # noqa: F401
 # first, so sampled gates always draw the end-to-end paths)
 _CANONICAL_ORDER = [
     "training_pipeline",
-    "curation_pipeline",
     "frontier_pipeline",
     "seed_pipeline",
     "extraction_flagship",
@@ -73,10 +72,7 @@ _CANONICAL_ORDER = [
     "quality_report",
     "quality_bins",
     "corpus_quality_summary",
-    "dedup_exact",
     "dedup_first_rows",
-    "fingerprint",
-    "winnow_fingerprint",
     "lang_stats",
     "lang_id",
     "quality_heuristics",
@@ -85,8 +81,6 @@ _CANONICAL_ORDER = [
     "pii_redact",
     "pii_summary",
     "host_stats",
-    "paragraph_dedup",
-    "substring_dedup",
     "kmeans_assign",
     "lm_score",
     "lm_buckets",
@@ -114,8 +108,6 @@ _CANONICAL_ORDER = [
     "sample_exact_k",
     "docs_except",
     "docs_intersect",
-    "dedup_incremental",
-    "decontaminate",
     "embedding_lsh_recall",
     "ann_topk",
     "ann_topk_lsh",
@@ -154,7 +146,6 @@ _CANONICAL_ORDER = [
     "chi2_drift",
     "doc_novelty",
     "embedding_quantize",
-    "host_boilerplate",
     "pq_codes",
     "ann_topk_pq",
     "video_scene_cuts",
@@ -172,7 +163,6 @@ _CANONICAL_ORDER = [
     "rarity_dispersion",
     "paragraph_lang_mix",
     "zorder_scan",
-    "stitch_pairs",
     "mutual_nn_pairs",
     "rendezvous_shards",
     "filter_cascade",
@@ -188,8 +178,6 @@ _CANONICAL_ORDER = [
     "inference_buckets",
     "domain_holdout_split",
     "fix_mojibake",
-    "canonical_dup_groups",
-    "intradoc_dedup",
     "random_projection",
     "image_resize",
     "store_repair_plan",

@@ -12,7 +12,6 @@ from ..stages.dedup import fingerprint_fn
 from ..stages.textstats import quality_heuristics_fn
 from ._registry import ORACLE_SQL, QUERIES
 from ._shared import *  # noqa: F401,F403
-from . import _dedup  # noqa: F401 (load-order: registry keys used below)
 
 def q_mix_sample(sf_dir: str):
     """Deterministic data-mix rebalance: downsample the skewed lang
@@ -372,74 +371,6 @@ ORACLE_SQL["dsir_weights"] = (
     "FROM tok JOIN w USING (bucket) GROUP BY doc_id ORDER BY doc_id"
 )
 QUERIES["dsir_weights"] = q_dsir_weights
-def q_curation_pipeline(sf_dir: str):
-    """END-TO-END web-curation chain over the session-7 operators,
-    oracle-checked as ONE result: per-host template removal (CCNet
-    rule) → min-content gate (n_kept >= 2 — removes the docs whose
-    only surviving line is their own text) → histogram-sketch RANGE
-    sharding by cleaned length → (doc_id, n_kept, text_md5, shard).
-    Every stage is load-bearing in the hash."""
-    import numpy as np
-
-    from ..stages.bucketed import checkpoint_bucketed
-    from ..stages.dedup import host_boilerplate_removal
-    from ..stages.stats import range_partition
-
-    sep = "<p>"
-    aug = _docs(sf_dir, columns=["doc_id", "text"]).map_batches(
-        lambda b: _boilerplate_aug_fn(b, sep), batch_format="pyarrow")
-    cleaned = host_boilerplate_removal(aug, sep=sep)
-    gated = cleaned.filter(expr="n_kept >= 2")
-
-    def _with_len(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "len_clean",
-            pc.cast(pc.utf8_length(batch.column("text_clean")),
-                    pa.int64()))
-
-    # two consumers (sketch pass + shard map): checkpoint the cleaned
-    # corpus to bucketed parquet instead of pinning it in the object
-    # store
-    staged = checkpoint_bucketed(
-        gated.map_batches(_with_len, batch_format="pyarrow"),
-        f"curation_{os.path.basename(os.path.normpath(sf_dir))}",
-        key_col="doc_id")
-    _assignments, splits = range_partition(
-        staged, "len_clean", n_shards=4, lo=0, bin_width=100,
-        n_bins=100)
-
-    def _final(batch: pa.Table, *, _sp=splits) -> pa.Table:
-        lens = batch.column("len_clean").combine_chunks().to_numpy(
-            zero_copy_only=False)
-        md5s = [hashlib.md5(t.encode("utf-8")).hexdigest()
-                for t in batch.column("text_clean").to_pylist()]
-        return pa.table({
-            "doc_id": batch.column("doc_id"),
-            "n_kept": batch.column("n_kept"),
-            "text_md5": pa.array(md5s, pa.string()),
-            "shard": pa.array(
-                np.searchsorted(_sp, lens, side="right").astype(
-                    np.int64), pa.int64()),
-        })
-
-    return staged.map_batches(_final, batch_format="pyarrow")
-ORACLE_SQL["curation_pipeline"] = (
-    "WITH hb AS (" + ORACLE_SQL["host_boilerplate"] + "), "
-    "gated AS (SELECT doc_id, text_clean, n_kept, "
-    "length(text_clean) AS lc FROM hb WHERE n_kept >= 2), "
-    "h AS (SELECT LEAST(GREATEST((lc - 0) // 100, 0), 99) AS b, "
-    "count(*) AS n FROM gated GROUP BY 1), "
-    "c AS (SELECT b, CAST(sum(n) OVER (ORDER BY b) AS BIGINT) AS cum "
-    "FROM h), "
-    "tot AS (SELECT max(cum) AS n FROM c), "
-    "sp AS (SELECT ((SELECT min(b) FROM c WHERE cum >= "
-    "GREATEST((i * tot.n + 3) // 4 - 1, 0) + 1) + 1) * 100 - 1 AS v "
-    "FROM (SELECT unnest(generate_series(1, 3)) AS i), tot) "
-    "SELECT doc_id, n_kept, md5(text_clean) AS text_md5, "
-    "CAST((SELECT count(*) FROM sp WHERE gated.lc >= v) AS BIGINT) "
-    "AS shard FROM gated"
-)
-QUERIES["curation_pipeline"] = q_curation_pipeline
 def q_filter_cascade(sf_dir: str):
     """Curation filter-funnel audit (stages/profile.filter_cascade):
     per-gate n_in/n_kept with first-fail attribution over a 3-gate

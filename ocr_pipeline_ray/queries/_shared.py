@@ -347,24 +347,6 @@ _DIFF_SNAPSHOTS_SQL = (
     "ELSE 'unchanged' END AS status "
     "FROM oldsnap o FULL JOIN newsnap n ON o.doc_id = n.doc_id) "
 )
-def _boilerplate_aug_fn(batch: pa.Table, sep: str) -> pa.Table:
-    """Shared NAV/HALF/PROMO planting fixture for the host-template
-    queries (host_boilerplate + curation_pipeline) — ONE definition so
-    the component query and the composite cannot silently diverge."""
-    ids = batch.column("doc_id")
-    host = pc.binary_join_element_wise(
-        "h", pc.cast(_int_mod(ids, 25), pa.string()), "")
-    k = pc.divide(ids, pa.scalar(25, pa.int64()))
-    half = pc.if_else(
-        pc.equal(_int_mod(k, 2), 0),
-        pc.binary_join_element_wise("HALF ", host, sep, ""), "")
-    promo = pc.if_else(
-        pc.equal(_int_mod(k, 5), 0),
-        pc.binary_join_element_wise(sep, "PROMO ", host, ""), "")
-    text = pc.binary_join_element_wise(
-        "NAV ", host, sep, half,
-        pc.fill_null(batch.column("text"), ""), promo, "")
-    return pa.table({"doc_id": ids, "host": host, "text": text})
 # --- product quantization -------------------------------------------------
 PQ_M, PQ_K, PQ_ITERS = 4, 4, 2
 PQ_DIM = 64  # testdata embeddings are fixed 64-d (corpus generator)
@@ -500,95 +482,6 @@ def _mojibake_sql() -> str:
         f"SELECT doc_id, {expr} AS text_fixed FROM aug "
         "ORDER BY doc_id"
     )
-def _aliased_urls(batch: pa.Table) -> pa.Table:
-    """Deterministic alias-variant urls: shared paths (collisions),
-    tracking params, trailing slashes, fragments, www labels, :80
-    ports, uppercased hosts — one plant family per modulus so every
-    canonicalization rule is load-bearing."""
-    ids = batch.column("doc_id")
-    hot = pc.equal(_int_mod(ids, 3), 0)
-    hid = pc.if_else(hot, pa.scalar(0, pa.int64()), _int_mod(ids, 97))
-    host = pc.binary_join_element_wise(
-        "host", pc.cast(hid, pa.string()), ".example.com", "")
-    host = pc.if_else(pc.equal(_int_mod(ids, 8), 6),
-                      pc.utf8_upper(host), host)
-    host = pc.if_else(
-        pc.equal(_int_mod(ids, 7), 3),
-        pc.binary_join_element_wise("www.", host, ""), host)
-    port = pc.if_else(pc.equal(_int_mod(ids, 9), 5),
-                      pa.scalar(":80"), pa.scalar(""))
-    path = pc.if_else(
-        pc.less(_int_mod(ids, 10), 2), pa.scalar("/home"),
-        pc.binary_join_element_wise(
-            "/p/", pc.cast(ids, pa.string()), ""))
-    path = pc.if_else(
-        pc.equal(_int_mod(ids, 5), 2),
-        pc.binary_join_element_wise(path, "/", ""), path)
-    q = pc.if_else(pc.equal(_int_mod(ids, 4), 1),
-                   pa.scalar("?utm_source=feed&b=2&a=1"),
-                   pa.scalar(""))
-    frag = pc.if_else(pc.equal(_int_mod(ids, 6), 4),
-                      pa.scalar("#frag"), pa.scalar(""))
-    url = pc.binary_join_element_wise(
-        "http://", host, port, path, q, frag, "")
-    return pa.table({"doc_id": ids, "url": url})
-# SQL twin of _aliased_urls + canonical_url_fn (same RE2 chain)
-_ALIASED_URL_SQL = (
-    "'http://' || CASE WHEN doc_id % 7 = 3 THEN 'www.' ELSE '' END "
-    "|| CASE WHEN doc_id % 8 = 6 THEN upper(h) ELSE h END "
-    "|| CASE WHEN doc_id % 9 = 5 THEN ':80' ELSE '' END "
-    "|| p || CASE WHEN doc_id % 5 = 2 THEN '/' ELSE '' END "
-    "|| CASE WHEN doc_id % 4 = 1 THEN '?utm_source=feed&b=2&a=1' "
-    "ELSE '' END "
-    "|| CASE WHEN doc_id % 6 = 4 THEN '#frag' ELSE '' END"
-)
-_CANONICAL_SQL = r"""
-WITH u0 AS (
-  SELECT doc_id,
-    'host' || CAST(CASE WHEN doc_id % 3 = 0 THEN 0
-                   ELSE doc_id % 97 END AS VARCHAR)
-      || '.example.com' AS h,
-    CASE WHEN doc_id % 10 < 2 THEN '/home'
-         ELSE '/p/' || CAST(doc_id AS VARCHAR) END AS p
-  FROM documents
-), u AS (
-  SELECT doc_id, {alias} AS url FROM u0
-), s1 AS (
-  SELECT doc_id, url, regexp_replace(url, '#.*$', '') AS u1 FROM u
-), s2 AS (
-  SELECT doc_id, url,
-    lower(regexp_extract(u1,
-      '^[A-Za-z][A-Za-z0-9+.-]*://[^/?]*'))
-    || regexp_replace(u1,
-      '^[A-Za-z][A-Za-z0-9+.-]*://[^/?]*', '') AS u2
-  FROM s1
-), s3 AS (
-  SELECT doc_id, url, regexp_replace(regexp_replace(regexp_replace(
-    u2, '^(http://[^:/?]+):80([/?]|$)', '\1\2'),
-        '^(https://[^:/?]+):443([/?]|$)', '\1\2'),
-        '^(https?://)www\.', '\1') AS u3
-  FROM s2
-), s4 AS (
-  SELECT doc_id, url,
-    CASE WHEN contains(u3, '?') THEN
-      string_split(u3, '?')[1] ||
-      CASE WHEN qf <> '' THEN '?' || qf ELSE '' END
-    ELSE u3 END AS u4
-  FROM (
-    SELECT doc_id, url, u3,
-      CASE WHEN contains(u3, '?') THEN array_to_string(
-        list_sort(list_filter(
-          string_split(string_split(u3, '?')[2], '&'),
-          x -> x <> '' AND NOT regexp_matches(x,
-            '^(utm_[a-z0-9]*|fbclid|gclid|ref)='))), '&')
-      ELSE '' END AS qf
-    FROM s3)
-)
-SELECT doc_id, url,
-  regexp_replace(regexp_replace(u4, '/$', ''), '/\?', '?')
-    AS canonical
-FROM s4
-""".format(alias=_ALIASED_URL_SQL)
 _BUCKET_CHECKSUM_SQL = (
     "SELECT o_orderkey % 32 AS bucket, "
     "CAST(count(*) AS BIGINT) AS n, "
@@ -635,12 +528,9 @@ __all__ = [
     "PAGE_NS",
     "SHINGLE_CTE",
     "_PII_AUG_CTE",
-    "_pii_chain_cte",
     "_PII_CHAIN_CTE",
-    "_profile_sql_col",
     "PROFILE_SQL",
     "_DIFF_SNAPSHOTS_SQL",
-    "_boilerplate_aug_fn",
     "PQ_M",
     "PQ_K",
     "PQ_ITERS",
@@ -652,8 +542,5 @@ __all__ = [
     "_KC_SIM",
     "_sitemap_fixture",
     "_mojibake_sql",
-    "_aliased_urls",
-    "_ALIASED_URL_SQL",
-    "_CANONICAL_SQL",
     "_BUCKET_CHECKSUM_SQL",
 ]

@@ -473,8 +473,9 @@ def q_semantic_blocklist(sf_dir: str):
     embedding-level DECONTAMINATION — every corpus vector scores its
     max cosine against the 5 seed embeddings (vec_id < 5, standing
     in for eval-set exemplars / unsafe-topic centroids); rows above
-    0.25 are flagged dropped (the synthetic corpus's top tail). Paraphrase-robust where the n-gram
-    `decontaminate` gate is verbatim-only. Seeds broadcast once in
+    0.25 are flagged dropped (the synthetic corpus's top tail).
+    Paraphrase-robust, where an n-gram overlap check sees only
+    verbatim leakage. Seeds broadcast once in
     the closure; one (rows × seeds) matmul per batch, NO shuffle;
     the full auditable (id, max_sim, kept) gate table is emitted."""
     from ..stages.similarity import seed_filter

@@ -1,9 +1,8 @@
 """Cross-source contamination audit: distinct-shingle overlap matrix.
 
-``decontaminate`` (queries.py) answers "which corpus docs share an
-n-gram with the benchmark set"; this module answers the governance
-question one level up: **how much do the corpus's data sources
-overlap each other** — the pairwise count of distinct k-token
+This module answers a governance question above any per-document
+n-gram check: **how much do the corpus's data sources overlap each
+other** — the pairwise count of distinct k-token
 shingles shared by every pair of sources. That matrix is what decides
 "drop source B, it is 90% contained in A" before any per-document
 dedup runs.

@@ -796,10 +796,10 @@ def seed_filter(ds, seeds, threshold: float, id_col: str = "vec_id",
     """Seed-set SEMANTIC blocklist — embedding-level decontamination:
     every row scores its MAX cosine against a small set of seed
     embeddings (eval-set exemplars, unsafe-topic centroids, known-bad
-    pages) and rows above ``threshold`` are flagged for removal. The
-    paraphrase-robust companion of the n-gram `decontaminate` gate
-    (shared shingles catch verbatim leakage; embedding similarity
-    catches rewrites) and the exemplar-driven topic scrubber.
+    pages) and rows above ``threshold`` are flagged for removal.
+    Embedding similarity catches rewrites that a shared-shingle
+    check, which sees only verbatim leakage, misses; it is also the
+    exemplar-driven topic scrubber.
 
     100-TB shape: the seed matrix is tiny by construction and ships
     ONCE in the task closure; each batch does one (rows × seeds)

@@ -8,12 +8,17 @@ oracle twin (see ``ocr_pipeline_ray.queries``).
 
 from __future__ import annotations
 
+import itertools
 
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.quality import estimate_quality
 from ..functions.text import sanitize_chars
+
+# per-process sequence for checkpoint dir tags (the pid is already in
+# the dir name; this disambiguates multiple calls within one process)
+_CKPT_SEQ = itertools.count()
 
 # stopword profiles for the n-gram/stopword language-ID heuristic
 STOPWORDS_EN = frozenset({"the", "a"})
@@ -1277,7 +1282,6 @@ def vocab_growth(ds, checkpoints, text_col: str = "text",
     # table is vocab x blocks scale — checkpoint to parquet instead of
     # pinning it in the object store
     from .bucketed import checkpoint_bucketed
-    from .dedup import _CKPT_SEQ
 
     partials = checkpoint_bucketed(
         ds.select_columns([id_col, text_col]).map_batches(

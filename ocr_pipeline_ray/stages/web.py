@@ -1,5 +1,5 @@
 """Per-host web-corpus operators: host extraction, skew-safe host
-aggregates, robots rules, page metadata and URL canonicalization.
+aggregates, robots rules, sitemaps, URL features and page metadata.
 
 The north-star workload partitions a Common-Crawl-style corpus by
 url and mitigates per-host skew explicitly (a handful of giant hosts
@@ -500,87 +500,3 @@ def parse_sitemap(batch: pa.Table, host_col: str = "host",
         "lastmod": pa.array(lm_out, pa.string()),
         "priority": pa.array(pr_out, pa.string()),
     })
-
-
-# --------------------------------------------- URL canonicalization
-
-# params stripped by canonical_url_fn (RE2, shared with the SQL twin)
-TRACKING_PARAM_RE = r"^(utm_[a-z0-9]*|fbclid|gclid|ref)="
-_TRACKING_COMPILED = re.compile(TRACKING_PARAM_RE)
-
-
-def canonical_url_fn(batch: pa.Table, url_col: str = "url",
-                     out_col: str = "canonical") -> pa.Table:
-    """Append ``out_col`` = canonical form of ``url_col`` — the dedup
-    key that collapses crawl-time URL aliasing (the reference dedups
-    on the raw path string, `ocr_pipeline.py:335`; a web corpus needs
-    the alias-collapsed key first).
-
-    Ordered, deterministic rule chain (each an RE2 kernel shared
-    verbatim with the DuckDB oracle):
-
-    1. strip ``#fragment``
-    2. lowercase the ``scheme://host[:port]`` prefix (path case kept)
-    3. drop default ports ``http…:80`` / ``https…:443``
-    4. drop a leading ``www.`` host label
-    5. drop tracking params (``utm_*``, ``fbclid``, ``gclid``,
-       ``ref``) and SORT the survivors — param order never
-       distinguishes documents
-    6. strip one trailing ``/`` from the path
-
-    Scale shape: steps 1–4 and 6 are vectorized Arrow RE2 kernels on
-    every row; step 5 touches only the rows that HAVE a query string
-    (a small minority of real crawl urls — the `nfc_normalize_fn`
-    masked-minority pattern), rebuilt in Python and scattered back
-    with ``replace_with_mask``. Row-local, no shuffle.
-    """
-    url = batch.column(url_col)
-    if isinstance(url, pa.ChunkedArray):
-        url = url.combine_chunks()
-
-    u = pc.replace_substring_regex(url, pattern=r"#.*$",
-                                   replacement="")
-    # lowercase scheme://host[:port]
-    pfx = pc.replace_substring_regex(
-        u, pattern=r"^([A-Za-z][A-Za-z0-9+.-]*://[^/?]*).*$",
-        replacement=r"\1")
-    rest = pc.replace_substring_regex(
-        u, pattern=r"^[A-Za-z][A-Za-z0-9+.-]*://[^/?]*",
-        replacement="")
-    pfx = pc.utf8_lower(pfx)
-    pfx = pc.replace_substring_regex(
-        pfx, pattern=r"^(http://[^:/?]+):80$", replacement=r"\1")
-    pfx = pc.replace_substring_regex(
-        pfx, pattern=r"^(https://[^:/?]+):443$", replacement=r"\1")
-    pfx = pc.replace_substring_regex(
-        pfx, pattern=r"^(https?://)www\.", replacement=r"\1")
-    u = pc.binary_join_element_wise(pfx, rest, "")
-
-    # query-param cleanup on the minority of rows with a '?'
-    has_q = pc.match_substring(u, "?")
-    if pc.any(has_q).as_py():
-        import numpy as np
-
-        vals = u.to_pylist()
-        idx = np.flatnonzero(
-            has_q.combine_chunks().to_numpy(zero_copy_only=False)
-            if isinstance(has_q, pa.ChunkedArray)
-            else has_q.to_numpy(zero_copy_only=False))
-        fixed = []
-        for i in idx:
-            base, q = vals[i].split("?", 1)
-            keep = sorted(p for p in q.split("&")
-                          if p and not _TRACKING_COMPILED.match(p))
-            fixed.append(base + ("?" + "&".join(keep) if keep
-                                 else ""))
-        repl = pa.array(fixed, pa.string())
-        u = pc.replace_with_mask(u, has_q, repl)
-
-    # trailing-slash strip applies to the PATH (before any '?')
-    u = pc.replace_substring_regex(
-        u, pattern=r"/$", replacement="")
-    u = pc.replace_substring_regex(
-        u, pattern=r"/\?", replacement="?")
-    return batch.append_column(out_col, u)
-
-

@@ -17,7 +17,9 @@ Import statements are anonymous, so they count as reached whether or
 not the module uses what they bind. The report therefore also lists,
 per package module, the module-level imported names the module never
 uses: a name counts as used if the module refers to it, lists it in
-``__all__``, or its import statement carries ``# noqa: F401``.
+``__all__``, or its import statement carries ``# noqa: F401``. It
+lists too the ``__all__`` names no other module takes, by name or
+through a ``*`` import that uses them (unused exports).
 
 A statement reaches the names it uses, resolved through module-level
 and function-level imports, re-exports, ``*`` imports (``__all__``
@@ -143,6 +145,15 @@ class Graph:
         for mod in self.modules.values():
             self._index(mod)
 
+    @staticmethod
+    def source(mod: Module, node: ast.ImportFrom) -> str:
+        """The absolute name of the module a ``from`` import reads."""
+        if not node.level:
+            return node.module or ""
+        base = mod.package.split(".")
+        base = base[:len(base) - node.level + 1]
+        return ".".join(base + ([node.module] if node.module else []))
+
     def _bindings(self, mod: Module, node: ast.AST
                   ) -> Tuple[Dict[str, tuple], List[str]]:
         """What an import statement binds, and the modules it loads."""
@@ -157,12 +168,7 @@ class Graph:
                     top = alias.name.split(".")[0]
                     out[top] = ("mod", top)
         elif isinstance(node, ast.ImportFrom):
-            if node.level:
-                base = mod.package.split(".")
-                base = base[:len(base) - node.level + 1]
-                src = ".".join(base + ([node.module] if node.module else []))
-            else:
-                src = node.module or ""
+            src = self.source(mod, node)
             loads.append(src)
             for alias in node.names:
                 sub = f"{src}.{alias.name}"
@@ -357,12 +363,28 @@ def unused_imports(mod: Module) -> List[str]:
     return out
 
 
+def export_uses(g: Graph) -> Dict[str, Set[str]]:
+    """Per module, the names other modules take from it: by name
+    (``from m import x``), or through ``from m import *`` and a use of
+    ``x`` in the importing module."""
+    uses: Dict[str, Set[str]] = {}
+    for mod in g.modules.values():
+        refs = {n.id for n in ast.walk(mod.tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(mod.tree):
+            if isinstance(node, ast.ImportFrom):
+                taken = uses.setdefault(g.source(mod, node), set())
+                for alias in node.names:
+                    taken |= refs if alias.name == "*" else {alias.name}
+    return uses
+
+
 def audit() -> Dict:
     g = Graph()
     cli_roots = g.roots([os.path.join(PACKAGE, "__main__.py")])
     product, _ = g.walk(cli_roots + g.roots(PRODUCT_SOURCES))
     tests, _ = g.walk(g.roots(TEST_SOURCES))
     cli, cli_loaded = g.walk(cli_roots)
+    exported = export_uses(g)
 
     modules = []
     for name in sorted(n for n in g.modules if n.startswith(PACKAGE)):
@@ -370,7 +392,9 @@ def audit() -> Dict:
         row = {"module": os.path.relpath(mod.path, REPO), "total": mod.total,
                "product": 0, "test_only": 0, "dead": 0,
                "test_only_defs": [], "dead_defs": [],
-               "unused_imports": unused_imports(mod)}
+               "unused_imports": unused_imports(mod),
+               "unused_exports": sorted((mod.all or set())
+                                        - exported.get(name, set()))}
         for s in mod.stmts:
             kind = ("product" if id(s) in product
                     else "test_only" if id(s) in tests else "dead")
@@ -408,6 +432,8 @@ def _print(report: Dict) -> None:
             print("    unreachable: " + ", ".join(r["dead_defs"]))
         if r["unused_imports"]:
             print("    unused imports: " + ", ".join(r["unused_imports"]))
+        if r["unused_exports"]:
+            print("    unused exports: " + ", ".join(r["unused_exports"]))
     t = report["totals"]
     print(f"{'TOTAL':44} {t['total']:6d} {t['product']:8d} "
           f"{t['test_only']:6d} {t['dead']:6d}")

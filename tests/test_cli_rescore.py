@@ -389,6 +389,49 @@ class TestCliJsonlFormat:
         rc = main([wire, "-o", out_j, "--format", "jsonl"])
         assert rc == 0
 
+    def test_killed_ingest_is_redone_not_reused(
+        self, ray_session, small_corpus, tmp_path, monkeypatch
+    ):
+        """An ingest that dies after writing some of its parquet files
+        leaves nothing the next run reuses: the next run ingests again
+        and publishes every input doc."""
+        import duckdb
+        import pytest
+        import ray.data
+
+        from fixture_writers import pages_to_jsonl
+
+        wire = str(tmp_path / "wire")
+        pages_to_jsonl(
+            ray.data.read_parquet(list(small_corpus)).repartition(4), wire)
+        n_docs = ray.data.read_parquet(list(small_corpus)).count()
+
+        real_write = ray.data.Dataset.write_parquet
+        written = []
+
+        def dies_after_one_file(ds, path, *args, **kwargs):
+            real_write(ds, path, *args, **kwargs)
+            files = sorted(glob.glob(os.path.join(path, "*.parquet")))
+            written.append(len(files))
+            for f in files[1:]:
+                os.remove(f)
+            raise RuntimeError("ingest killed")
+
+        out = str(tmp_path / "out")
+        monkeypatch.setattr(ray.data.Dataset, "write_parquet",
+                            dies_after_one_file)
+        with pytest.raises(RuntimeError, match="ingest killed"):
+            main([wire, "-o", out, "--format", "jsonl"])
+        monkeypatch.undo()
+        assert written and written[0] > 1
+
+        assert main([wire, "-o", out, "--format", "jsonl"]) == 0
+        con = duckdb.connect()
+        n_out = con.sql(
+            f"SELECT count(*) FROM read_parquet('{out}/pid=*/*.parquet')"
+        ).fetchone()[0]
+        assert n_out == n_docs
+
 
 class TestCliWarcFormat:
     def test_warc_ingest_run_matches_parquet_run(

@@ -14,43 +14,6 @@ class TestPrimitives:
         assert shingles(["a", "b", "c", "d"], 3) == ["a b c", "b c d"]
         assert shingles(["a", "b"], 3) == []
 
-    def test_winnow_fingerprint(self, ray_session):
-        """Winnowing: short docs get no windows; identical docs get
-        identical fingerprints; a LOCAL edit preserves most distinct
-        window minima (the robustness property the technique is for)."""
-        import hashlib as _hl
-
-        import ray.data
-
-        from ocr_pipeline_ray.stages.dedup import winnow_fingerprint_fn
-
-        base = ("der alte turm steht am fluss unter dem hohen berg "
-                "und die sonne geht über dem tal langsam unter heute") * 3
-        edited = base.replace("sonne", "wolke", 1)
-        tbl = pa.table({
-            "doc_id": pa.array([0, 1, 2, 3], pa.int64()),
-            "text": pa.array([base, base, edited, "nur sieben worte"],
-                             pa.string()),
-        })
-        rows = (
-            ray.data.from_arrow(tbl)
-            .map_batches(winnow_fingerprint_fn, batch_format="pyarrow")
-            .take_all()
-        )
-        by_id = {r["doc_id"]: r for r in rows}
-        assert by_id[3] == {"doc_id": 3, "n_windows": 0, "n_fps": 0,
-                            "fp_min": None}
-        assert by_id[0] == {**by_id[1], "doc_id": 0}
-        # hand-check the window count and the global min for doc 0
-        toks = base.split(" ")
-        hs = [int(_hl.md5(t.encode()).hexdigest()[:8], 16) for t in toks]
-        assert by_id[0]["n_windows"] == len(toks) - 7
-        assert by_id[0]["fp_min"] == min(
-            min(hs[i:i + 8]) for i in range(len(toks) - 7)
-        )
-        # a one-token local edit perturbs at most `window` minima
-        assert abs(by_id[2]["n_fps"] - by_id[0]["n_fps"]) <= 8
-
 
 @pytest.fixture(scope="module")
 def dup_docs_ds(ray_session):
@@ -72,15 +35,6 @@ def dup_docs_ds(ray_session):
 
 
 class TestDedupDistributed:
-    def test_exact_dedup_groups(self, dup_docs_ds):
-        from ocr_pipeline_ray.stages.dedup import exact_dedup_summary
-
-        rows = exact_dedup_summary(dup_docs_ds).take_all()
-        assert len(rows) == 4  # 5 docs, one exact-dup collapses
-        by_n = sorted(r["n_dups"] for r in rows)
-        assert by_n == [1, 1, 1, 2]
-        dup_group = [r for r in rows if r["n_dups"] == 2][0]
-        assert dup_group["keep_id"] == 0  # first wins
 
     @pytest.mark.parametrize("n_blocks", [1, 3, 7])
     def test_dedup_first_keeps_min_order_row(self, ray_session, n_blocks):
@@ -602,60 +556,6 @@ class TestMultimodal:
         assert by_id["img"]["frame_times_ms"] == []
 
 
-class TestParagraphDedup:
-    def _run(self, texts, n_blocks=3, n_buckets=4):
-        import ray.data
-
-        from ocr_pipeline_ray.stages.dedup import paragraph_dedup
-
-        tbl = pa.table({
-            "doc_id": pa.array(range(len(texts)), pa.int64()),
-            "text": pa.array(texts, pa.string()),
-        })
-        out = paragraph_dedup(
-            ray.data.from_arrow(tbl).repartition(n_blocks),
-            n_buckets=n_buckets,
-        ).take_all()
-        return {r["doc_id"]: (r["text_dedup"], r["n_kept"])
-                for r in out}
-
-    def test_first_wins_and_reassembly(self, ray_session):
-        got = self._run([
-            "A\n\nB\n\nC",   # all first occurrences
-            "B\n\nD",        # B dup -> D only
-            "A\n\nB",        # fully duplicate -> doc dropped
-            "E\n\nE",        # intra-doc dup -> one E
-        ])
-        assert got == {
-            0: ("A\n\nB\n\nC", 3),
-            1: ("D", 1),
-            3: ("E", 1),
-        }
-
-    def test_null_and_empty_docs(self, ray_session):
-        got = self._run([None, "", "X"])
-        # null->'' and '' both explode to the single empty paragraph;
-        # the first (doc 0) wins, doc 1 disappears
-        assert got == {0: ("", 1), 2: ("X", 1)}
-
-    @pytest.mark.parametrize("n_blocks", [1, 7])
-    def test_block_layout_invariant(self, ray_session, n_blocks):
-        rng = random.Random(11)
-        pool = [f"para {i}" for i in range(12)]
-        texts = [
-            "\n\n".join(rng.choice(pool)
-                        for _ in range(rng.randrange(1, 5)))
-            for _ in range(40)
-        ]
-        base = self._run(texts, n_blocks=3, n_buckets=4)
-        other = self._run(texts, n_blocks=n_blocks, n_buckets=8)
-        assert base == other
-        # global invariant: every distinct paragraph survives exactly once
-        total_kept = sum(k for _, k in base.values())
-        distinct = len({p for t in texts for p in t.split("\n\n")})
-        assert total_kept == distinct
-
-
 class TestGroupCap:
     def _tbl(self):
         import numpy as np
@@ -713,93 +613,6 @@ class TestGroupCap:
         got = group_cap(ray.data.from_arrow(tbl), key_col="k",
                         order_col="o", k=1000).take_all()
         assert len(got) == tbl.num_rows
-
-
-class TestSubstringDedup:
-    """ExactSubstr-style duplicate-span removal (token granularity)."""
-
-    ROWS = [
-        (1, "a b c d e f g h"),             # shares "a b c d e" w/ 2
-        (2, "x a b c d e y z"),
-        (3, None),                          # NULL stays NULL
-        (4, ""),                            # single '' token, kept
-        (5, "p q r"),                       # shorter than w: untouched
-        (6, "a b c d e a b c d e"),         # internal repeat: all gone
-        (7, "unique tokens only here now"),
-    ]
-
-    def _ds(self):
-        import pyarrow as pa
-        import ray.data
-
-        tbl = pa.table({
-            "doc_id": pa.array([r[0] for r in self.ROWS], pa.int64()),
-            "text": pa.array([r[1] for r in self.ROWS], pa.string()),
-        })
-        return ray.data.from_arrow(tbl)
-
-    def test_spans_removed(self, ray_session):
-        from ocr_pipeline_ray.stages.dedup import substring_dedup
-
-        got = {r["doc_id"]: (r["clean_text"], r["n_removed"])
-               for r in substring_dedup(self._ds(), w=5,
-                                        n_buckets=4).take_all()}
-        assert got == {
-            1: ("f g h", 5),
-            2: ("x y z", 5),
-            3: (None, 0),
-            4: ("", 0),
-            5: ("p q r", 0),
-            6: ("", 10),
-            7: ("unique tokens only here now", 0),
-        }
-
-    def test_no_duplicates_is_identity(self, ray_session):
-        import pyarrow as pa
-        import ray.data
-
-        from ocr_pipeline_ray.stages.dedup import substring_dedup
-
-        tbl = pa.table({
-            "doc_id": pa.array([1, 2], pa.int64()),
-            "text": pa.array(["one two three four five six",
-                              "seven eight nine ten eleven twelve"]),
-        })
-        got = substring_dedup(ray.data.from_arrow(tbl), w=5,
-                              n_buckets=4).sort("doc_id").take_all()
-        assert [r["clean_text"] for r in got] == [
-            "one two three four five six",
-            "seven eight nine ten eleven twelve"]
-        assert [r["n_removed"] for r in got] == [0, 0]
-
-    def test_overlapping_windows_merge_coverage(self, ray_session):
-        import pyarrow as pa
-        import ray.data
-
-        from ocr_pipeline_ray.stages.dedup import substring_dedup
-
-        # docs share a 6-token run -> two overlapping dup 5-windows
-        # in each; coverage merges to the full 6 tokens
-        tbl = pa.table({
-            "doc_id": pa.array([1, 2], pa.int64()),
-            "text": pa.array(["k l m n o p QQ", "RR k l m n o p"]),
-        })
-        got = substring_dedup(ray.data.from_arrow(tbl), w=5,
-                              n_buckets=4).sort("doc_id").take_all()
-        assert [(r["clean_text"], r["n_removed"]) for r in got] == [
-            ("QQ", 6), ("RR", 6)]
-
-    def test_w_validation(self, ray_session):
-        import pyarrow as pa
-
-        import pytest as _pytest
-
-        from ocr_pipeline_ray.stages.dedup import window_gram_rows_fn
-
-        tbl = pa.table({"doc_id": pa.array([1], pa.int64()),
-                        "text": pa.array(["a b"], pa.string())})
-        with _pytest.raises(ValueError):
-            window_gram_rows_fn(tbl, w=1)
 
 
 class TestSemanticDedup:
@@ -922,68 +735,6 @@ class TestScalarQuantize:
         codes = np.array([list(c) for c in out["codes"]])
         assert (codes[:, 0] == 0).all()
         assert codes[1, 1] == 255 and codes[0, 1] == 0
-
-
-class TestHostBoilerplate:
-    def _docs(self):
-        # host A: 4 docs, NAV in all (removed), X in 2/4 (exactly half,
-        # kept), uniques kept; host B: 2 docs sharing NAV text — but on
-        # B it's 2/2 so removed there, independent of A
-        rows = [
-            (0, "A", "NAV<p>X<p>a0"),
-            (1, "A", "NAV<p>X<p>a1"),
-            (2, "A", "NAV<p>a2"),
-            (3, "A", "NAV<p>a3"),
-            (10, "B", "NAV<p>b0"),
-            (11, "B", "NAV<p>b1"),
-        ]
-        return pa.table({
-            "doc_id": pa.array([r[0] for r in rows], pa.int64()),
-            "host": pa.array([r[1] for r in rows], pa.string()),
-            "text": pa.array([r[2] for r in rows], pa.string()),
-        })
-
-    def test_threshold_semantics(self, ray_session):
-        import ray
-        from ocr_pipeline_ray.stages.dedup import host_boilerplate_removal
-
-        out = host_boilerplate_removal(
-            ray.data.from_arrow(self._docs()).repartition(3), sep="<p>"
-        ).to_pandas().sort_values("doc_id").reset_index(drop=True)
-        assert out["text_clean"].tolist() == [
-            "X<p>a0", "X<p>a1", "a2", "a3", "b0", "b1"]
-        assert out["n_kept"].tolist() == [2, 2, 1, 1, 1, 1]
-
-    def test_doc_vanishes_when_all_template(self, ray_session):
-        import ray
-        from ocr_pipeline_ray.stages.dedup import host_boilerplate_removal
-
-        tbl = pa.table({
-            "doc_id": pa.array([0, 1, 2], pa.int64()),
-            "host": pa.array(["A"] * 3, pa.string()),
-            "text": pa.array(["NAV", "NAV", "NAV<p>u"], pa.string()),
-        })
-        out = host_boilerplate_removal(
-            ray.data.from_arrow(tbl), sep="<p>"
-        ).to_pandas().sort_values("doc_id").reset_index(drop=True)
-        assert out["doc_id"].tolist() == [2]
-        assert out["text_clean"].tolist() == ["u"]
-
-    def test_layout_independent(self, ray_session):
-        import pandas.testing as pdt
-        import ray
-        from ocr_pipeline_ray.stages.dedup import host_boilerplate_removal
-
-        ref = None
-        for parts in (1, 2, 6):
-            got = host_boilerplate_removal(
-                ray.data.from_arrow(self._docs()).repartition(parts),
-                sep="<p>", n_buckets=4,
-            ).to_pandas().sort_values("doc_id").reset_index(drop=True)
-            if ref is None:
-                ref = got
-            else:
-                pdt.assert_frame_equal(ref, got)
 
 
 class TestPqCodes:

@@ -7,9 +7,10 @@ package def needs a product caller: code neither reaches is dead, and
 code only tests reach is dead too — a reference replica or a fixture
 writer lives under ``tests/``. Every module-level import of the
 package is used (or marked ``# noqa: F401`` as a side effect or a
-re-export). A query name ``bench.py --families`` lists must be a
-registered query. The CLI's function-level imports reach no module
-beyond the CLI closure except the two ``stages/textstats.py`` needs.
+re-export), and every ``__all__`` name is taken by another module. A
+query name ``bench.py --families`` lists must be a registered query.
+The CLI's function-level imports reach no module beyond the CLI
+closure except the two ``stages/textstats.py`` needs.
 """
 
 import os
@@ -54,6 +55,12 @@ def test_no_unused_module_imports(report):
     assert not unused, f"module-level imports the module never uses: {unused}"
 
 
+def test_no_unused_exports(report):
+    unused = {r["module"]: r["unused_exports"] for r in report["modules"]
+              if r["unused_exports"]}
+    assert not unused, f"__all__ names no other module takes: {unused}"
+
+
 def test_lines_add_up(report):
     for r in report["modules"]:
         with open(os.path.join(REPO, r["module"]), encoding="utf-8") as fh:
@@ -76,8 +83,8 @@ def test_family_bench_names_are_registered_queries():
 def test_cli_file_closure_adds_only_textstats_imports(report):
     """The function-level imports of the CLI's modules may load only
     ``functions.segments`` and ``stages.bucketed`` beyond the CLI
-    closure: ``stages/textstats.py`` imports both (``stages/dedup.py``'s
-    host boilerplate removal imports ``stages.bucketed`` too)."""
+    closure: ``stages/textstats.py`` imports both, and it is the only
+    CLI module that imports ``stages.bucketed``."""
     extra = (set(report["cli_file_closure"]["names"])
              - set(report["cli_closure"]["names"]))
     allowed = {"ocr_pipeline_ray.functions.segments",
@@ -86,6 +93,16 @@ def test_cli_file_closure_adds_only_textstats_imports(report):
         f"CLI file closure modules beyond the CLI closure: "
         f"{sorted(extra - allowed)}; only {sorted(allowed)} may be there, "
         f"as stages/textstats.py imports until the text family goes")
+
+
+def test_dedup_imports_no_other_stages_module():
+    """``stages/dedup.py`` (the ``--training-data`` tail's
+    ``dedup_first``) loads no other ``stages`` module, through its
+    module-level or function-level imports."""
+    dedup = "ocr_pipeline_ray.stages.dedup"
+    stages = {n for n in reachability.Graph().file_closure(dedup)
+              if n.startswith("ocr_pipeline_ray.stages.")}
+    assert stages == {dedup}, sorted(stages - {dedup})
 
 
 # -- the audit's rules, on small checkouts of their own ---------------------
@@ -204,6 +221,23 @@ def test_a_name_in_all_is_used(tmp_path, monkeypatch):
     })
     assert rows["ocr_pipeline_ray/api.py"]["unused_imports"] == []
     assert rows["ocr_pipeline_ray/bare.py"]["unused_imports"] == ["sep:1"]
+
+
+def test_an_export_no_other_module_takes(tmp_path, monkeypatch):
+    """An ``__all__`` name is taken by name or through a ``*`` import
+    whose module uses it; a ``*`` import alone takes nothing."""
+    rows = _audit(tmp_path, monkeypatch, {
+        **PKG_INIT,
+        "ocr_pipeline_ray/__main__.py": "from . import star, named, idle\n",
+        "ocr_pipeline_ray/api.py": ("__all__ = ['a', 'b', 'c']\n\n"
+                                    "a = b = c = 1\nprint(c)\n"),
+        "ocr_pipeline_ray/star.py": ("from .api import *  # noqa: F401,F403\n"
+                                     "\nprint(a)\n"),
+        "ocr_pipeline_ray/named.py": "from .api import b\n\nprint(b)\n",
+        "ocr_pipeline_ray/idle.py": "from .api import *  # noqa: F401,F403\n",
+    })
+    assert rows["ocr_pipeline_ray/api.py"]["unused_exports"] == ["c"]
+    assert rows["ocr_pipeline_ray/star.py"]["unused_exports"] == []
 
 
 @pytest.mark.parametrize("source, unused", [

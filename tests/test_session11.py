@@ -1,5 +1,5 @@
 """Watermark windows, Bloom join, rolling percentile, linear
-attribution, canonical urls and other operators."""
+attribution and other operators."""
 
 import numpy as np
 import pyarrow as pa
@@ -10,83 +10,6 @@ def _ds(tbl, blocks=1):
 
     ds = ray.data.from_arrow(tbl)
     return ds.repartition(blocks) if blocks > 1 else ds
-
-
-class TestCanonicalUrl:
-    def _canon(self, urls):
-        from ocr_pipeline_ray.stages.web import canonical_url_fn
-
-        tbl = pa.table({"url": pa.array(urls, pa.string())})
-        return canonical_url_fn(tbl).column("canonical").to_pylist()
-
-    def test_rule_chain(self):
-        got = self._canon([
-            "http://www.Host3.Example.com:80/p/7/",
-            "https://h.com:443/a#frag",
-            "http://h.com/p?utm_source=x&b=2&a=1&fbclid=z",
-            "http://h.com/p/?ref=rss",
-            "http://h.com/",
-            "http://h.com/CaseKept/Path",
-        ])
-        assert got == [
-            "http://host3.example.com/p/7",
-            "https://h.com/a",
-            "http://h.com/p?a=1&b=2",
-            "http://h.com/p",
-            "http://h.com",
-            "http://h.com/CaseKept/Path",
-        ]
-
-    def test_non_default_port_kept(self):
-        assert self._canon(["http://h.com:8080/x"]) == [
-            "http://h.com:8080/x"]
-        # :443 is only default for https
-        assert self._canon(["http://h.com:443/x"]) == [
-            "http://h.com:443/x"]
-
-    def test_idempotent(self):
-        urls = ["http://www.H.com:80/p/?utm_a=1&z=2#f",
-                "http://h.com/plain"]
-        once = self._canon(urls)
-        assert self._canon(once) == once
-
-    def test_no_query_rows_untouched_fastpath(self):
-        urls = ["http://h.com/a/b", "http://h.com/c"]
-        assert self._canon(urls) == urls
-
-
-class TestIntradocDedup:
-    def _run(self, texts, ids=None):
-        from ocr_pipeline_ray.stages.dedup import intradoc_dedup_fn
-
-        tbl = pa.table({
-            "doc_id": pa.array(ids or list(range(len(texts))),
-                               pa.int64()),
-            "text": pa.array(texts, pa.string()),
-        })
-        return intradoc_dedup_fn(tbl)
-
-    def test_first_occurrence_wins_in_order(self):
-        out = self._run(["a\n\nb\n\na\n\nc\n\nb"])
-        assert out.column("text_dedup").to_pylist() == ["a\n\nb\n\nc"]
-        assert out.column("n_kept").to_pylist() == [3]
-        assert out.column("n_dropped").to_pylist() == [2]
-
-    def test_cross_doc_repeats_kept(self):
-        # same paragraph in two docs: intra-doc rule keeps both
-        out = self._run(["x\n\ny", "x\n\nz"])
-        assert out.column("text_dedup").to_pylist() == [
-            "x\n\ny", "x\n\nz"]
-
-    def test_null_and_empty(self):
-        out = self._run([None, "", "a\n\na"])
-        assert out.column("text_dedup").to_pylist() == ["", "", "a"]
-        assert out.column("n_dropped").to_pylist() == [0, 0, 1]
-
-    def test_no_dup_identity(self):
-        texts = ["p\n\nq\n\nr"]
-        out = self._run(texts)
-        assert out.column("text_dedup").to_pylist() == texts
 
 
 class TestRandomProjection:

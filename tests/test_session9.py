@@ -1,5 +1,4 @@
-"""Stitching, skyline, mutual-NN, rendezvous sharding and other
-operators."""
+"""Skyline, mutual-NN, rendezvous sharding and other operators."""
 
 import numpy as np
 import pyarrow as pa
@@ -9,39 +8,6 @@ def _ds(tbl):
     import ray.data
 
     return ray.data.from_arrow(tbl)
-
-
-class TestStitchPairs:
-    def _docs(self, texts):
-        return pa.table({
-            "doc_id": pa.array(range(len(texts)), pa.int64()),
-            "text": pa.array(texts, pa.string()),
-        })
-
-    def test_tail_head_overlap_detected(self, ray_session):
-        from ocr_pipeline_ray.stages.dedup import stitch_pairs
-
-        tbl = self._docs([
-            "alpha beta one two three",      # 0: tail = one two three
-            "one two three gamma delta",     # 1: head matches 0's tail
-            "unrelated words entirely here",  # 2
-            "x y one two three",             # 3: same tail as 0
-        ])
-        out = stitch_pairs(_ds(tbl), k=3).to_pandas()
-        pairs = sorted(map(tuple, out[["a_id", "b_id"]].values.tolist()))
-        assert pairs == [(0, 1), (3, 1)]
-
-    def test_short_docs_and_self_excluded(self, ray_session):
-        from ocr_pipeline_ray.stages.dedup import stitch_pairs
-
-        tbl = self._docs([
-            "a b",                 # < k tokens: emits nothing
-            "one two three",       # head == tail == whole text
-            None,
-        ])
-        out = stitch_pairs(_ds(tbl), k=3).to_pandas()
-        # doc 1's own head/tail collide but self pairs are excluded
-        assert len(out) == 0
 
 
 class TestSkyline:
