@@ -28,10 +28,15 @@ from typing import Dict, List, Sequence, Tuple
 
 # QA-irrelevant characters (reference: lib/ocr_step.py:503)
 BAD_CHARS = '0123456789“„"\'?!*.;:-=[]()|'
-# char-class removal as ONE compiled regex sub (same semantics as the
+# char-class removal as ONE regex sub (same semantics as the
 # reference's per-char filter at lib/ocr_step.py:504; ~3× faster than
-# a dict-table str.translate on realistic lines)
-_BAD_RE = re.compile("[" + re.escape(BAD_CHARS) + "]")
+# a dict-table str.translate on realistic lines). The class escapes
+# only what is special inside brackets, so the same pattern string is
+# valid for Python's ``re`` and for RE2 (Arrow's
+# ``replace_substring_regex`` in functions/quality.quality_arrays).
+BAD_CLASS = "[" + "".join(
+    "\\" + c if c in "[]\\^-" else c for c in BAD_CHARS) + "]"
+_BAD_RE = re.compile(BAD_CLASS)
 
 # Unicode direction / zero-width marks stripped from tokens
 # (reference: lib/ocr_model.py:23-29)

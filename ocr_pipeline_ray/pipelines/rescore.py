@@ -20,9 +20,10 @@ from __future__ import annotations
 from typing import FrozenSet, Optional
 
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..config import PipelineContext, register_step
-from ..functions.quality import estimate_quality
+from ..functions.quality import quality_arrays
 from ..schema import QUALITY_FIELDS
 from ..state.lineage import read_output
 
@@ -32,17 +33,12 @@ def make_rescore_fn(lexicon: Optional[FrozenSet[str]] = None, minlen: int = 2,
     lex = frozenset(w.lower() for w in lexicon) if lexicon else None
 
     def _fn(batch: pa.Table) -> pa.Table:
-        texts = batch.column(text_col).to_pylist()
-        cols = {name: [] for name, _ in QUALITY_FIELDS}
-        for text in texts:
-            lines = text.split("\n") if text else []
-            rec = estimate_quality(lines, lex, minlen)
-            for name, _ in QUALITY_FIELDS:
-                cols[name].append(rec[name])
+        lines = pc.split_pattern(batch.column(text_col), "\n")
+        quality = quality_arrays(lines, lex, minlen)
         drop = [n for n, _ in QUALITY_FIELDS if n in batch.column_names]
         out = batch.drop_columns(drop)
-        for name, typ in QUALITY_FIELDS:
-            out = out.append_column(name, pa.array(cols[name], typ))
+        for name, _ in QUALITY_FIELDS:
+            out = out.append_column(name, quality[name])
         return out
 
     return _fn

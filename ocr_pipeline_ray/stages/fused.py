@@ -6,12 +6,15 @@ functions; running them as separate ``map_batches`` stages would
 deserialize/re-serialize the nested ``lines`` column once per stage.
 ``FusedExtractor`` compiles the ordered row steps into one callable
 that converts each row once: html → lines → normalized texts →
-spans/quality → columns. Whole-batch steps (``EmitAlto``,
-``RescoreQuality``, user-registered builders) follow as trailing
-``map_batches`` (see :func:`split_chain`). :func:`make_fused_fn`
-wraps the chain for a whole-block ``map_batches`` and runs it on
-``batch_size``-row slices of each block, so the map fuses with the
-read and write around it while the chain's working set stays small.
+spans → columns. ``QualityEstimate`` only notes which lines it
+scores; one :func:`~ocr_pipeline_ray.functions.quality.quality_arrays`
+call per batch scores them after the row loop. Whole-batch steps
+(``EmitAlto``, ``RescoreQuality``, user-registered builders) follow
+as trailing ``map_batches`` (see :func:`split_chain`).
+:func:`make_fused_fn` wraps the chain for a whole-block
+``map_batches`` and runs it on ``batch_size``-row slices of each
+block, so the map fuses with the read and write around it while the
+chain's working set stays small.
 
 Columns follow the step list: each step (re)writes its columns at the
 end of the table (:data:`_STEP_COLUMNS`). A chain without
@@ -30,7 +33,7 @@ import pyarrow as pa
 
 from ..config import ROW_STEPS, StepSpec, resolve_step
 from ..functions.extract import ExtractConfig, extract_document
-from ..functions.quality import estimate_quality
+from ..functions.quality import quality_arrays
 from ..functions.text import (
     doc_id_from_url,
     page_id_from_url,
@@ -121,11 +124,20 @@ class FusedExtractor:
         self.boiler_re = re.compile(cfg.boiler_class_pattern)
         self.tail = [(s.type, coerce_params(s.params)) for s in specs[1:]]
         columns: List[str] = list(_STEP_COLUMNS["HtmlExtract"])
+        # the last QualityEstimate's params (its columns are the ones
+        # kept), and whether it scores the chain's final lines
+        self.quality = None
+        self.quality_on_final = True
         for _type, params in self.tail:
-            if _type == "QualityEstimate" and params.get("lexicon"):
-                params["lexicon"] = frozenset(
-                    w.lower() for w in params["lexicon"]
-                )
+            if _type == "QualityEstimate":
+                if params.get("lexicon"):
+                    params["lexicon"] = frozenset(
+                        w.lower() for w in params["lexicon"]
+                    )
+                self.quality = params
+                self.quality_on_final = True
+            elif _type in ("ReplaceChars", "ReplaceCharsRegex"):
+                self.quality_on_final = False
             written = _STEP_COLUMNS[_type]
             if _type == "ReplaceChars" and params.get("backup"):
                 written += (BACKUP_COLUMN,)
@@ -135,7 +147,8 @@ class FusedExtractor:
     def _process_row(self, raw: Optional[bytes], timings=None):
         """One row: texts through the chain. Returns (extracted
         texts, texts, n_raw, error, stats_items, backup,
-        extracted_text, starts, stops, quality, overrides)."""
+        extracted_text, starts, stops, scored, overrides), where
+        ``scored`` is the texts the last QualityEstimate sees."""
         from time import perf_counter
 
         error = None
@@ -163,7 +176,7 @@ class FusedExtractor:
         repl_stats: Dict[str, int] = {}
         backup = None
         extracted_text = ""
-        quality = None
+        scored = None
         starts: List[int] = []
         stops: List[int] = []
         for _type, params in self.tail:
@@ -189,15 +202,13 @@ class FusedExtractor:
                     pos += len(txt) + 1
                 extracted_text = "\n".join(texts)
             elif _type == "QualityEstimate":
-                quality = estimate_quality(
-                    texts, params.get("lexicon"), params.get("minlen", 2)
-                )
+                scored = texts
             if timings is not None:
                 now = perf_counter()
                 timings[_type] = timings.get(_type, 0.0) + (now - t0)
                 t0 = now
         return (extracted, texts, n_raw, error, list(repl_stats.items()),
-                backup, extracted_text, starts, stops, quality, overrides)
+                backup, extracted_text, starts, stops, scored, overrides)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         import numpy as np
@@ -211,7 +222,8 @@ class FusedExtractor:
         htmls = batch.column("html").to_pylist()
         n_raw_col, err_col, stats_col, backup_col = [], [], [], []
         text_col, nl_col = [], []
-        qual_cols = {name: [] for name, _ in QUALITY_FIELDS}
+        flat_scored: List[str] = []
+        scored_offsets = [0]
         flat_extracted: List[str] = []
         flat_texts: List[str] = []
         flat_starts: List[int] = []
@@ -220,7 +232,7 @@ class FusedExtractor:
         xml_overrides = []  # (flat_pos, ids, geoms) for ALTO/PAGE docs
         for raw in htmls:
             (extracted, texts, n_raw, error, stats, backup, extracted_text,
-             starts, stops, quality, overrides) = self._process_row(
+             starts, stops, scored, overrides) = self._process_row(
                 raw, timings)
             n_raw_col.append(n_raw)
             err_col.append(error)
@@ -235,9 +247,9 @@ class FusedExtractor:
             flat_starts.extend(starts)
             flat_stops.extend(stops)
             offsets.append(offsets[-1] + len(texts))
-            if quality is not None:
-                for name, _ in QUALITY_FIELDS:
-                    qual_cols[name].append(quality[name])
+            if scored is not None and not self.quality_on_final:
+                flat_scored.extend(scored)
+                scored_offsets.append(scored_offsets[-1] + len(scored))
 
         # columnar construction of the nested lines column: geometry
         # and ids are pure functions of (in-doc index, extracted text
@@ -271,10 +283,12 @@ class FusedExtractor:
         else:  # not finalized: no span offsets yet
             starts_arr = stops_arr = pa.array(
                 np.full(total, -1, dtype=np.int64))
+        texts_arr = pa.array(flat_texts, pa.string())
+        offsets_arr = pa.array(offsets, pa.int32())
         struct = pa.StructArray.from_arrays(
             [
                 pa.array(ids, pa.string()),
-                pa.array(flat_texts, pa.string()),
+                texts_arr,
                 starts_arr,
                 stops_arr,
                 pa.array(hpos_arr),
@@ -286,8 +300,7 @@ class FusedExtractor:
         )
         urls = batch.column("url").to_pylist()
         built = {
-            "lines": pa.ListArray.from_arrays(
-                pa.array(offsets, pa.int32()), struct),
+            "lines": pa.ListArray.from_arrays(offsets_arr, struct),
             "n_raw_lines": pa.array(n_raw_col, pa.int32()),
             "error": pa.array(err_col, pa.string()),
             "repl_stats": pa.array(stats_col, REPL_STATS_TYPE),
@@ -299,8 +312,20 @@ class FusedExtractor:
             "page_id": pa.array([page_id_from_url(u) for u in urls],
                                 pa.string()),
         }
-        for name, typ in QUALITY_FIELDS:
-            built[name] = pa.array(qual_cols[name], typ)
+        if self.quality is not None:
+            t0 = perf_counter() if timings is not None else 0.0
+            if self.quality_on_final:
+                scored_lines = pa.ListArray.from_arrays(offsets_arr, texts_arr)
+            else:
+                scored_lines = pa.ListArray.from_arrays(
+                    pa.array(scored_offsets, pa.int32()),
+                    pa.array(flat_scored, pa.string()))
+            built.update(quality_arrays(
+                scored_lines, self.quality.get("lexicon"),
+                self.quality.get("minlen", 2)))
+            if timings is not None:
+                timings["QualityEstimate"] = (
+                    timings.get("QualityEstimate", 0.0) + perf_counter() - t0)
         out = batch.drop_columns(["html"])
         for name in columns:
             out = out.append_column(name, built[name])

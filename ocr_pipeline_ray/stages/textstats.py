@@ -13,7 +13,7 @@ import itertools
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..functions.quality import estimate_quality
+from ..functions.quality import quality_arrays
 from ..functions.text import sanitize_chars
 
 # per-process sequence for checkpoint dir tags (the pid is already in
@@ -337,17 +337,15 @@ def doc_quality_fn(batch: pa.Table, text_col: str = "text") -> pa.Table:
     sanitize → dense filter → token validate → ratio chain; emits
     ``hit_ratio`` (with the -1 sentinel), ``n_words``, ``n_errs``.
     """
-    texts = batch.column(text_col).to_pylist()
-    ratios, n_words, n_errs = [], [], []
-    for t in texts:
-        rec = estimate_quality([t or ""])
-        ratios.append(rec["hit_ratio"])
-        n_words.append(rec["n_words"])
-        n_errs.append(rec["n_errs"])
+    import numpy as np
+
+    texts = pc.fill_null(batch.column(text_col), "").combine_chunks()
+    quality = quality_arrays(pa.ListArray.from_arrays(
+        pa.array(np.arange(len(texts) + 1, dtype=np.int32)), texts))
     return (
-        batch.append_column("hit_ratio", pa.array(ratios, pa.float64()))
-        .append_column("n_words", pa.array(n_words, pa.int64()))
-        .append_column("n_errs", pa.array(n_errs, pa.int64()))
+        batch.append_column("hit_ratio", quality["hit_ratio"])
+        .append_column("n_words", quality["n_words"].cast(pa.int64()))
+        .append_column("n_errs", quality["n_errs"].cast(pa.int64()))
     )
 
 

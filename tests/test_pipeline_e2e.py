@@ -244,6 +244,13 @@ def _chain_shapes():
         "no_replace": [StepSpec("HtmlExtract"), StepSpec("FinalizeText"),
                        StepSpec("QualityEstimate")],
         "quality_first": [extract, quality, repl, regex, finalize],
+        # a scoring lexicon (mixed case, lower-cased by the chain) and
+        # a stricter dense-line length
+        "quality_lexicon": [extract, repl, regex, finalize, StepSpec(
+            "QualityEstimate",
+            {"lexicon": ["Der", "die", "DAS", "und", "Wasser", "turm",
+                         "haus", "Zeile", "the", "river"],
+             "minlen": 5})],
         "no_finalize": without("FinalizeText"),
         "no_quality": without("QualityEstimate"),
         "emit_alto": default_steps() + [StepSpec("EmitAlto")],
@@ -312,7 +319,11 @@ def _replay_row(page, steps):
             put("doc_id", doc_id_from_url(row["url"]))
             put("page_id", page_id_from_url(row["url"]))
         elif step.type == "QualityEstimate":
-            for key, val in estimate_quality(texts).items():
+            lexicon = params.get("lexicon")
+            if lexicon:
+                lexicon = frozenset(w.lower() for w in lexicon)
+            for key, val in estimate_quality(
+                    texts, lexicon, params.get("minlen", 2)).items():
                 put(key, val)
         elif step.type == "EmitAlto":
             put("alto_xml", doc_to_alto_xml(row["doc_id"] or "",
